@@ -16,6 +16,13 @@ t_min between traces can flip the visit order of overlapping leaves --
 kernels that lean on traversal order must survive exactly that.  The upper
 interval bound is re-read after every reported candidate, so an accepted
 hit culls later subtrees within the same trace.
+
+Everything a ray reads that does not depend on the ray is computed at build
+time.  ``Blas.tris`` keeps each triangle's packed intersection data in
+primitive order, so the brute-force reference enumerates a mesh without
+sorting the tree's slots.  ``BuiltInstance.inv_rows`` holds the inverse
+transform as 12 flat floats (the rows of the linear part, then the
+translation), from which ``object_ray_parts`` maps a ray into object space.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .geom import IDENTITY, Ray, Vec3, affine_inverse, apply_point, mt_core, slab_entry, vec3_32
+from .floatstep import f32x6
+from .geom import IDENTITY, Ray, Vec3, affine_inverse, apply_point, mt_core, slab_entry
 
 # node tuple layout: (lox, loy, loz, hix, hiy, hiz, left, right, first, count)
 # leaf <=> left < 0; first/count index into the element permutation
@@ -99,14 +107,17 @@ def _build_nodes(bounds, centroids, order, leaf_size):
 
 
 class Blas:
-    """Tree over one mesh's triangles plus packed intersection data."""
+    """Tree over one mesh's triangles plus packed intersection data: in
+    tree slot order (``packed``, with ``order`` mapping slot to primitive)
+    and in primitive order (``tris``)."""
 
-    __slots__ = ("nodes", "order", "packed")
+    __slots__ = ("nodes", "order", "packed", "tris")
 
-    def __init__(self, nodes, order, packed):
+    def __init__(self, nodes, order, packed, tris):
         self.nodes = nodes
         self.order = order
         self.packed = packed
+        self.tris = tris
 
     def root_bounds(self):
         n = self.nodes[0]
@@ -143,7 +154,7 @@ def build_blas(mesh, opts: BuildOptions = BuildOptions()) -> Blas:
         random.Random(opts.permute_seed).shuffle(order)
     nodes = _build_nodes(bounds, centroids, order, opts.leaf_size)
     packed = [tri_data[i] for i in order]
-    return Blas(nodes, order, packed)
+    return Blas(nodes, order, packed, tri_data)
 
 
 class BuiltGeometry:
@@ -155,13 +166,17 @@ class BuiltGeometry:
 
 
 class BuiltInstance:
-    __slots__ = ("index", "transform", "inverse", "is_identity", "bounds", "geoms")
+    __slots__ = ("index", "transform", "inverse", "inv_rows", "is_identity", "bounds", "geoms")
 
     def __init__(self, index, transform, geoms):
         self.index = index
         self.transform = transform
         self.is_identity = transform == IDENTITY
-        self.inverse = None if self.is_identity else affine_inverse(transform)
+        if self.is_identity:
+            self.inverse = self.inv_rows = None
+        else:
+            inv = self.inverse = affine_inverse(transform)
+            self.inv_rows = (*inv.m[0], *inv.m[1], *inv.m[2], *inv.t)
         self.geoms = geoms
         lo = [float("inf")] * 3
         hi = [float("-inf")] * 3
@@ -189,20 +204,24 @@ class BuiltInstance:
         self.bounds = (lo[0], lo[1], lo[2], hi[0], hi[1], hi[2])
 
     def object_ray_parts(self, ray: Ray):
-        """Object-space origin/direction (binary32 components) for this instance."""
-        if self.is_identity:
-            o = ray.origin
-            d = ray.direction
-            return o.x, o.y, o.z, d.x, d.y, d.z
-        inv = self.inverse
-        o = apply_point(inv, ray.origin)
-        m = inv.m
-        dx = m[0][0] * ray.direction.x + m[0][1] * ray.direction.y + m[0][2] * ray.direction.z
-        dy = m[1][0] * ray.direction.x + m[1][1] * ray.direction.y + m[1][2] * ray.direction.z
-        dz = m[2][0] * ray.direction.x + m[2][1] * ray.direction.y + m[2][2] * ray.direction.z
-        o32 = vec3_32(o.x, o.y, o.z)
-        d32 = vec3_32(dx, dy, dz)
-        return o32.x, o32.y, o32.z, d32.x, d32.y, d32.z
+        """Object-space origin/direction (binary32 components) for this
+        instance, bitwise equal to ``geom.transform_ray_inv(self.inverse, ray)``:
+        the same binary64 operation order as ``apply_point``/``apply_vector``,
+        then binary32 rounding.  The identity returns the ray's own components."""
+        ox, oy, oz = ray.origin
+        dx, dy, dz = ray.direction
+        rows = self.inv_rows
+        if rows is None:
+            return ox, oy, oz, dx, dy, dz
+        m00, m01, m02, m10, m11, m12, m20, m21, m22, tx, ty, tz = rows
+        return f32x6(
+            m00 * ox + m01 * oy + m02 * oz + tx,
+            m10 * ox + m11 * oy + m12 * oz + ty,
+            m20 * ox + m21 * oy + m22 * oz + tz,
+            m00 * dx + m01 * dy + m02 * dz,
+            m10 * dx + m11 * dy + m12 * dz,
+            m20 * dx + m21 * dy + m22 * dz,
+        )
 
 
 class BuiltScene:
@@ -249,8 +268,9 @@ def build_scene(scene, opts: Optional[BuildOptions] = None) -> BuiltScene:
     return BuiltScene(scene, opts, instances, nodes, order)
 
 
-def _walk_blas(blas, ox, oy, oz, dx, dy, dz, t_min, t_max, emit, stats):
-    """Depth-first walk of one mesh tree; emit(prim, hit) -> (new_tmax, stop)."""
+def _walk_blas(blas, ox, oy, oz, dx, dy, dz, t_min, t_max, visit, sbt, inst, bi, stats):
+    """Depth-first walk of one mesh tree, reporting candidates to ``visit``
+    as ``traverse`` does; returns (t_max, stopped)."""
     nodes = blas.nodes
     order = blas.order
     packed = blas.packed
@@ -268,7 +288,7 @@ def _walk_blas(blas, ox, oy, oz, dx, dy, dz, t_min, t_max, emit, stats):
                 hit = mt_core(ox, oy, oz, dx, dy, dz, t_min, t_max, *packed[slot])
                 if hit is None:
                     continue
-                new_tmax, stop = emit(order[slot], hit)
+                new_tmax, stop = visit(*hit, order[slot], sbt, inst, bi)
                 if new_tmax is not None:
                     t_max = new_tmax
                 if stop:
@@ -329,13 +349,9 @@ def traverse(built: BuiltScene, ray: Ray, visit, stats) -> None:
                 ox, oy, oz, dx, dy, dz = bi.object_ray_parts(ray)
                 inst_index = bi.index
                 for geom in bi.geoms:
-                    sbt = geom.sbt_offset
-
-                    def emit(prim, hit, _sbt=sbt, _inst=inst_index, _bi=bi):
-                        return visit(hit[0], hit[1], hit[2], hit[3], prim, _sbt, _inst, _bi)
-
                     t_max, stop = _walk_blas(
-                        geom.blas, ox, oy, oz, dx, dy, dz, t_min, t_max, emit, stats
+                        geom.blas, ox, oy, oz, dx, dy, dz, t_min, t_max,
+                        visit, geom.sbt_offset, inst_index, bi, stats,
                     )
                     if stop:
                         return

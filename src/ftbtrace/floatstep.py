@@ -49,6 +49,18 @@ def f32(x: float) -> float:
         return F32_MAX if x > 0.0 else -F32_MAX
 
 
+_pack_6f = struct.Struct("<6f").pack
+_unpack_6f = struct.Struct("<6f").unpack
+
+
+def f32x6(a: float, b: float, c: float, d: float, e: float, f: float) -> tuple:
+    """Six values rounded as ``f32`` rounds each, in one pack/unpack."""
+    try:
+        return _unpack_6f(_pack_6f(a, b, c, d, e, f))
+    except OverflowError:
+        return f32(a), f32(b), f32(c), f32(d), f32(e), f32(f)
+
+
 def f32_bits(x: float) -> int:
     """Bit pattern of a binary32-valued float."""
     return _unpack_u(_pack_f(x))[0]

@@ -33,6 +33,8 @@ class OracleResult:
 def oracle_all_hits(built: BuiltScene, ray) -> OracleResult:
     """Every hit with t_min < t < t_max, by direct enumeration, sorted."""
     found = []
+    t_min = ray.t_min
+    t_max = ray.t_max
     for bi in built.instances:
         ox, oy, oz, dx, dy, dz = bi.object_ray_parts(ray)
         inst = bi.index
@@ -40,16 +42,11 @@ def oracle_all_hits(built: BuiltScene, ray) -> OracleResult:
         w2o = bi.inverse or bi.transform
         for geom in bi.geoms:
             sbt = geom.sbt_offset
-            mesh_source = geom.blas
-            # enumerate in original primitive order, independent of the tree
-            order = mesh_source.order
-            packed = mesh_source.packed
-            by_prim = sorted(range(len(order)), key=lambda s: order[s])
-            for slot in by_prim:
-                hit = mt_core(ox, oy, oz, dx, dy, dz, ray.t_min, ray.t_max, *packed[slot])
+            # original primitive order, independent of the tree
+            for prim, tri in enumerate(geom.blas.tris):
+                hit = mt_core(ox, oy, oz, dx, dy, dz, t_min, t_max, *tri)
                 if hit is None:
                     continue
-                prim = order[slot]
                 desc = HitDesc(hit.t, prim, sbt, inst)
                 ctx = HitContext(hit.t, hit.u, hit.v, hit.front_face, prim, sbt, inst, o2w, w2o)
                 found.append((desc, ctx))

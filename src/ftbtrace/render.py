@@ -132,15 +132,17 @@ UserCodeSpec = Union[MaxDepth, ProbDepth, CountAll]
 
 
 def parse_user_code(s: str) -> UserCodeSpec:
-    """Parse 'maxdepth:N', 'probdepth:N:SEED' or 'countall'."""
-    parts = s.lower().split(":")
-    if parts[0] == "countall":
+    """Parse 'maxdepth:N', 'probdepth:N[:SEED]' or 'countall'."""
+    name, *args = s.lower().split(":")
+    if name == "countall" and not args:
         return CountAll()
-    if parts[0] == "maxdepth":
-        return MaxDepth(int(parts[1]))
-    if parts[0] == "probdepth":
-        return ProbDepth(int(parts[1]), int(parts[2]) if len(parts) > 2 else 0)
-    raise ValueError(f"unknown user code spec {s!r}")
+    if name == "maxdepth" and len(args) == 1:
+        return MaxDepth(int(args[0]))
+    if name == "probdepth" and len(args) in (1, 2):
+        return ProbDepth(int(args[0]), int(args[1]) if len(args) > 1 else 0)
+    raise ValueError(
+        f"unknown user code spec {s!r} (countall, maxdepth:N or probdepth:N[:SEED])"
+    )
 
 
 class PixelState:

@@ -127,14 +127,24 @@ def load_obj(path) -> Mesh:
     return Mesh(vertices, indices)
 
 
+def _ref(items: list, index, what: str):
+    """items[index] for a manifest reference; no wrap-around from the end."""
+    if type(index) is not int or not 0 <= index < len(items):
+        raise ValueError(f"manifest: bad {what} index {index!r} ({len(items)} defined)")
+    return items[index]
+
+
 def scene_from_manifest(doc: dict, base_dir: str = ".") -> Scene:
     """Scene from a JSON manifest.
 
     Schema: {"meshes": [{"path": obj} | {"vertices": [[x,y,z]..],
     "indices": [[a,b,c]..]}], "geometries": [{"mesh": i, "sbtOffset": s}],
     "instances": [{"geometries": [g..], "transform": 3x4 rows (optional)}],
-    "camera": {...} (optional hint)}.
+    "camera": {...} (optional hint)}.  Mesh and geometry references must
+    index into their lists; anything else is a ValueError.
     """
+    if not isinstance(doc, dict):
+        raise ValueError("manifest: top level must be a JSON object")
     meshes = []
     for i, m in enumerate(doc.get("meshes", [])):
         if "path" in m:
@@ -145,7 +155,7 @@ def scene_from_manifest(doc: dict, base_dir: str = ".") -> Scene:
             meshes.append(Mesh(verts, idx))
     geometries = []
     for g in doc.get("geometries", []):
-        geometries.append(Geometry(meshes[g["mesh"]], int(g["sbtOffset"])))
+        geometries.append(Geometry(_ref(meshes, g["mesh"], "mesh"), int(g["sbtOffset"])))
     instances = []
     for i, inst in enumerate(doc.get("instances", [])):
         rows = inst.get("transform")
@@ -155,7 +165,7 @@ def scene_from_manifest(doc: dict, base_dir: str = ".") -> Scene:
             m = tuple(tuple(float(v) for v in row[:3]) for row in rows)
             t = vec3_32(rows[0][3], rows[1][3], rows[2][3])
             xf = Affine3(m, t)
-        geos = [geometries[g] for g in inst["geometries"]]
+        geos = [_ref(geometries, g, "geometry") for g in inst["geometries"]]
         instances.append(Instance(geos, xf, i))
     scene = Scene(instances, name=str(doc.get("name", "")), camera_hint=doc.get("camera"))
     scene.validate()

@@ -1,6 +1,12 @@
+import struct
+
 import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ftbtrace import (
+    Affine3,
     BuildOptions,
     Mesh,
     Vec3,
@@ -14,7 +20,9 @@ from ftbtrace import (
     oracle_all_hits,
     traverse,
 )
-from ftbtrace.floatstep import just_below
+from ftbtrace.bvh import BuiltInstance
+from ftbtrace.floatstep import F32_MAX, just_below
+from ftbtrace.geom import IDENTITY, det3, transform_ray_inv
 from ftbtrace.pipeline import TraceStats
 
 from conftest import rays_for
@@ -148,3 +156,98 @@ def test_tmax_shrink_is_respected_mid_trace():
 
     traverse(built, ray, visit, TraceStats())
     assert all(b < a for a, b in zip(seen, seen[1:]))
+
+
+def _bits(values):
+    return [struct.pack("<d", x) for x in values]
+
+
+_F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+_COEF = st.floats(min_value=-64.0, max_value=64.0, width=32)
+
+
+@st.composite
+def _affines(draw):
+    m = tuple(tuple(draw(_COEF) for _ in range(3)) for _ in range(3))
+    assume(det3(m) != 0.0)
+    xf = Affine3(m, Vec3(draw(_F32), draw(_F32), draw(_F32)))
+    assume(xf != IDENTITY)
+    return xf
+
+
+_DIAG_HALF = ((0.5, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 0.5))
+_DIAG_ONE = IDENTITY.m
+
+
+@settings(max_examples=300)
+@given(_affines(), st.tuples(_F32, _F32, _F32), st.tuples(_F32, _F32, _F32))
+# object-space origin x = 3e38 + 3e38 rounds to inf
+@example(Affine3(_DIAG_ONE, Vec3(-3e38, 0.0, 0.0)), (3e38, 0.0, 0.0), (0.0, 0.0, 1.0))
+# and to -inf
+@example(Affine3(_DIAG_ONE, Vec3(3e38, 0.0, 0.0)), (-3e38, 0.0, 0.0), (0.0, 0.0, 1.0))
+# F32_MAX + 2**102 lies below the rounding midpoint: rounds down to F32_MAX
+@example(Affine3(_DIAG_ONE, Vec3(-(2.0 ** 102), 0.0, 0.0)), (F32_MAX, 0.0, 0.0), (0.0, 0.0, 1.0))
+# inverse row 0 is (1, -1, -1): (1 + 2**53) - 2**53 is 0.0 left to right, 1.0 otherwise
+@example(
+    Affine3(((1.0, 1.0, 1.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), Vec3(0.0, 0.0, 0.0)),
+    (1.0, -(2.0 ** 53), 2.0 ** 53),
+    (1.0, -(2.0 ** 53), 2.0 ** 53),
+)
+# every product in the direction's x and y rows is -0.0
+@example(Affine3(_DIAG_HALF, Vec3(1.0, 2.0, 3.0)), (1.0, 1.0, 1.0), (-0.0, -0.0, -1.0))
+def test_object_ray_parts_matches_transform_ray_inv_bitwise(xf, origin, direction):
+    bi = BuiltInstance(0, xf, [])
+    ray = make_ray(origin, direction, 0.0, 1.0)
+    want = transform_ray_inv(bi.inverse, ray)
+    got = bi.object_ray_parts(ray)
+    assert _bits(got) == _bits((*want.origin, *want.direction))
+
+
+def test_object_ray_parts_edge_cases_round_as_expected():
+    def parts(xf, origin, direction):
+        return BuiltInstance(0, xf, []).object_ray_parts(make_ray(origin, direction, 0.0, 1.0))
+
+    assert parts(Affine3(_DIAG_ONE, Vec3(-3e38, 0.0, 0.0)), (3e38, 0, 0), (0, 0, 1))[0] == float("inf")
+    assert parts(Affine3(_DIAG_ONE, Vec3(3e38, 0.0, 0.0)), (-3e38, 0, 0), (0, 0, 1))[0] == float("-inf")
+    assert parts(Affine3(_DIAG_ONE, Vec3(-(2.0 ** 102), 0.0, 0.0)), (F32_MAX, 0, 0), (0, 0, 1))[0] == F32_MAX
+    shear = Affine3(((1.0, 1.0, 1.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), Vec3(0.0, 0.0, 0.0))
+    big = 2.0 ** 53
+    got = parts(shear, (1.0, -big, big), (1.0, -big, big))
+    assert (got[0], got[3]) == (0.0, 0.0)
+    got = parts(Affine3(_DIAG_HALF, Vec3(1.0, 2.0, 3.0)), (1, 1, 1), (-0.0, -0.0, -1.0))
+    assert _bits(got[3:]) == _bits((-0.0, -0.0, -2.0))
+
+
+def test_object_ray_parts_identity_returns_ray_components():
+    bi = BuiltInstance(0, IDENTITY, [])
+    ray = make_ray((-0.0, 1.5, 3e38), (0.0, -0.0, -1.0), 0.0, 1.0)
+    got = bi.object_ray_parts(ray)
+    assert bi.inv_rows is None
+    assert all(a is b for a, b in zip(got, (*ray.origin, *ray.direction)))
+
+
+def _packed_triangle(mesh, tri):
+    a, b, c = (mesh.vertices[i] for i in tri)
+    return (a.x, a.y, a.z, b.x - a.x, b.y - a.y, b.z - a.z, c.x - a.x, c.y - a.y, c.z - a.z)
+
+
+@pytest.mark.parametrize(
+    "scene", [gen_coplanar_stack(8, True), gen_instanced_grid(3)], ids=["coplanar", "grid"]
+)
+def test_oracle_does_not_depend_on_tree_build(scene):
+    rays = rays_for(scene, 8, 6)
+    base = build_scene(scene, BuildOptions())
+    want = [oracle_all_hits(base, ray) for ray in rays]
+    assert any(w.hits for w in want)
+    for leaf_size in (1, 2, 4):
+        for seed in (None, 1, 7, 42):
+            built = build_scene(scene, BuildOptions(leaf_size=leaf_size, permute_seed=seed))
+            for inst, bi in zip(scene.instances, built.instances):
+                for g, bg in zip(inst.geometries, bi.geoms):
+                    blas = bg.blas
+                    assert blas.tris == [_packed_triangle(g.mesh, t) for t in g.mesh.indices]
+                    assert blas.packed == [blas.tris[p] for p in blas.order]
+            for ray, w in zip(rays, want):
+                got = oracle_all_hits(built, ray)
+                assert got.hits == w.hits
+                assert got.contexts == w.contexts

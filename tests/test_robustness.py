@@ -162,3 +162,81 @@ def test_grid_rays_through_empty_cell():
     stacked = make_ray((0.1, -0.2, -1.0), (0, 0, 1), 0, 100)
     orc2 = _check_against_oracle(built, stacked)
     assert [h.inst for h in orc2.hits] == [0, 1]
+
+
+# ------------------------------------------------- malformed CLI input: exit 2
+
+_ONE_TRIANGLE = {"vertices": [[0, 0, 5], [1, 0, 5], [0, 1, 5]], "indices": [[0, 1, 2]]}
+
+
+def _cli_error(capsys, argv):
+    from ftbtrace.cli import main
+
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def _manifest(tmp_path, doc):
+    import json
+
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_cli_user_code_without_depth_exits_2(tmp_path, capsys):
+    _cli_error(capsys, ["render", "--gen", "coplanar:n=2", "--user-code", "maxdepth",
+                        "--out", str(tmp_path / "x.ppm")])
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_cli_threads_below_one_exits_2(tmp_path, capsys, threads):
+    err = _cli_error(capsys, ["render", "--gen", "coplanar:n=2", "--threads", threads,
+                              "--out", str(tmp_path / "x.ppm")])
+    assert "--threads" in err
+    assert not (tmp_path / "x.ppm").exists()
+
+
+def test_cli_manifest_top_level_list_exits_2(tmp_path, capsys):
+    path = _manifest(tmp_path, [_ONE_TRIANGLE])
+    _cli_error(capsys, ["render", "--scene", path, "--out", str(tmp_path / "x.ppm")])
+
+
+def test_cli_manifest_mesh_index_out_of_range_exits_2(tmp_path, capsys):
+    path = _manifest(tmp_path, {
+        "meshes": [_ONE_TRIANGLE],
+        "geometries": [{"mesh": 1, "sbtOffset": 0}],
+        "instances": [{"geometries": [0]}],
+    })
+    err = _cli_error(capsys, ["render", "--scene", path, "--out", str(tmp_path / "x.ppm")])
+    assert "mesh index 1" in err
+
+
+def test_cli_manifest_geometry_index_out_of_range_exits_2(tmp_path, capsys):
+    path = _manifest(tmp_path, {
+        "meshes": [_ONE_TRIANGLE],
+        "geometries": [{"mesh": 0, "sbtOffset": 0}],
+        "instances": [{"geometries": [0, 3]}],
+    })
+    err = _cli_error(capsys, ["render", "--scene", path, "--out", str(tmp_path / "x.ppm")])
+    assert "geometry index 3" in err
+
+
+@pytest.mark.parametrize("field", ["mesh", "geometries"])
+def test_cli_manifest_negative_index_exits_2(tmp_path, capsys, field):
+    # -1 must not silently pick the last element
+    doc = {
+        "meshes": [_ONE_TRIANGLE],
+        "geometries": [{"mesh": 0, "sbtOffset": 0}],
+        "instances": [{"geometries": [0]}],
+    }
+    if field == "mesh":
+        doc["geometries"][0]["mesh"] = -1
+    else:
+        doc["instances"][0]["geometries"] = [-1]
+    path = _manifest(tmp_path, doc)
+    err = _cli_error(capsys, ["render", "--scene", path, "--out", str(tmp_path / "x.ppm")])
+    assert "index -1" in err
