@@ -21,7 +21,6 @@ from .floatstep import (
     ulp_distance,
 )
 from .geom import (
-    Aabb,
     Affine3,
     IDENTITY,
     Ray,
@@ -29,7 +28,6 @@ from .geom import (
     TriHit,
     Vec3,
     affine_inverse,
-    intersect_aabb,
     intersect_triangle,
     make_ray,
     scaling,
@@ -41,12 +39,10 @@ from .kernels import (
     CORRECT_KERNELS,
     FtbReport,
     KERNELS,
-    STABLE_KERNELS,
     Step,
     is_stable,
     iter_multi_hit_batches,
     iter_reject_repeats,
-    iter_stable_next,
     run_ah_only,
     run_ch_only,
     run_kernel,

@@ -41,7 +41,6 @@ def _add_scene_args(p: argparse.ArgumentParser) -> None:
         help="asgiven or permuted:SEED (tree build order)",
     )
     p.add_argument("--leaf-size", type=int, default=None, help="tree leaf size override")
-    p.add_argument("--threads", type=int, default=1, help="render worker threads")
 
 
 def _parse_size(s: str):
@@ -193,6 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--user-code", default="countall")
     b.set_defaults(fn=_cmd_bench)
 
+    for rendering in (r, c, b):
+        rendering.add_argument("--threads", type=int, default=1, help="render worker threads")
     return p
 
 
@@ -200,7 +201,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads < 1:
+        if getattr(args, "threads", 1) < 1:
             raise ValueError("--threads must be at least 1")
         return args.fn(args)
     except (OSError, ValueError) as exc:

@@ -77,11 +77,6 @@ class Triangle(NamedTuple):
     v2: Vec3
 
 
-class Aabb(NamedTuple):
-    lo: Vec3
-    hi: Vec3
-
-
 class TriHit(NamedTuple):
     t: float
     u: float
@@ -305,32 +300,3 @@ def slab_entry(
     elif oz < loz or oz > hiz:
         return None
     return enter
-
-
-def intersect_aabb(ray: Ray, box: Aabb):
-    """Overlap of the box's slab interval with (t_min, t_max), or None.
-
-    Returns the clamped (enter, exit) pair.  Conservative: inclusive at the
-    box boundary, so a box containing a valid hit is never rejected.
-    """
-    o = ray.origin
-    d = ray.direction
-    lo, hi = box
-    enter = slab_entry(
-        lo.x, lo.y, lo.z, hi.x, hi.y, hi.z,
-        o.x, o.y, o.z, d.x, d.y, d.z, ray.t_min, ray.t_max,
-    )
-    if enter is None:
-        return None
-    # recompute the exit with the same arithmetic
-    exit_ = ray.t_max
-    for lov, hiv, ov, dv in ((lo.x, hi.x, o.x, d.x), (lo.y, hi.y, o.y, d.y), (lo.z, hi.z, o.z, d.z)):
-        if dv != 0.0:
-            inv = 1.0 / dv
-            t0 = (lov - ov) * inv
-            t1 = (hiv - ov) * inv
-            if t0 > t1:
-                t0, t1 = t1, t0
-            if t1 < exit_:
-                exit_ = t1
-    return (enter, exit_)

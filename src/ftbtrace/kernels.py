@@ -9,25 +9,32 @@ pipeline cannot cull that hit's distance ties) and OptiX-accepts hits it
 discards (so the traversal interval still shrinks).  That looks wrong and
 is intentional.
 
-All kernels drive a common ``user_code(hit, ctx, prd)`` callback; `ctx` is
-the full pipeline hit state for kernels whose user code runs inside an
-any-hit or closest-hit program, and None for the stable kernels, which can
-only hand out the stored identity tuple.  stable-next, reject-repeats and
-the multi-hit variant additionally expose resumable iterators so callers
-can do arbitrary work between hits.
+All kernels drive a common ``user_code(hit, ctx, prd)`` callback through one
+delivery object; `ctx` is the full pipeline hit state for kernels whose user
+code sees a live or committed hit, and None for the stable kernels, which
+can only hand out the stored identity tuple.  reject-repeats and the
+multi-hit kernel additionally expose resumable iterators so callers can do
+arbitrary work between hits.
 
-Two reference baselines are included for comparison: ch-only (misses
-distance ties) and ah-only (delivers out of order).  They are intentionally
-incorrect.
+Several kernels are special cases of others:
+
+* stable-next is stable-multi-hit:1, a one-hit buffer and one trace per hit;
+* ah-only is the while-while executor run over the whole user interval
+  instead of one binary32 value;
+* ch-only is the while-while feeler loop without an executor: it delivers
+  each feeler's committed hit itself.
+
+Those two reference baselines are intentionally incorrect: ch-only misses
+distance ties and ah-only delivers out of order.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Iterator, Optional
+from typing import Callable, Optional
 
 from .bvh import BuiltScene
 from .floatstep import just_above, just_below
@@ -54,79 +61,58 @@ def _desc(ctx: HitContext) -> HitDesc:
     return HitDesc(ctx.t, ctx.prim, ctx.geom, ctx.inst)
 
 
-# ---------------------------------------------------------------- stable-next
+class _Delivery:
+    """The prd every kernel hands hits to user code through.
 
-class _StableNextPrd:
-    __slots__ = ("hit_min", "hit_max")
+    ``found`` is where `_record_closest_hit` leaves a trace's committed hit.
+    """
 
-    def __init__(self, hit_min, hit_max):
-        self.hit_min = hit_min
-        self.hit_max = hit_max
+    __slots__ = ("user_code", "user_prd", "stats", "hits", "stopped", "found")
+
+    def __init__(self, user_code, user_prd, stats):
+        self.user_code = user_code
+        self.user_prd = user_prd
+        self.stats = stats if stats is not None else TraceStats()
+        self.hits = []
+        self.stopped = False
+        self.found = None
+
+    def deliver(self, hit, ctx) -> bool:
+        """Run user code on one hit; returns whether it asked to stop."""
+        self.hits.append(hit)
+        self.stats.user_code_calls += 1
+        if self.user_code(hit, ctx, self.user_prd) is Step.STOP:
+            self.stopped = True
+        return self.stopped
+
+    def report(self, batches=None) -> FtbReport:
+        return FtbReport(self.hits, self.stopped, self.stats, batches)
 
 
-def _sn_any_hit(ctx, prd):
-    curr = _desc(ctx)
-    if less(prd.hit_min, curr) and less(curr, prd.hit_max):
-        prd.hit_max = curr
-    if ctx.t > prd.hit_max.t:
-        # strictly beyond the best candidate: OptiX-accept purely to shrink
-        # the traversal interval; the hit itself is discarded
-        return AhVerdict.ACCEPT
-    # ties at the best candidate's distance (and re-reported ties of the
-    # previous hit) must be OptiX-rejected or the pipeline would cull the
-    # rest of their distance group
+def _record_closest_hit(ctx, prd):
+    prd.found = ctx
+
+
+def _deliver_any_hit(ctx, prd):
+    if prd.deliver(_desc(ctx), ctx):
+        return AhVerdict.TERMINATE_ACCEPT
+    # OptiX-reject, so the delivered hit's distance ties keep coming
     return AhVerdict.IGNORE
 
 
-_SN_CFG = TraceConfig(any_hit=_sn_any_hit, flags=TraceFlags.DISABLE_CLOSESTHIT)
-
-
-def iter_stable_next(built: BuiltScene, ray, stats: TraceStats) -> Iterator[HitDesc]:
-    """Next hit under the total order, one trace per hit.
-
-    Each trace finds the smallest hit strictly greater than the previous
-    one; the re-trace starts at just_below(previous distance) so the
-    previous hit's distance ties are still inside the valid interval.
-    Delivery order is independent of traversal order, hence stable across
-    rebuilds.
-    """
-    user_tmax = ray.t_max
-    hit_min = HitDesc(ray.t_min, -1, -1, -1)
-    cur = ray
-    while True:
-        prd = _StableNextPrd(hit_min, HitDesc(user_tmax, -1, -1, -1))
-        trace(built, cur, _SN_CFG, prd, stats)
-        best = prd.hit_max
-        if best.prim < 0:
-            return
-        yield best
-        hit_min = best
-        cur = cur._replace(t_min=just_below(best.t), t_max=user_tmax)
-
-
-def run_stable_next(built, ray, user_code, stats=None, user_prd=None) -> FtbReport:
-    stats = stats if stats is not None else TraceStats()
-    hits = []
-    stopped = False
-    for hit in iter_stable_next(built, ray, stats):
-        hits.append(hit)
-        stats.user_code_calls += 1
-        if user_code(hit, None, user_prd) is Step.STOP:
-            stopped = True
-            break
-    return FtbReport(hits, stopped, stats)
+_DELIVER_CFG = TraceConfig(any_hit=_deliver_any_hit, flags=TraceFlags.DISABLE_CLOSESTHIT)
+_FEELER_CFG = TraceConfig(closest_hit=_record_closest_hit, flags=TraceFlags.DISABLE_ANYHIT)
 
 
 # ------------------------------------------------------------- reject-repeats
 
 class _RejectRepeatsPrd:
-    __slots__ = ("skip_hit", "skip_left", "this_hit", "this_ctx")
+    __slots__ = ("skip_hit", "skip_left", "found")
 
     def __init__(self):
         self.skip_hit = HitDesc(-math.inf, -1, -1, -1)
         self.skip_left = 0
-        self.this_hit = None
-        self.this_ctx = None
+        self.found = None
 
 
 def _rr_any_hit(ctx, prd):
@@ -143,12 +129,7 @@ def _rr_any_hit(ctx, prd):
     return AhVerdict.IGNORE
 
 
-def _rr_closest_hit(ctx, prd):
-    prd.this_hit = _desc(ctx)
-    prd.this_ctx = ctx
-
-
-_RR_CFG = TraceConfig(any_hit=_rr_any_hit, closest_hit=_rr_closest_hit)
+_RR_CFG = TraceConfig(any_hit=_rr_any_hit, closest_hit=_record_closest_hit)
 
 
 def iter_reject_repeats(built: BuiltScene, ray, stats: TraceStats):
@@ -160,18 +141,18 @@ def iter_reject_repeats(built: BuiltScene, ray, stats: TraceStats):
     with it the skip count -- is consistent; only the anchor hit, delivered
     under a different t_min, needs the identity guard.
     """
-    user_tmax = ray.t_max
     prd = _RejectRepeatsPrd()
     next_tmin = ray.t_min
     next_skip = 0
     while True:
-        prd.this_hit = None
+        prd.found = None
         prd.skip_left = next_skip
-        trace(built, ray._replace(t_min=next_tmin, t_max=user_tmax), _RR_CFG, prd, stats)
-        got = prd.this_hit
-        if got is None:
+        trace(built, ray._replace(t_min=next_tmin), _RR_CFG, prd, stats)
+        ctx = prd.found
+        if ctx is None:
             return
-        yield got, prd.this_ctx
+        got = _desc(ctx)
+        yield got, ctx
         if got.t > prd.skip_hit.t:
             # new distance: re-anchor and count skips from zero again
             # (the anchor itself is skipped by identity, on top of the count)
@@ -183,107 +164,84 @@ def iter_reject_repeats(built: BuiltScene, ray, stats: TraceStats):
 
 
 def run_reject_repeats(built, ray, user_code, stats=None, user_prd=None) -> FtbReport:
-    stats = stats if stats is not None else TraceStats()
-    hits = []
-    stopped = False
-    for hit, ctx in iter_reject_repeats(built, ray, stats):
-        hits.append(hit)
-        stats.user_code_calls += 1
-        if user_code(hit, ctx, user_prd) is Step.STOP:
-            stopped = True
+    d = _Delivery(user_code, user_prd, stats)
+    for hit, ctx in iter_reject_repeats(built, ray, d.stats):
+        if d.deliver(hit, ctx):
             break
-    return FtbReport(hits, stopped, stats)
+    return d.report()
 
 
-# ---------------------------------------------------------------- while-while
+# ------------------------------------------------ while-while, ah-only, ch-only
 
-class _FeelerPrd:
-    __slots__ = ("t_next",)
+def _feeler_hits(built: BuiltScene, ray, d: _Delivery):
+    """Committed hits of plain closest-hit traces (any-hit disabled), each
+    trace starting at the previous hit's distance.
 
-    def __init__(self):
-        self.t_next = None
-
-
-def _feeler_closest_hit(ctx, prd):
-    prd.t_next = ctx.t
-
-
-_FEELER_CFG = TraceConfig(closest_hit=_feeler_closest_hit, flags=TraceFlags.DISABLE_ANYHIT)
-
-
-class _ExecutorPrd:
-    __slots__ = ("user_code", "user_prd", "hits", "stats", "stopped")
-
-    def __init__(self, user_code, user_prd, stats):
-        self.user_code = user_code
-        self.user_prd = user_prd
-        self.hits = []
-        self.stats = stats
-        self.stopped = False
-
-
-def _executor_any_hit(ctx, prd):
-    hit = _desc(ctx)
-    prd.hits.append(hit)
-    prd.stats.user_code_calls += 1
-    if prd.user_code(hit, ctx, prd.user_prd) is Step.STOP:
-        prd.stopped = True
-        return AhVerdict.TERMINATE_ACCEPT
-    return AhVerdict.IGNORE
-
-
-_EXECUTOR_CFG = TraceConfig(any_hit=_executor_any_hit, flags=TraceFlags.DISABLE_CLOSESTHIT)
+    Because the new t_min equals (not just_below) the last distance, the
+    rest of that distance group is skipped: one hit per distance, nearest
+    distance first.
+    """
+    t_lo = ray.t_min
+    while True:
+        d.found = None
+        trace(built, ray._replace(t_min=t_lo), _FEELER_CFG, d, d.stats)
+        ctx = d.found
+        if ctx is None:
+            return
+        yield ctx
+        t_lo = ctx.t  # anything strictly beyond the finished distance
 
 
 def run_while_while(built, ray, user_code, stats=None, user_prd=None) -> FtbReport:
     """Feeler rays find each next hit distance; executor rays enumerate it.
 
-    The feeler is a plain closest-hit trace (any-hit disabled) whose result
-    sets the executor's interval to (just_below(t), just_above(t)) -- an
-    interval containing exactly one representable binary32 value, so the
-    executor's any-hit program fires for precisely the hits at that
-    distance, and OptiX-rejecting each keeps every distance tie coming.
+    Each feeler's result sets the executor's interval to
+    (just_below(t), just_above(t)) -- an interval containing exactly one
+    representable binary32 value, so the executor's any-hit program fires
+    for precisely the hits at that distance, and OptiX-rejecting each keeps
+    every distance tie coming.
     """
-    stats = stats if stats is not None else TraceStats()
-    user_tmax = ray.t_max
-    eprd = _ExecutorPrd(user_code, user_prd, stats)
-    t_lo = ray.t_min
-    while True:
-        fprd = _FeelerPrd()
-        trace(built, ray._replace(t_min=t_lo, t_max=user_tmax), _FEELER_CFG, fprd, stats)
-        t_next = fprd.t_next
-        if t_next is None:
+    d = _Delivery(user_code, user_prd, stats)
+    for ctx in _feeler_hits(built, ray, d):
+        t = ctx.t
+        trace(built, ray._replace(t_min=just_below(t), t_max=just_above(t)), _DELIVER_CFG, d, d.stats)
+        if d.stopped:
             break
-        trace(
-            built,
-            ray._replace(t_min=just_below(t_next), t_max=just_above(t_next)),
-            _EXECUTOR_CFG,
-            eprd,
-            stats,
-        )
-        if eprd.stopped:
+    return d.report()
+
+
+def run_ah_only(built, ray, user_code, stats=None, user_prd=None) -> FtbReport:
+    """The while-while executor over the whole user interval: one trace.
+
+    Finds every hit but delivers them in traversal order, which need not be
+    ascending in distance; kept as the fast-but-unordered reference.
+    """
+    d = _Delivery(user_code, user_prd, stats)
+    trace(built, ray, _DELIVER_CFG, d, d.stats)
+    return d.report()
+
+
+def run_ch_only(built, ray, user_code, stats=None, user_prd=None) -> FtbReport:
+    """The while-while feeler loop, delivering each committed hit itself.
+
+    Exactly one hit per distance survives; kept as the simple-but-lossy
+    reference.
+    """
+    d = _Delivery(user_code, user_prd, stats)
+    for ctx in _feeler_hits(built, ray, d):
+        if d.deliver(_desc(ctx), ctx):
             break
-        t_lo = t_next  # anything strictly beyond the finished distance
-    return FtbReport(eprd.hits, eprd.stopped, stats)
+    return d.report()
 
 
 # --------------------------------------------------------------- while-merged
 
-_WM_NO_FEELER = -1.0
-_WM_STOPPED = -2.0
-
-
-class _WhileMergedPrd:
-    __slots__ = ("t_exec", "t_feeler", "user_code", "user_prd", "hits", "stats", "stopped")
+class _WhileMergedPrd(_Delivery):
+    __slots__ = ("t_exec",)
 
     def __init__(self, user_code, user_prd, stats):
-        self.t_exec = _WM_NO_FEELER
-        self.t_feeler = _WM_NO_FEELER
-        self.user_code = user_code
-        self.user_prd = user_prd
-        self.hits = []
-        self.stats = stats
-        self.stopped = False
+        super().__init__(user_code, user_prd, stats)
+        self.t_exec = -1.0  # no distance promoted yet; below every t_min >= 0
 
 
 def _wm_any_hit(ctx, prd):
@@ -291,22 +249,10 @@ def _wm_any_hit(ctx, prd):
         # feeler part: accept silently so t_max homes in on the next
         # distance; user code must not see these
         return AhVerdict.ACCEPT
-    hit = _desc(ctx)
-    prd.hits.append(hit)
-    prd.stats.user_code_calls += 1
-    if prd.user_code(hit, ctx, prd.user_prd) is Step.STOP:
-        prd.stopped = True
-        prd.t_feeler = _WM_STOPPED  # closest-hit still runs; keep it out
-        return AhVerdict.TERMINATE_ACCEPT
-    return AhVerdict.IGNORE
+    return _deliver_any_hit(ctx, prd)
 
 
-def _wm_closest_hit(ctx, prd):
-    if prd.t_feeler != _WM_STOPPED:
-        prd.t_feeler = ctx.t
-
-
-_WM_CFG = TraceConfig(any_hit=_wm_any_hit, closest_hit=_wm_closest_hit)
+_WM_CFG = TraceConfig(any_hit=_wm_any_hit, closest_hit=_record_closest_hit)
 
 
 def run_while_merged(built, ray, user_code, stats=None, user_prd=None) -> FtbReport:
@@ -320,21 +266,19 @@ def run_while_merged(built, ray, user_code, stats=None, user_prd=None) -> FtbRep
     """
     if ray.t_min < 0.0:
         raise ValueError("while-merged needs t_min >= 0 (negative sentinel values)")
-    stats = stats if stats is not None else TraceStats()
-    user_tmax = ray.t_max
     prd = _WhileMergedPrd(user_code, user_prd, stats)
     cur_tmin = ray.t_min
     while True:
-        prd.t_feeler = _WM_NO_FEELER
-        trace(built, ray._replace(t_min=cur_tmin, t_max=user_tmax), _WM_CFG, prd, stats)
-        if prd.t_feeler < 0.0:
-            break  # no next distance (or user code stopped)
-        prd.t_exec = prd.t_feeler
+        prd.found = None
+        trace(built, ray._replace(t_min=cur_tmin), _WM_CFG, prd, prd.stats)
+        if prd.stopped or prd.found is None:
+            break  # user code stopped, or no next distance
+        prd.t_exec = prd.found.t
         cur_tmin = just_below(prd.t_exec)
-    return FtbReport(prd.hits, prd.stopped, stats)
+    return prd.report()
 
 
-# ------------------------------------------------------------ stable multi-hit
+# ------------------------------------------------ stable multi-hit, stable-next
 
 class _MultiHitPrd:
     __slots__ = ("hit_min", "capacity", "buffer")
@@ -373,16 +317,19 @@ def iter_multi_hit_batches(built: BuiltScene, ray, n: int, stats: TraceStats):
 
     Each trace gathers the n smallest hits strictly greater (under the total
     order) than the last delivered hit, so a batch boundary can fall inside
-    a distance group without losing or repeating its members.
+    a distance group without losing or repeating its members.  With n = 1
+    this is stable-next: each trace finds the next hit, and the re-trace
+    starts at just_below(its distance) so its distance ties are still inside
+    the valid interval.  Delivery order is independent of traversal order,
+    hence stable across rebuilds.
     """
     if n < 1:
         raise ValueError("multi-hit capacity must be >= 1")
-    user_tmax = ray.t_max
     hit_min = HitDesc(ray.t_min, -1, -1, -1)
     cur_tmin = ray.t_min
     while True:
         prd = _MultiHitPrd(hit_min, n)
-        trace(built, ray._replace(t_min=cur_tmin, t_max=user_tmax), _MH_CFG, prd, stats)
+        trace(built, ray._replace(t_min=cur_tmin), _MH_CFG, prd, stats)
         if not prd.buffer:
             return
         batch = prd.buffer
@@ -391,116 +338,57 @@ def iter_multi_hit_batches(built: BuiltScene, ray, n: int, stats: TraceStats):
         cur_tmin = just_below(hit_min.t)
 
 
-def run_stable_multi_hit(built, ray, user_code, stats=None, user_prd=None, n: int = 4) -> FtbReport:
-    stats = stats if stats is not None else TraceStats()
-    hits = []
+def run_stable_multi_hit(built, ray, user_code, stats=None, user_prd=None, *, n: int) -> FtbReport:
+    d = _Delivery(user_code, user_prd, stats)
     batches = []
-    stopped = False
-    for batch in iter_multi_hit_batches(built, ray, n, stats):
+    for batch in iter_multi_hit_batches(built, ray, n, d.stats):
         batches.append(len(batch))
         for hit in batch:
-            hits.append(hit)
-            stats.user_code_calls += 1
-            if user_code(hit, None, user_prd) is Step.STOP:
-                stopped = True
-                break
-        if stopped:
-            break
-    return FtbReport(hits, stopped, stats, batches=batches)
+            if d.deliver(hit, None):
+                return d.report(batches)
+    return d.report(batches)
 
 
-# ------------------------------------------------------- reference baselines
-
-class _AhOnlyPrd:
-    __slots__ = ("user_code", "user_prd", "hits", "stats", "stopped")
-
-    def __init__(self, user_code, user_prd, stats):
-        self.user_code = user_code
-        self.user_prd = user_prd
-        self.hits = []
-        self.stats = stats
-        self.stopped = False
-
-
-def _ao_any_hit(ctx, prd):
-    hit = _desc(ctx)
-    prd.hits.append(hit)
-    prd.stats.user_code_calls += 1
-    if prd.user_code(hit, ctx, prd.user_prd) is Step.STOP:
-        prd.stopped = True
-        return AhVerdict.TERMINATE_ACCEPT
-    return AhVerdict.IGNORE
-
-
-_AO_CFG = TraceConfig(any_hit=_ao_any_hit, flags=TraceFlags.DISABLE_CLOSESTHIT)
-
-
-def run_ah_only(built, ray, user_code, stats=None, user_prd=None) -> FtbReport:
-    """Single trace, user code in the any-hit program.
-
-    Finds every hit but delivers them in traversal order, which need not be
-    ascending in distance; kept as the fast-but-unordered reference.
-    """
-    stats = stats if stats is not None else TraceStats()
-    prd = _AhOnlyPrd(user_code, user_prd, stats)
-    trace(built, ray, _AO_CFG, prd, stats)
-    return FtbReport(prd.hits, prd.stopped, stats)
-
-
-class _ChOnlyPrd:
-    __slots__ = ("user_code", "user_prd", "hits", "stats", "stopped", "this_t")
-
-    def __init__(self, user_code, user_prd, stats):
-        self.user_code = user_code
-        self.user_prd = user_prd
-        self.hits = []
-        self.stats = stats
-        self.stopped = False
-        self.this_t = None
-
-
-def _co_closest_hit(ctx, prd):
-    hit = _desc(ctx)
-    prd.hits.append(hit)
-    prd.this_t = ctx.t
-    prd.stats.user_code_calls += 1
-    if prd.user_code(hit, ctx, prd.user_prd) is Step.STOP:
-        prd.stopped = True
-
-
-_CO_CFG = TraceConfig(closest_hit=_co_closest_hit, flags=TraceFlags.DISABLE_ANYHIT)
-
-
-def run_ch_only(built, ray, user_code, stats=None, user_prd=None) -> FtbReport:
-    """Loop of closest-hit traces, each next t_min set to the found distance.
-
-    Because the new t_min equals (not just_below) the last distance, the
-    rest of that distance group is skipped: exactly one hit per distance
-    survives.  Kept as the simple-but-lossy reference.
-    """
-    stats = stats if stats is not None else TraceStats()
-    user_tmax = ray.t_max
-    prd = _ChOnlyPrd(user_code, user_prd, stats)
-    t_lo = ray.t_min
-    while True:
-        prd.this_t = None
-        trace(built, ray._replace(t_min=t_lo, t_max=user_tmax), _CO_CFG, prd, stats)
-        if prd.this_t is None or prd.stopped:
-            break
-        t_lo = prd.this_t
-    return FtbReport(prd.hits, prd.stopped, stats)
+def run_stable_next(built, ray, user_code, stats=None, user_prd=None) -> FtbReport:
+    """stable-multi-hit:1 under its own name."""
+    return run_stable_multi_hit(built, ray, user_code, stats, user_prd, n=1)
 
 
 # -------------------------------------------------------------------- registry
 
+class Kernel:
+    """One registry entry: the runner, whether it delivers the exact sorted
+    sequence, and its trace-count identity.
+
+    ``counter_rule`` is a Python expression over the run's ``traces`` and
+    ``ahCalls``, the reference's ``hits`` and distance ``groups``, and the
+    capacity ``n``.  It is both the text validation reports and the check it
+    runs.
+    """
+
+    __slots__ = ("run", "stable", "counter_rule", "n", "_check")
+
+    def __init__(self, run: Callable, stable: bool, counter_rule: str, n: Optional[int] = None):
+        self.run = run
+        self.stable = stable
+        self.counter_rule = counter_rule
+        self.n = n  # default capacity for 'name:N'; None: the kernel takes no N
+        self._check = compile(counter_rule, counter_rule, "eval")
+
+    def counters_ok(self, stats: TraceStats, hits: int, groups: int, n: Optional[int]) -> bool:
+        names = {"traces": stats.traces, "ahCalls": stats.ah_calls,
+                 "hits": hits, "groups": groups, "n": n}
+        return eval(self._check, {"ceil": math.ceil}, names)
+
+
 KERNELS = {
-    "stable-next": run_stable_next,
-    "reject-repeats": run_reject_repeats,
-    "while-while": run_while_while,
-    "while-merged": run_while_merged,
-    "stable-multi-hit": run_stable_multi_hit,
-    "ah-only": run_ah_only,
-    "ch-only": run_ch_only,
+    "stable-next": Kernel(run_stable_next, True, "traces == hits + 1"),
+    "reject-repeats": Kernel(run_reject_repeats, False, "traces == hits + 1"),
+    "while-while": Kernel(run_while_while, False, "traces == 2 * groups + 1 and ahCalls == hits"),
+    "while-merged": Kernel(run_while_merged, False, "traces == groups + 1"),
+    "stable-multi-hit": Kernel(run_stable_multi_hit, True, "traces == ceil(hits / n) + 1", n=4),
+    "ah-only": Kernel(run_ah_only, False, "traces == 1"),
+    "ch-only": Kernel(run_ch_only, False, "traces == groups + 1"),
 }
 
 CORRECT_KERNELS = (
@@ -513,32 +401,32 @@ CORRECT_KERNELS = (
     "stable-multi-hit:16",
 )
 
-STABLE_KERNELS = ("stable-next", "stable-multi-hit")
-
 
 def parse_kernel(kernel_id: str):
-    """Split 'name[:N]' into (runner, kwargs); N is the multi-hit capacity."""
+    """Split 'name[:N]' into (Kernel, N); N is the multi-hit capacity, None
+    for kernels that take no parameter."""
     name, _, arg = kernel_id.partition(":")
-    fn = KERNELS.get(name)
-    if fn is None:
+    kernel = KERNELS.get(name)
+    if kernel is None:
         raise ValueError(f"unknown kernel {kernel_id!r}; choose from {sorted(KERNELS)}")
-    kwargs = {}
-    if arg:
-        if name != "stable-multi-hit":
-            raise ValueError(f"kernel {name!r} takes no parameter")
-        kwargs["n"] = int(arg)
-    return fn, kwargs
+    if not arg:
+        return kernel, kernel.n
+    if kernel.n is None:
+        raise ValueError(f"kernel {name!r} takes no parameter")
+    return kernel, int(arg)
 
 
 def run_kernel(kernel_id, built, ray, user_code, stats=None, user_prd=None) -> FtbReport:
     """Run a kernel by id string, e.g. 'while-while' or 'stable-multi-hit:4'."""
     if callable(kernel_id):
         return kernel_id(built, ray, user_code, stats=stats, user_prd=user_prd)
-    fn, kwargs = parse_kernel(kernel_id)
-    return fn(built, ray, user_code, stats=stats, user_prd=user_prd, **kwargs)
+    kernel, n = parse_kernel(kernel_id)
+    kwargs = {} if n is None else {"n": n}
+    return kernel.run(built, ray, user_code, stats=stats, user_prd=user_prd, **kwargs)
 
 
 def is_stable(kernel_id) -> bool:
     if not isinstance(kernel_id, str):
         return False
-    return kernel_id.partition(":")[0] in STABLE_KERNELS
+    kernel = KERNELS.get(kernel_id.partition(":")[0])
+    return kernel is not None and kernel.stable

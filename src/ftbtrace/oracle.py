@@ -12,9 +12,8 @@ in the report, not exceptions.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .bvh import BuiltScene, build_scene, BuildOptions
 from .geom import mt_core
@@ -101,33 +100,6 @@ class CheckResult:
         return d
 
 
-_COUNTER_RULES = {
-    "stable-next": "traces == hits + 1",
-    "reject-repeats": "traces == hits + 1",
-    "while-while": "traces == 2 * groups + 1 and ahCalls == hits",
-    "while-merged": "traces == groups + 1",
-    "stable-multi-hit": "traces == ceil(hits / n) + 1",
-    "ah-only": "traces == 1",
-    "ch-only": "traces == groups + 1",
-}
-
-
-def _counters_ok(base: str, n: Optional[int], stats: TraceStats, H: int, G: int) -> bool:
-    if base in ("stable-next", "reject-repeats"):
-        return stats.traces == H + 1
-    if base == "while-while":
-        return stats.traces == 2 * G + 1 and stats.ah_calls == H
-    if base == "while-merged":
-        return stats.traces == G + 1
-    if base == "stable-multi-hit":
-        return stats.traces == -(-H // n) + 1
-    if base == "ah-only":
-        return stats.traces == 1
-    if base == "ch-only":
-        return stats.traces == G + 1
-    return True
-
-
 @dataclass
 class KernelValidation:
     kernel: str
@@ -164,13 +136,11 @@ def validate_kernel(kernel, built: BuiltScene, rays, oracles=None) -> KernelVali
     """
     if isinstance(kernel, str):
         name = kernel
-        base, _, arg = kernel.partition(":")
-        n = int(arg) if arg else 4
-        parse_kernel(kernel)  # fail fast on unknown ids
-        stable = is_stable(kernel)
+        spec, n = parse_kernel(kernel)  # fails fast on unknown ids
+        stable = spec.stable
     else:
         name = getattr(kernel, "__name__", "custom")
-        base, n, stable = None, None, False
+        spec, n, stable = None, None, False
     checks = {
         "completeness": CheckResult(),
         "order": CheckResult(),
@@ -218,7 +188,7 @@ def validate_kernel(kernel, built: BuiltScene, rays, oracles=None) -> KernelVali
             checks["stableSequence"].fail(
                 {"ray": i, "expected": _fmt_hits(orc.hits), "actual": _fmt_hits(got)}
             )
-        if base is not None and not _counters_ok(base, n, stats, H, G):
+        if spec is not None and not spec.counters_ok(stats, H, G, n):
             checks["counters"].fail(
                 {"ray": i, "stats": stats.as_dict(), "hits": H, "groups": G}
             )
@@ -226,7 +196,7 @@ def validate_kernel(kernel, built: BuiltScene, rays, oracles=None) -> KernelVali
         kernel=name,
         rays=len(rays),
         checks=checks,
-        counter_rule=_COUNTER_RULES.get(base) if base else None,
+        counter_rule=spec.counter_rule if spec else None,
     )
 
 

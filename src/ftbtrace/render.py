@@ -19,6 +19,7 @@ from .bvh import BuiltScene, build_scene
 from .floatstep import f32_bits
 from .geom import Ray, Vec3, apply_point, make_ray
 from .hitorder import HitDesc
+from . import oracle
 from .kernels import Step, run_kernel
 from .oracle import check_rebuild_stability, validate_kernel
 from .pipeline import TraceStats
@@ -304,7 +305,7 @@ def compare_kernels(built: BuiltScene, cam: Camera, kernel_ids, spec: UserCodeSp
     return CompareReport(kernel_ids, diffs, images, stats)
 
 
-def run_validation(scene, kernel_ids, cam: Camera, seeds=(), threads: int = 1):
+def run_validation(scene, kernel_ids, cam: Camera, seeds=()):
     """Drive the differential validator over all camera rays.
 
     Returns (status, report dict); status is 0 only when every check of
@@ -312,9 +313,9 @@ def run_validation(scene, kernel_ids, cam: Camera, seeds=(), threads: int = 1):
     """
     built = build_scene(scene)
     rays = camera_rays(cam)
-    from .oracle import oracle_all_hits  # local import to keep module edges tidy
-
-    oracles = [oracle_all_hits(built, r) for r in rays]
+    # looked up on the oracle module at each call, so a wrapper installed
+    # there (as the benchmark's tracer does) also sees these calls
+    oracles = [oracle.oracle_all_hits(built, r) for r in rays]
     report = {
         "scene": scene.name or "custom",
         "rays": len(rays),

@@ -141,32 +141,38 @@ def scene_from_manifest(doc: dict, base_dir: str = ".") -> Scene:
     "indices": [[a,b,c]..]}], "geometries": [{"mesh": i, "sbtOffset": s}],
     "instances": [{"geometries": [g..], "transform": 3x4 rows (optional)}],
     "camera": {...} (optional hint)}.  Mesh and geometry references must
-    index into their lists; anything else is a ValueError.
+    index into their lists.  A bad reference, a missing key, or a value of
+    the wrong JSON type or out of range is a ValueError.
     """
     if not isinstance(doc, dict):
         raise ValueError("manifest: top level must be a JSON object")
-    meshes = []
-    for i, m in enumerate(doc.get("meshes", [])):
-        if "path" in m:
-            meshes.append(load_obj(os.path.join(base_dir, m["path"])))
-        else:
-            verts = [vec3_32(*v) for v in m["vertices"]]
-            idx = [tuple(t) for t in m["indices"]]
-            meshes.append(Mesh(verts, idx))
-    geometries = []
-    for g in doc.get("geometries", []):
-        geometries.append(Geometry(_ref(meshes, g["mesh"], "mesh"), int(g["sbtOffset"])))
-    instances = []
-    for i, inst in enumerate(doc.get("instances", [])):
-        rows = inst.get("transform")
-        if rows is None:
-            xf = IDENTITY
-        else:
-            m = tuple(tuple(float(v) for v in row[:3]) for row in rows)
-            t = vec3_32(rows[0][3], rows[1][3], rows[2][3])
-            xf = Affine3(m, t)
-        geos = [_ref(geometries, g, "geometry") for g in inst["geometries"]]
-        instances.append(Instance(geos, xf, i))
+    try:
+        meshes = []
+        for m in doc.get("meshes", []):
+            if "path" in m:
+                meshes.append(load_obj(os.path.join(base_dir, m["path"])))
+            else:
+                verts = [vec3_32(*v) for v in m["vertices"]]
+                idx = [tuple(t) for t in m["indices"]]
+                meshes.append(Mesh(verts, idx))
+        geometries = []
+        for g in doc.get("geometries", []):
+            geometries.append(Geometry(_ref(meshes, g["mesh"], "mesh"), int(g["sbtOffset"])))
+        instances = []
+        for i, inst in enumerate(doc.get("instances", [])):
+            rows = inst.get("transform")
+            if rows is None:
+                xf = IDENTITY
+            else:
+                m = tuple(tuple(float(v) for v in row[:3]) for row in rows)
+                t = vec3_32(rows[0][3], rows[1][3], rows[2][3])
+                xf = Affine3(m, t)
+            geos = [_ref(geometries, g, "geometry") for g in inst["geometries"]]
+            instances.append(Instance(geos, xf, i))
+    except KeyError as exc:
+        raise ValueError(f"manifest: missing key {exc}") from None
+    except (TypeError, AttributeError, IndexError, OverflowError) as exc:
+        raise ValueError(f"manifest: wrong JSON type, shape or range ({exc})") from None
     scene = Scene(instances, name=str(doc.get("name", "")), camera_hint=doc.get("camera"))
     scene.validate()
     return scene

@@ -11,14 +11,6 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
-from ftbtrace import build_scene, camera_rays, resolve_camera
-
-
-def rays_for(scene, width=12, height=10):
-    """Deterministic probe rays through a scene's canonical camera."""
-    return camera_rays(resolve_camera(scene, width, height))
-
-
 @pytest.fixture(scope="session")
 def count_all():
     def code(hit, ctx, prd):

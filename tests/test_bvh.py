@@ -25,7 +25,7 @@ from ftbtrace.floatstep import F32_MAX, just_below
 from ftbtrace.geom import IDENTITY, det3, transform_ray_inv
 from ftbtrace.pipeline import TraceStats
 
-from conftest import rays_for
+from probes import rays_for
 
 
 def _collect(built, ray):

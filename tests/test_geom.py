@@ -5,16 +5,15 @@ import pytest
 
 from ftbtrace.floatstep import f32, f32_bits, ulp_distance
 from ftbtrace.geom import (
-    Aabb,
     IDENTITY,
     Ray,
     Triangle,
     Vec3,
     affine_inverse,
-    intersect_aabb,
     intersect_triangle,
     make_ray,
     scaling,
+    slab_entry,
     transform_ray,
     translation,
 )
@@ -138,33 +137,39 @@ def test_dual_intersector_agreement():
     assert hits > 500  # the sample must actually exercise the hit path
 
 
+def _box_entry(ray, lo, hi):
+    """slab_entry, the traversal's box test, on a Ray and corner Vec3s."""
+    o, d = ray.origin, ray.direction
+    return slab_entry(*lo, *hi, o.x, o.y, o.z, d.x, d.y, d.z, ray.t_min, ray.t_max)
+
+
+UNIT_LO = Vec3(0, 0, 0)
+UNIT_HI = Vec3(1, 1, 1)
+
+
 def test_aabb_through_center():
     ray = make_ray((0.5, 0.5, -2), (0, 0, 1), 0, 100)
-    box = Aabb(Vec3(0, 0, 0), Vec3(1, 1, 1))
-    res = intersect_aabb(ray, box)
-    assert res is not None
-    enter, exit_ = res
-    assert enter == 2.0 and exit_ == 3.0
+    assert _box_entry(ray, UNIT_LO, UNIT_HI) == 2.0
+    # the exit is at 3: inclusive there, a miss just beyond it
+    assert _box_entry(ray._replace(t_min=3.0), UNIT_LO, UNIT_HI) == 3.0
+    assert _box_entry(ray._replace(t_min=3.5), UNIT_LO, UNIT_HI) is None
 
 
 def test_aabb_parallel_outside_slab():
     ray = make_ray((0.5, 2.0, -2), (0, 0, 1), 0, 100)
-    box = Aabb(Vec3(0, 0, 0), Vec3(1, 1, 1))
-    assert intersect_aabb(ray, box) is None
+    assert _box_entry(ray, UNIT_LO, UNIT_HI) is None
 
 
 def test_aabb_parallel_on_boundary_is_admitted():
     # conservative: inclusive at the box boundary
     ray = make_ray((0.5, 1.0, -2), (0, 0, 1), 0, 100)
-    box = Aabb(Vec3(0, 0, 0), Vec3(1, 1, 1))
-    assert intersect_aabb(ray, box) is not None
+    assert _box_entry(ray, UNIT_LO, UNIT_HI) is not None
 
 
 def test_aabb_clamps_to_interval():
     ray = make_ray((0.5, 0.5, -2), (0, 0, 1), 2.5, 100)
-    box = Aabb(Vec3(0, 0, 0), Vec3(1, 1, 1))
-    enter, exit_ = intersect_aabb(ray, box)
-    assert enter == 2.5 and exit_ == 3.0
+    assert _box_entry(ray, UNIT_LO, UNIT_HI) == 2.5
+    assert _box_entry(ray._replace(t_max=1.5), UNIT_LO, UNIT_HI) is None
 
 
 def test_aabb_never_culls_a_contained_hit():
@@ -181,7 +186,7 @@ def test_aabb_never_culls_a_contained_hit():
         ray = make_ray(tuple(o), tuple(d), 0.0, 30.0)
         hit = intersect_triangle(ray, tri)
         if hit is not None:
-            assert intersect_aabb(ray, Aabb(lo, hi)) is not None
+            assert _box_entry(ray, lo, hi) is not None
 
 
 def test_transform_ray_identity_is_bitwise_noop():

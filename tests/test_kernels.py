@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -13,7 +14,6 @@ from ftbtrace import (
     gen_instanced_grid,
     gen_leaf_reorder,
     iter_multi_hit_batches,
-    iter_stable_next,
     make_ray,
     oracle_all_hits,
     run_ah_only,
@@ -25,12 +25,13 @@ from ftbtrace import (
     run_while_merged,
     run_while_while,
     sort_hits,
+    validate_kernel,
 )
 from ftbtrace.hitorder import order_key
 from ftbtrace.kernels import CORRECT_KERNELS, parse_kernel
 from ftbtrace.pipeline import TraceStats
 
-from conftest import rays_for
+from probes import rays_for
 
 CENTER_RAY = make_ray((0.1, -0.2, -1.0), (0, 0, 1), 0, 100)
 AXIS_RAY = make_ray((-1.0, 0.3, 0.4), (1, 0, 0), 0, 100)
@@ -98,10 +99,10 @@ def test_stable_next_survives_redelivered_tie_arriving_first():
 def test_stable_next_cursor_allows_work_between_hits():
     built = build_scene(gen_coplanar_stack(3, True))
     stats = TraceStats()
-    it = iter_stable_next(built, CENTER_RAY, stats)
-    first = next(it)
+    it = iter_multi_hit_batches(built, CENTER_RAY, 1, stats)
+    [first] = next(it)
     mid_traces = stats.traces
-    second = next(it)
+    [second] = next(it)
     assert stats.traces == mid_traces + 1
     assert order_key(first) < order_key(second)
 
@@ -414,3 +415,122 @@ def test_unknown_kernel_id_rejected():
         parse_kernel("wobble")
     with pytest.raises(ValueError):
         parse_kernel("while-while:3")
+
+
+# ------------------------------------------------------------------- pinning
+
+_PIN_IDS = (
+    "stable-next",
+    "reject-repeats",
+    "while-while",
+    "while-merged",
+    "stable-multi-hit",
+    "ah-only",
+    "ch-only",
+    "stable-multi-hit:1",
+    "stable-multi-hit:3",
+)
+
+# per id: counterRule, sha256 prefix of every delivery, summed TraceStats
+_PINS = {
+    "stable-next": (
+        "traces == hits + 1",
+        "9e6ec6b2d6480893",
+        {
+            "traces": 2280, "nodesVisited": 23067, "triTests": 28118, "ahCalls": 7459,
+            "chCalls": 0, "missCalls": 0, "userCodeCalls": 1755,
+        },
+    ),
+    "reject-repeats": (
+        "traces == hits + 1",
+        "a83e4a27dbb305af",
+        {
+            "traces": 2280, "nodesVisited": 21363, "triTests": 22474, "ahCalls": 4457,
+            "chCalls": 1755, "missCalls": 0, "userCodeCalls": 1755,
+        },
+    ),
+    "while-while": (
+        "traces == 2 * groups + 1 and ahCalls == hits",
+        "269d6b56059f3f2c",
+        {
+            "traces": 2903, "nodesVisited": 24362, "triTests": 21414, "ahCalls": 1755,
+            "chCalls": 1189, "missCalls": 0, "userCodeCalls": 1755,
+        },
+    ),
+    "while-merged": (
+        "traces == groups + 1",
+        "269d6b56059f3f2c",
+        {
+            "traces": 2053, "nodesVisited": 17358, "triTests": 15414, "ahCalls": 3072,
+            "chCalls": 1528, "missCalls": 0, "userCodeCalls": 1755,
+        },
+    ),
+    "stable-multi-hit": (
+        "traces == ceil(hits / n) + 1",
+        "9e6ec6b2d6480893",
+        {
+            "traces": 1315, "nodesVisited": 12478, "triTests": 14662, "ahCalls": 3878,
+            "chCalls": 0, "missCalls": 0, "userCodeCalls": 1755,
+        },
+    ),
+    "ah-only": (
+        "traces == 1",
+        "dcbdce31bc1c0487",
+        {
+            "traces": 864, "nodesVisited": 6693, "triTests": 5740, "ahCalls": 1755,
+            "chCalls": 0, "missCalls": 0, "userCodeCalls": 1755,
+        },
+    ),
+    "ch-only": (
+        "traces == groups + 1",
+        "40cdef529da0cdfb",
+        {
+            "traces": 1798, "nodesVisited": 14849, "triTests": 13634, "ahCalls": 0,
+            "chCalls": 1237, "missCalls": 0, "userCodeCalls": 1237,
+        },
+    ),
+    "stable-multi-hit:1": (
+        "traces == ceil(hits / n) + 1",
+        "9e6ec6b2d6480893",
+        {
+            "traces": 2280, "nodesVisited": 23067, "triTests": 28118, "ahCalls": 7459,
+            "chCalls": 0, "missCalls": 0, "userCodeCalls": 1755,
+        },
+    ),
+    "stable-multi-hit:3": (
+        "traces == ceil(hits / n) + 1",
+        "9e6ec6b2d6480893",
+        {
+            "traces": 1415, "nodesVisited": 13022, "triTests": 14654, "ahCalls": 4118,
+            "chCalls": 0, "missCalls": 0, "userCodeCalls": 1755,
+        },
+    ),
+}
+
+
+def test_kernel_deliveries_and_counters_are_pinned():
+    # every kernel id, run to exhaustion and stopped after 1 and after 3 hits
+    # on the cross-kernel sweep rays: hits, contexts handed to user code,
+    # stop flags and all counters must stay exactly as recorded
+    got = {}
+    for kid in _PIN_IDS:
+        digest = hashlib.sha256()
+        totals = TraceStats()
+        for scene in _SCENES:
+            built = build_scene(scene)
+            for ray in rays_for(scene, 8, 6):
+                for stop_after in (None, 1, 3):
+                    seen = []
+
+                    def code(hit, ctx, prd, _seen=seen, _k=stop_after):
+                        _seen.append(None if ctx is None else tuple(ctx[:7]))
+                        return Step.STOP if len(_seen) == _k else Step.CONTINUE
+
+                    stats = TraceStats()
+                    rep = run_kernel(kid, built, ray, code, stats=stats)
+                    hits = [(h.t, h.prim, h.geom, h.inst) for h in rep.hits]
+                    digest.update(repr((hits, seen, rep.stopped_early)).encode())
+                    totals.add(stats)
+        rule = validate_kernel(kid, build_scene(_SCENES[0]), []).counter_rule
+        got[kid] = (rule, digest.hexdigest()[:16], totals.as_dict())
+    assert got == _PINS

@@ -15,7 +15,7 @@ from ftbtrace import (
 )
 from ftbtrace.kernels import FtbReport
 
-from conftest import rays_for
+from probes import rays_for
 
 CENTER_RAY = make_ray((0.1, -0.2, -1.0), (0, 0, 1), 0, 100)
 AXIS_RAY = make_ray((-1.0, 0.3, 0.4), (1, 0, 0), 0, 100)

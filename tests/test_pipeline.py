@@ -19,7 +19,7 @@ from ftbtrace import (
     trace,
 )
 
-from conftest import rays_for
+from probes import rays_for
 
 
 def _one_triangle_scene():

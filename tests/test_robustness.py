@@ -240,3 +240,32 @@ def test_cli_manifest_negative_index_exits_2(tmp_path, capsys, field):
     path = _manifest(tmp_path, doc)
     err = _cli_error(capsys, ["render", "--scene", path, "--out", str(tmp_path / "x.ppm")])
     assert "index -1" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"meshes": [_ONE_TRIANGLE], "geometries": [{}], "instances": []},
+        {"meshes": [5]},
+        {"meshes": [_ONE_TRIANGLE], "geometries": [{"mesh": 0, "sbtOffset": 0}],
+         "instances": [{}]},
+        {"meshes": {"a": 1}},
+        {"meshes": [_ONE_TRIANGLE], "geometries": [{"mesh": 0, "sbtOffset": math.inf}],
+         "instances": [{"geometries": [0]}]},
+    ],
+    ids=["geometry-without-mesh", "mesh-not-object", "instance-without-geometries",
+         "meshes-not-list", "sbt-offset-infinite"],
+)
+def test_cli_manifest_missing_key_or_wrong_type_exits_2(tmp_path, capsys, doc):
+    path = _manifest(tmp_path, doc)
+    err = _cli_error(capsys, ["render", "--scene", path, "--out", str(tmp_path / "x.ppm")])
+    assert err.startswith("error: manifest: ")
+
+
+def test_cli_validate_takes_no_threads_option(capsys):
+    from ftbtrace.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--gen", "coplanar:n=2", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
