@@ -24,14 +24,11 @@ from .geom import (
     Affine3,
     IDENTITY,
     Ray,
-    Triangle,
     TriHit,
     Vec3,
     affine_inverse,
-    intersect_triangle,
     make_ray,
     scaling,
-    transform_ray,
     translation,
 )
 from .hitorder import HitDesc, less, order_key, sort_hits

@@ -8,14 +8,17 @@ temporally unstable rebuild: the split sort is stable, so primitives whose
 centroids tie keep their (permuted) insertion order and end up visited in a
 different order.
 
-Traversal is depth first.  At an inner node the child whose clamped slab
-entry (entry distance, not allowed below the live t_min) is smaller is
-visited first, ties going to the left child; for disjoint siblings this is
-plain near-child-first along the ray.  Because entries are clamped, raising
-t_min between traces can flip the visit order of overlapping leaves --
-kernels that lean on traversal order must survive exactly that.  The upper
-interval bound is re-read after every reported candidate, so an accepted
-hit culls later subtrees within the same trace.
+Traversal is depth first, and one walker (``_leaves``) serves both tree
+levels: ``traverse`` runs it over the instance tree and, for each instance
+the ray enters, over the tree of each of its geometries.  At an inner node
+the child whose clamped slab entry (entry distance, not allowed below the
+live t_min) is smaller is visited first, ties going to the left child; for
+disjoint siblings this is plain near-child-first along the ray.  Because
+entries are clamped, raising t_min between traces can flip the visit order
+of overlapping leaves -- kernels that lean on traversal order must survive
+exactly that.  Both levels share one live t_max, which an accepted
+candidate shrinks and every later box and triangle test re-reads, so an
+accepted hit culls later subtrees within the same trace.
 
 Everything a ray reads that does not depend on the ray is computed at build
 time.  ``Blas.tris`` keeps each triangle's packed intersection data in
@@ -268,36 +271,26 @@ def build_scene(scene, opts: Optional[BuildOptions] = None) -> BuiltScene:
     return BuiltScene(scene, opts, instances, nodes, order)
 
 
-def _walk_blas(blas, ox, oy, oz, dx, dy, dz, t_min, t_max, visit, sbt, inst, bi, stats):
-    """Depth-first walk of one mesh tree, reporting candidates to ``visit``
-    as ``traverse`` does; returns (t_max, stopped)."""
-    nodes = blas.nodes
-    order = blas.order
-    packed = blas.packed
+def _leaves(nodes, ox, oy, oz, dx, dy, dz, t_min, live, stats):
+    """Depth-first walk of one tree, yielding the (first, count) slot range
+    of every leaf the ray enters.  ``live`` is a one-element list holding the
+    current t_max; it is re-read at every box test, so a caller that shrinks
+    it between leaves culls the subtrees still on the stack."""
     stats.nodes_visited += 1
-    if slab_entry(*nodes[0][:6], ox, oy, oz, dx, dy, dz, t_min, t_max) is None:
-        return t_max, False
+    if slab_entry(*nodes[0][:6], ox, oy, oz, dx, dy, dz, t_min, live[0]) is None:
+        return
     stack = [0]
     while stack:
         node = nodes[stack.pop()]
         left = node[6]
         if left < 0:
-            first = node[8]
-            for slot in range(first, first + node[9]):
-                stats.tri_tests += 1
-                hit = mt_core(ox, oy, oz, dx, dy, dz, t_min, t_max, *packed[slot])
-                if hit is None:
-                    continue
-                new_tmax, stop = visit(*hit, order[slot], sbt, inst, bi)
-                if new_tmax is not None:
-                    t_max = new_tmax
-                if stop:
-                    return t_max, True
+            yield node[8], node[9]
             continue
         right = node[7]
         ln = nodes[left]
         rn = nodes[right]
         stats.nodes_visited += 2
+        t_max = live[0]
         le = slab_entry(ln[0], ln[1], ln[2], ln[3], ln[4], ln[5], ox, oy, oz, dx, dy, dz, t_min, t_max)
         re = slab_entry(rn[0], rn[1], rn[2], rn[3], rn[4], rn[5], ox, oy, oz, dx, dy, dz, t_min, t_max)
         if le is None:
@@ -311,7 +304,6 @@ def _walk_blas(blas, ox, oy, oz, dx, dy, dz, t_min, t_max, visit, sbt, inst, bi,
         else:
             stack.append(right)
             stack.append(left)
-    return t_max, False
 
 
 def traverse(built: BuiltScene, ray: Ray, visit, stats) -> None:
@@ -321,55 +313,37 @@ def traverse(built: BuiltScene, ray: Ray, visit, stats) -> None:
     returns (new_tmax, stop): a non-None new_tmax shrinks the live interval
     for everything after it; stop aborts the walk immediately.
     """
-    t_min = ray.t_min
-    t_max = ray.t_max
     nodes = built.tlas_nodes
     if not nodes:
         return
+    t_min = ray.t_min
+    live = [ray.t_max]
     order = built.tlas_order
     instances = built.instances
-    o = ray.origin
-    d = ray.direction
-    wx, wy, wz, wdx, wdy, wdz = o.x, o.y, o.z, d.x, d.y, d.z
-    stats.nodes_visited += 1
-    if slab_entry(*nodes[0][:6], wx, wy, wz, wdx, wdy, wdz, t_min, t_max) is None:
-        return
-    stack = [0]
-    while stack:
-        node = nodes[stack.pop()]
-        left = node[6]
-        if left < 0:
-            first = node[8]
-            for slot in range(first, first + node[9]):
-                bi = instances[order[slot]]
-                stats.nodes_visited += 1
-                b = bi.bounds
-                if slab_entry(b[0], b[1], b[2], b[3], b[4], b[5], wx, wy, wz, wdx, wdy, wdz, t_min, t_max) is None:
-                    continue
-                ox, oy, oz, dx, dy, dz = bi.object_ray_parts(ray)
-                inst_index = bi.index
-                for geom in bi.geoms:
-                    t_max, stop = _walk_blas(
-                        geom.blas, ox, oy, oz, dx, dy, dz, t_min, t_max,
-                        visit, geom.sbt_offset, inst_index, bi, stats,
-                    )
-                    if stop:
-                        return
-            continue
-        right = node[7]
-        ln = nodes[left]
-        rn = nodes[right]
-        stats.nodes_visited += 2
-        le = slab_entry(ln[0], ln[1], ln[2], ln[3], ln[4], ln[5], wx, wy, wz, wdx, wdy, wdz, t_min, t_max)
-        re = slab_entry(rn[0], rn[1], rn[2], rn[3], rn[4], rn[5], wx, wy, wz, wdx, wdy, wdz, t_min, t_max)
-        if le is None:
-            if re is not None:
-                stack.append(right)
-        elif re is None:
-            stack.append(left)
-        elif re < le:
-            stack.append(left)
-            stack.append(right)
-        else:
-            stack.append(right)
-            stack.append(left)
+    wx, wy, wz = ray.origin
+    wdx, wdy, wdz = ray.direction
+    for first, count in _leaves(nodes, wx, wy, wz, wdx, wdy, wdz, t_min, live, stats):
+        for slot in range(first, first + count):
+            bi = instances[order[slot]]
+            stats.nodes_visited += 1
+            b = bi.bounds
+            if slab_entry(b[0], b[1], b[2], b[3], b[4], b[5], wx, wy, wz, wdx, wdy, wdz, t_min, live[0]) is None:
+                continue
+            ox, oy, oz, dx, dy, dz = bi.object_ray_parts(ray)
+            inst_index = bi.index
+            for geom in bi.geoms:
+                blas = geom.blas
+                packed = blas.packed
+                prims = blas.order
+                sbt = geom.sbt_offset
+                for tfirst, tcount in _leaves(blas.nodes, ox, oy, oz, dx, dy, dz, t_min, live, stats):
+                    for tslot in range(tfirst, tfirst + tcount):
+                        stats.tri_tests += 1
+                        hit = mt_core(ox, oy, oz, dx, dy, dz, t_min, live[0], *packed[tslot])
+                        if hit is None:
+                            continue
+                        new_tmax, stop = visit(*hit, prims[tslot], sbt, inst_index, bi)
+                        if new_tmax is not None:
+                            live[0] = new_tmax
+                        if stop:
+                            return

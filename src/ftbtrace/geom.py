@@ -71,12 +71,6 @@ def make_ray(origin, direction, t_min, t_max) -> Ray:
     return Ray(vec3_32(*origin), vec3_32(*direction), f32(t_min), f32(t_max))
 
 
-class Triangle(NamedTuple):
-    v0: Vec3
-    v1: Vec3
-    v2: Vec3
-
-
 class TriHit(NamedTuple):
     t: float
     u: float
@@ -171,21 +165,16 @@ def affine_inverse(xf: Affine3) -> Affine3:
     return Affine3(inv, ti)
 
 
-def transform_ray(xf: Affine3, ray: Ray) -> Ray:
-    """Map a world-space ray into the frame of an instance with transform xf.
-
-    Applies the inverse of ``xf`` to origin and direction.  The direction is
-    not renormalised, so object-space hit parameters equal world-space ones;
-    the interval is copied unchanged.  The identity transform returns the ray
-    bitwise untouched.
-    """
-    if xf == IDENTITY:
-        return ray
-    return transform_ray_inv(affine_inverse(xf), ray)
-
-
 def transform_ray_inv(inv: Affine3, ray: Ray) -> Ray:
-    """Like transform_ray, but with the inverse already computed."""
+    """Map a world-space ray into an instance's frame, given the inverse of
+    the instance transform.
+
+    Origin and direction go through ``apply_point``/``apply_vector`` in
+    binary64 and are then rounded to binary32; the direction is not
+    renormalised, so object-space hit parameters equal world-space ones, and
+    the interval is copied unchanged.  ``BuiltInstance.object_ray_parts``,
+    which traversal calls, is held bitwise equal to this reference.
+    """
     o = apply_point(inv, ray.origin)
     d = apply_vector(inv, ray.direction)
     return Ray(vec3_32(*o), vec3_32(*d), ray.t_min, ray.t_max)
@@ -225,23 +214,6 @@ def mt_core(
     if not t_min < t < t_max:  # NaN fails both comparisons
         return None
     return TriHit(t, f32(u), f32(v), det > 0.0)
-
-
-def intersect_triangle(ray: Ray, tri: Triangle) -> Optional[TriHit]:
-    """Hit of the ray against one triangle inside the exclusive interval.
-
-    Degenerate (zero-area) triangles never report a hit.  Results for
-    identical inputs are bitwise reproducible.
-    """
-    o = ray.origin
-    d = ray.direction
-    v0, v1, v2 = tri
-    return mt_core(
-        o.x, o.y, o.z, d.x, d.y, d.z, ray.t_min, ray.t_max,
-        v0.x, v0.y, v0.z,
-        v1.x - v0.x, v1.y - v0.y, v1.z - v0.z,
-        v2.x - v0.x, v2.y - v0.y, v2.z - v0.z,
-    )
 
 
 def slab_entry(

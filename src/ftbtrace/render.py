@@ -297,7 +297,7 @@ def compare_kernels(built: BuiltScene, cam: Camera, kernel_ids, spec: UserCodeSp
     base = kernel_ids[0]
     base_img = images[base]
     diffs = {}
-    header_len = base_img.index(b"255\n") + 4
+    header_len = len(base_img) - 3 * cam.width * cam.height
     a = base_img[header_len:]
     for k in kernel_ids:
         b = images[k][header_len:]

@@ -57,7 +57,10 @@ class Scene:
                 raise ValueError(
                     f"instance index {inst.index} does not match list position {pos}"
                 )
-            if det3(inst.transform.m) == 0.0:
+            xf = inst.transform
+            if not all(math.isfinite(c) for c in (*xf.m[0], *xf.m[1], *xf.m[2], *xf.t)):
+                raise ValueError(f"instance {pos}: transform entries must be finite")
+            if det3(xf.m) == 0.0:
                 raise ValueError(f"instance {pos}: singular transform")
             for g in inst.geometries:
                 if g.sbt_offset < 0:
@@ -130,8 +133,27 @@ def load_obj(path) -> Mesh:
 def _ref(items: list, index, what: str):
     """items[index] for a manifest reference; no wrap-around from the end."""
     if type(index) is not int or not 0 <= index < len(items):
-        raise ValueError(f"manifest: bad {what} index {index!r} ({len(items)} defined)")
+        raise ValueError(f"bad {what} index {index!r} ({len(items)} defined)")
     return items[index]
+
+
+def _is_finite_number(x) -> bool:
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+def _check_camera_hint(hint) -> None:
+    """A camera hint is an object with finite numeric 3-vectors ``position``,
+    ``look_at`` and (optional) ``up``, and a finite numeric ``fov_y``."""
+    if not isinstance(hint, dict):
+        raise ValueError("camera must be a JSON object")
+    for key in ("position", "look_at", "up"):
+        if key == "up" and key not in hint:
+            continue
+        vec = hint.get(key)
+        if not (isinstance(vec, list) and len(vec) == 3 and all(map(_is_finite_number, vec))):
+            raise ValueError(f"camera {key} must be a list of 3 finite numbers")
+    if not _is_finite_number(hint.get("fov_y")):
+        raise ValueError("camera fov_y must be a finite number")
 
 
 def scene_from_manifest(doc: dict, base_dir: str = ".") -> Scene:
@@ -140,9 +162,11 @@ def scene_from_manifest(doc: dict, base_dir: str = ".") -> Scene:
     Schema: {"meshes": [{"path": obj} | {"vertices": [[x,y,z]..],
     "indices": [[a,b,c]..]}], "geometries": [{"mesh": i, "sbtOffset": s}],
     "instances": [{"geometries": [g..], "transform": 3x4 rows (optional)}],
-    "camera": {...} (optional hint)}.  Mesh and geometry references must
-    index into their lists.  A bad reference, a missing key, or a value of
-    the wrong JSON type or out of range is a ValueError.
+    "camera": {"position": [x,y,z], "look_at": [x,y,z], "up": [x,y,z]
+    (optional), "fov_y": degrees} (optional hint)}.  Mesh and geometry
+    references must index into their lists.  A bad reference, a missing
+    key, a value of the wrong JSON type or out of range, or a scene that
+    fails ``Scene.validate`` is a ValueError.
     """
     if not isinstance(doc, dict):
         raise ValueError("manifest: top level must be a JSON object")
@@ -169,12 +193,17 @@ def scene_from_manifest(doc: dict, base_dir: str = ".") -> Scene:
                 xf = Affine3(m, t)
             geos = [_ref(geometries, g, "geometry") for g in inst["geometries"]]
             instances.append(Instance(geos, xf, i))
+        camera = doc.get("camera")
+        if camera is not None:
+            _check_camera_hint(camera)
+        scene = Scene(instances, name=str(doc.get("name", "")), camera_hint=camera)
+        scene.validate()
     except KeyError as exc:
         raise ValueError(f"manifest: missing key {exc}") from None
     except (TypeError, AttributeError, IndexError, OverflowError) as exc:
         raise ValueError(f"manifest: wrong JSON type, shape or range ({exc})") from None
-    scene = Scene(instances, name=str(doc.get("name", "")), camera_hint=doc.get("camera"))
-    scene.validate()
+    except ValueError as exc:
+        raise ValueError(f"manifest: {exc}") from None
     return scene
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -17,11 +18,12 @@ from ftbtrace import (
     gen_instanced_grid,
     gen_leaf_reorder,
     make_ray,
+    make_scene,
     oracle_all_hits,
     traverse,
 )
 from ftbtrace.bvh import BuiltInstance
-from ftbtrace.floatstep import F32_MAX, just_below
+from ftbtrace.floatstep import F32_MAX, f32_bits, just_below
 from ftbtrace.geom import IDENTITY, det3, transform_ray_inv
 from ftbtrace.pipeline import TraceStats
 
@@ -251,3 +253,47 @@ def test_oracle_does_not_depend_on_tree_build(scene):
                 got = oracle_all_hits(built, ray)
                 assert got.hits == w.hits
                 assert got.contexts == w.contexts
+
+
+
+_WALK_SCENES = ("coplanar:n=8:same_t=true", "abutting:k=4", "grid:m=3", "adversarial", "leaf-reorder")
+
+# visitor verdict from (candidates seen so far, this candidate's t)
+_WALK_VERDICTS = {
+    "ignore": lambda n, t: (None, False),
+    "accept": lambda n, t: (t, False),  # every candidate shrinks t_max
+    "stop-at-3": lambda n, t: (None, n == 3),
+}
+
+_WALK_PINS = {
+    "ignore": ("aa0a5c5518ea6aab", 27664, 15156),
+    "accept": ("88dd088bd690bf2b", 14204, 6006),
+    "stop-at-3": ("2d8306c0f76fc4f8", 15352, 6486),
+}
+
+
+def test_traversal_candidates_and_counters_are_pinned():
+    # every build (leaf sizes 1/2/4, as given and permuted) of every
+    # generator: the candidate sequence (t bits, prim, sbt, inst) reported
+    # by traverse and the walk counters must stay exactly as recorded
+    got = {}
+    for name, verdict in _WALK_VERDICTS.items():
+        digest = hashlib.sha256()
+        totals = TraceStats()
+        for spec in _WALK_SCENES:
+            scene = make_scene(spec)
+            rays = rays_for(scene, 8, 6)
+            for leaf_size in (1, 2, 4):
+                for seed in (None, 7):
+                    built = build_scene(scene, BuildOptions(leaf_size=leaf_size, permute_seed=seed))
+                    for ray in rays:
+                        seen = []
+
+                        def visit(t, u, v, front, prim, sbt, inst, bi, _seen=seen):
+                            _seen.append((f32_bits(t), prim, sbt, inst))
+                            return verdict(len(_seen), t)
+
+                        traverse(built, ray, visit, totals)
+                        digest.update(repr(seen).encode())
+        got[name] = (digest.hexdigest()[:16], totals.nodes_visited, totals.tri_tests)
+    assert got == _WALK_PINS

@@ -1,26 +1,35 @@
-import math
-
 import numpy as np
 import pytest
 
+from ftbtrace import Mesh, build_blas
+from ftbtrace.bvh import BuiltInstance
 from ftbtrace.floatstep import f32, f32_bits, ulp_distance
 from ftbtrace.geom import (
     IDENTITY,
-    Ray,
-    Triangle,
     Vec3,
     affine_inverse,
-    intersect_triangle,
     make_ray,
+    mt_core,
     scaling,
     slab_entry,
-    transform_ray,
     translation,
+    vec3_32,
 )
 
 
+def _blas(a, b, c):
+    """Tree over the one binary32 triangle (a, b, c), as scenes build it."""
+    return build_blas(Mesh([vec3_32(*a), vec3_32(*b), vec3_32(*c)], [(0, 1, 2)]))
+
+
 def _tri(a, b, c):
-    return Triangle(Vec3(*map(f32, a)), Vec3(*map(f32, b)), Vec3(*map(f32, c)))
+    """Packed intersection data (v0, e1, e2) that traversal hands mt_core."""
+    return _blas(a, b, c).tris[0]
+
+
+def _hit(ray, tri):
+    """mt_core, the traversal's triangle test, on a Ray and packed data."""
+    return mt_core(*ray.origin, *ray.direction, ray.t_min, ray.t_max, *tri)
 
 
 AXIS_TRI = _tri((-1, -1, 5), (1, -1, 5), (0, 1, 5))
@@ -28,7 +37,7 @@ AXIS_TRI = _tri((-1, -1, 5), (1, -1, 5), (0, 1, 5))
 
 def test_axis_aligned_hit_at_six():
     ray = make_ray((0, 0, -1), (0, 0, 1), 0, 10)
-    hit = intersect_triangle(ray, AXIS_TRI)
+    hit = _hit(ray, AXIS_TRI)
     assert hit is not None
     assert hit.t == 6.0
 
@@ -36,27 +45,27 @@ def test_axis_aligned_hit_at_six():
 def test_interval_is_exclusive_at_t_min():
     # t_min itself is explicitly not a valid hit distance
     ray = make_ray((0, 0, -1), (0, 0, 1), 6.0, 10.0)
-    assert intersect_triangle(ray, AXIS_TRI) is None
+    assert _hit(ray, AXIS_TRI) is None
 
 
 def test_interval_is_exclusive_at_t_max():
     ray = make_ray((0, 0, -1), (0, 0, 1), 0.0, 6.0)
-    assert intersect_triangle(ray, AXIS_TRI) is None
+    assert _hit(ray, AXIS_TRI) is None
 
 
 def test_degenerate_triangles_report_no_hit():
     ray = make_ray((0, 0, -1), (0, 0, 1), 0, 10)
     point = _tri((0, 0, 5), (0, 0, 5), (0, 0, 5))
     collinear = _tri((0, 0, 0), (1, 1, 1), (2, 2, 2))
-    assert intersect_triangle(ray, point) is None
-    assert intersect_triangle(make_ray((0, 0, -1), (1, 1, 1), 0, 10), collinear) is None
+    assert _hit(ray, point) is None
+    assert _hit(make_ray((0, 0, -1), (1, 1, 1), 0, 10), collinear) is None
 
 
 def test_golden_intersection_bits():
     # frozen via the independent plane/barycentric intersector below
     ray = make_ray((0.2, -0.3, -1.7), (0.11, 0.23, 0.97), 0.0, 100.0)
     tri = _tri((-2.3, -1.9, 5.1), (3.1, -1.4, 5.3), (0.9, 3.8, 4.7))
-    hit = intersect_triangle(ray, tri)
+    hit = _hit(ray, tri)
     assert hit is not None
     assert f32_bits(hit.t) == 0x40DB34D8
     assert f32_bits(hit.u) == 0x3E93189A
@@ -67,9 +76,7 @@ def test_golden_intersection_bits():
 def _dual_intersect(ray, tri):
     """Independent intersector: plane hit plus projected barycentrics."""
     o, d = ray.origin, ray.direction
-    v0, v1, v2 = tri
-    e1 = v1.sub(v0)
-    e2 = v2.sub(v0)
+    v0, e1, e2 = Vec3(*tri[:3]), Vec3(*tri[3:6]), Vec3(*tri[6:])
     n = e1.cross(e2)
     denom = d.dot(n)
     if denom == 0.0:
@@ -121,7 +128,7 @@ def _random_pairs(count, seed):
 def test_dual_intersector_agreement():
     hits = 0
     for ray, tri in _random_pairs(10_000, seed=1234):
-        a = intersect_triangle(ray, tri)
+        a = _hit(ray, tri)
         b = _dual_intersect(ray, tri)
         if a is None and b is None:
             continue
@@ -176,30 +183,35 @@ def test_aabb_never_culls_a_contained_hit():
     rng = np.random.default_rng(99)
     for _ in range(10_000):
         verts = rng.uniform(-3, 3, (3, 3))
-        tri = _tri(tuple(verts[0]), tuple(verts[1]), tuple(verts[2]))
-        lo = Vec3(*(min(v[a] for v in tri) for a in range(3)))
-        hi = Vec3(*(max(v[a] for v in tri) for a in range(3)))
+        blas = _blas(tuple(verts[0]), tuple(verts[1]), tuple(verts[2]))
+        tri = blas.tris[0]
+        bounds = blas.root_bounds()
         o = rng.uniform(-5, 5, 3)
         d = rng.uniform(-1, 1, 3)
         if np.all(np.abs(d) < 1e-3):
             d[0] = 1.0
         ray = make_ray(tuple(o), tuple(d), 0.0, 30.0)
-        hit = intersect_triangle(ray, tri)
+        hit = _hit(ray, tri)
         if hit is not None:
-            assert _box_entry(ray, lo, hi) is not None
+            assert _box_entry(ray, bounds[:3], bounds[3:]) is not None
+
+
+def _object_ray(xf, ray):
+    """Object-space origin and direction, as traversal maps a ray."""
+    return BuiltInstance(0, xf, []).object_ray_parts(ray)
 
 
 def test_transform_ray_identity_is_bitwise_noop():
     ray = make_ray((0.1, 0.2, 0.3), (0.4, 0.5, 0.6), 0.0, 9.0)
-    assert transform_ray(IDENTITY, ray) is ray
+    parts = _object_ray(IDENTITY, ray)
+    assert all(a is b for a, b in zip(parts, (*ray.origin, *ray.direction)))
 
 
 def test_transform_ray_translation():
     ray = make_ray((1, 2, 3), (0, 0, 1), 0, 10)
-    out = transform_ray(translation(1, 0, 0), ray)
-    assert out.origin == Vec3(0.0, 2.0, 3.0)
-    assert out.direction == ray.direction
-    assert (out.t_min, out.t_max) == (ray.t_min, ray.t_max)
+    parts = _object_ray(translation(1, 0, 0), ray)
+    assert parts[:3] == (0.0, 2.0, 3.0)
+    assert parts[3:] == tuple(ray.direction)
 
 
 def test_uniform_scale_preserves_hit_parameter():
@@ -207,9 +219,8 @@ def test_uniform_scale_preserves_hit_parameter():
     tri = AXIS_TRI
     scaled = _tri((-2, -2, 10), (2, -2, 10), (0, 2, 10))
     ray = make_ray((0.125, -0.25, -2), (0, 0, 1), 0, 100)
-    obj_ray = transform_ray(scaling(2.0), ray)
-    a = intersect_triangle(obj_ray, tri)
-    b = intersect_triangle(ray, scaled)
+    a = mt_core(*_object_ray(scaling(2.0), ray), ray.t_min, ray.t_max, *tri)
+    b = _hit(ray, scaled)
     assert a is not None and b is not None
     assert a.t == b.t
 
@@ -223,6 +234,6 @@ def test_singular_transform_rejected():
 def test_determinism_repeated_calls():
     ray = make_ray((0.2, -0.3, -1.7), (0.11, 0.23, 0.97), 0.0, 100.0)
     tri = _tri((-2.3, -1.9, 5.1), (3.1, -1.4, 5.3), (0.9, 3.8, 4.7))
-    first = intersect_triangle(ray, tri)
+    first = _hit(ray, tri)
     for _ in range(20):
-        assert intersect_triangle(ray, tri) == first
+        assert _hit(ray, tri) == first

@@ -111,6 +111,19 @@ def test_compare_ch_only_differs_on_coplanar_stack():
     assert rep.diff_pixels["ch-only"] > 0
 
 
+def test_compare_counts_pixels_when_image_height_is_255():
+    # the header "P6\n2 255\n255\n" holds "255\n" twice; the count must
+    # still read whole pixel triples after the full header
+    built = build_scene(gen_coplanar_stack(4, True))
+    cam = _narrow_camera(2, 255)
+    rep = compare_kernels(built, cam, ["while-while", "ch-only"], CountAll())
+    header = len(b"P6\n2 255\n255\n")
+    a, b = (rep.images[k][header:] for k in rep.kernels)
+    want = sum(a[p : p + 3] != b[p : p + 3] for p in range(0, 3 * 2 * 255, 3))
+    assert want > 0
+    assert rep.diff_pixels["ch-only"] == want
+
+
 def test_compare_ah_only_differs_with_depth_one_shading():
     scene = gen_adversarial_order()
     built = build_scene(scene)

@@ -169,6 +169,20 @@ def test_grid_rays_through_empty_cell():
 _ONE_TRIANGLE = {"vertices": [[0, 0, 5], [1, 0, 5], [0, 1, 5]], "indices": [[0, 1, 2]]}
 
 
+def _one_instance(transform=None, **extra):
+    """A valid one-triangle manifest with the given instance transform and
+    extra top-level keys."""
+    inst = {"geometries": [0]}
+    if transform is not None:
+        inst["transform"] = transform
+    return {"meshes": [_ONE_TRIANGLE], "geometries": [{"mesh": 0, "sbtOffset": 0}],
+            "instances": [inst], **extra}
+
+
+def _shifted(x):
+    return [[1, 0, 0, x], [0, 1, 0, 0], [0, 0, 1, 0]]
+
+
 def _cli_error(capsys, argv):
     from ftbtrace.cli import main
 
@@ -252,9 +266,21 @@ def test_cli_manifest_negative_index_exits_2(tmp_path, capsys, field):
         {"meshes": {"a": 1}},
         {"meshes": [_ONE_TRIANGLE], "geometries": [{"mesh": 0, "sbtOffset": math.inf}],
          "instances": [{"geometries": [0]}]},
+        _one_instance(camera=5),
+        _one_instance(camera={"look_at": [0, 0, 5], "fov_y": 30}),
+        _one_instance(camera={"position": [0, 0, -2], "look_at": [0, 0, 5], "fov_y": "x"}),
+        _one_instance(_shifted(math.nan)),
+        _one_instance(_shifted(math.inf)),
+        _one_instance(_shifted(1e300)),
+        _one_instance([[math.inf, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]),
+        {"meshes": [dict(_ONE_TRIANGLE, indices=[["a", 1, 2]])],
+         "geometries": [{"mesh": 0, "sbtOffset": 0}], "instances": [{"geometries": [0]}]},
     ],
     ids=["geometry-without-mesh", "mesh-not-object", "instance-without-geometries",
-         "meshes-not-list", "sbt-offset-infinite"],
+         "meshes-not-list", "sbt-offset-infinite", "camera-not-object",
+         "camera-without-position", "camera-fov-not-number", "translation-nan",
+         "translation-infinite", "translation-overflows-binary32", "linear-part-infinite",
+         "vertex-index-not-number"],
 )
 def test_cli_manifest_missing_key_or_wrong_type_exits_2(tmp_path, capsys, doc):
     path = _manifest(tmp_path, doc)
