@@ -20,6 +20,25 @@ exactly that.  Both levels share one live t_max, which an accepted
 candidate shrinks and every later box and triangle test re-reads, so an
 accepted hit culls later subtrees within the same trace.
 
+Every kernel traces one ray again and again, changing only (t_min, t_max),
+and no box or triangle test result depends on the interval until it is
+compared with it.  So ``traverse`` keeps a one-ray memo on the
+``BuiltScene`` (``built.memo``): the raw slab interval of each node and
+instance box (``slab_entry``), each entered instance's ``object_ray_parts``
+and each leaf's raw ``mt_core`` hits, all computed without an interval, and
+only for what the ray has touched.  Every trace clamps a cached interval to
+the live (t_min, t_max) and accepts a cached hit when t_min < t < live
+t_max, so the results are bitwise those of testing afresh, and
+``nodes_visited``/``tri_tests`` still count every emulated test of every
+trace.  The memo is keyed by the identity of ``ray.origin`` and
+``ray.direction`` (it holds both, so neither id can be reused while it
+lives): a kernel's ``ray._replace(t_min=..., t_max=...)`` keeps them and
+hits it, and any other ray replaces it.  Origin and direction are immutable
+tuples.  Each trace reads ``built.memo`` once, so traces on several threads
+(or one nested in a ``visit``) never mix two rays' results; a race only
+costs a recompute.  Every entry is stored whole, so two traces of the same
+ray never read a half-filled one.
+
 Everything a ray reads that does not depend on the ray is computed at build
 time.  ``Blas.tris`` keeps each triangle's packed intersection data in
 primitive order, so the brute-force reference enumerates a mesh without
@@ -40,6 +59,10 @@ from .geom import IDENTITY, Ray, Vec3, affine_inverse, apply_point, mt_core, sla
 # node tuple layout: (lox, loy, loz, hix, hiy, hiz, left, right, first, count)
 # leaf <=> left < 0; first/count index into the element permutation
 _LEAF = -1
+
+_INF = float("inf")
+_EMPTY = (_INF, -_INF)  # memo entry of a missed box: empty under any clamp
+_UNBOUNDED = (_INF,)  # box tests' live t_max for a zero direction
 
 
 @dataclass(frozen=True)
@@ -227,10 +250,33 @@ class BuiltInstance:
         )
 
 
-class BuiltScene:
-    """Scene with per-mesh trees and a scene-level tree over instances."""
+class _RayMemo:
+    """Interval-free test results of one ray, filled as traversal first
+    needs them: raw slab intervals of the instance tree's nodes (``tlas``,
+    laid out as ``_leaves`` describes) and of each instance slot's bounds
+    (``inst_boxes``); per entered instance slot, the object-space ray parts
+    and one (node boxes, leaf hits) dict pair per geometry (``inst_rays``).
+    A missed box is ``_EMPTY``; a leaf's entry, keyed by its first slot,
+    lists the (slot, raw ``mt_core`` hit) pairs of its triangles that the
+    ray's line hits."""
 
-    __slots__ = ("scene", "opts", "instances", "tlas_nodes", "tlas_order")
+    __slots__ = ("origin", "direction", "tlas", "inst_boxes", "inst_rays")
+
+    def __init__(self, origin, direction):
+        self.origin = origin
+        self.direction = direction
+        self.tlas = {}
+        self.inst_boxes = {}
+        self.inst_rays = {}
+
+
+class BuiltScene:
+    """Scene with per-mesh trees and a scene-level tree over instances.
+
+    ``memo`` is the memo of the ray traced last (see the module docstring).
+    """
+
+    __slots__ = ("scene", "opts", "instances", "tlas_nodes", "tlas_order", "memo")
 
     def __init__(self, scene, opts, instances, tlas_nodes, tlas_order):
         self.scene = scene
@@ -238,6 +284,7 @@ class BuiltScene:
         self.instances = instances
         self.tlas_nodes = tlas_nodes
         self.tlas_order = tlas_order
+        self.memo = None
 
 
 def build_scene(scene, opts: Optional[BuildOptions] = None) -> BuiltScene:
@@ -271,32 +318,68 @@ def build_scene(scene, opts: Optional[BuildOptions] = None) -> BuiltScene:
     return BuiltScene(scene, opts, instances, nodes, order)
 
 
-def _leaves(nodes, ox, oy, oz, dx, dy, dz, t_min, live, stats):
+def _entry(raw, t_min, t_max):
+    """Clamped entry of a raw slab interval into (t_min, t_max), or None
+    when the clamped interval is empty."""
+    enter, exit_ = raw
+    if enter < t_min:
+        enter = t_min
+    if exit_ > t_max:
+        exit_ = t_max
+    return None if enter > exit_ else enter
+
+
+def _leaves(nodes, boxes, ox, oy, oz, dx, dy, dz, t_min, live, stats):
     """Depth-first walk of one tree, yielding the (first, count) slot range
-    of every leaf the ray enters.  ``live`` is a one-element list holding the
-    current t_max; it is re-read at every box test, so a caller that shrinks
-    it between leaves culls the subtrees still on the stack."""
+    of every leaf the ray enters.  ``boxes`` is this tree's part of the ray
+    memo: the root's raw slab interval under key -1, and under an inner
+    node's index the raw intervals of its two children.  ``live``
+    is a one-element list holding the current t_max; it is re-read at every
+    box test, so a caller that shrinks it between leaves culls the subtrees
+    still on the stack."""
+    if not (dx or dy or dz):
+        # no slab bounds a zero direction: a box holding the origin is
+        # entered at t_min even when the interval is inverted
+        live = _UNBOUNDED
     stats.nodes_visited += 1
-    if slab_entry(*nodes[0][:6], ox, oy, oz, dx, dy, dz, t_min, live[0]) is None:
+    raw = boxes.get(-1)
+    if raw is None:
+        raw = boxes[-1] = slab_entry(*nodes[0][:6], ox, oy, oz, dx, dy, dz) or _EMPTY
+    if _entry(raw, t_min, live[0]) is None:
         return
     stack = [0]
     while stack:
-        node = nodes[stack.pop()]
+        index = stack.pop()
+        node = nodes[index]
         left = node[6]
         if left < 0:
             yield node[8], node[9]
             continue
         right = node[7]
-        ln = nodes[left]
-        rn = nodes[right]
         stats.nodes_visited += 2
+        pair = boxes.get(index)
+        if pair is None:
+            ln = nodes[left]
+            rn = nodes[right]
+            pair = boxes[index] = (
+                slab_entry(ln[0], ln[1], ln[2], ln[3], ln[4], ln[5], ox, oy, oz, dx, dy, dz) or _EMPTY,
+                slab_entry(rn[0], rn[1], rn[2], rn[3], rn[4], rn[5], ox, oy, oz, dx, dy, dz) or _EMPTY,
+            )
+        # _entry on both children, inlined
+        (le, lx), (re, rx) = pair
         t_max = live[0]
-        le = slab_entry(ln[0], ln[1], ln[2], ln[3], ln[4], ln[5], ox, oy, oz, dx, dy, dz, t_min, t_max)
-        re = slab_entry(rn[0], rn[1], rn[2], rn[3], rn[4], rn[5], ox, oy, oz, dx, dy, dz, t_min, t_max)
-        if le is None:
-            if re is not None:
+        if le < t_min:
+            le = t_min
+        if lx > t_max:
+            lx = t_max
+        if re < t_min:
+            re = t_min
+        if rx > t_max:
+            rx = t_max
+        if le > lx:
+            if not re > rx:
                 stack.append(right)
-        elif re is None:
+        elif re > rx:
             stack.append(left)
         elif re < le:  # right strictly nearer; ties go left-first
             stack.append(left)
@@ -311,39 +394,67 @@ def traverse(built: BuiltScene, ray: Ray, visit, stats) -> None:
 
     visit(t, u, v, front_face, prim, sbt_offset, instance_index, built_instance)
     returns (new_tmax, stop): a non-None new_tmax shrinks the live interval
-    for everything after it; stop aborts the walk immediately.
+    for everything after it; stop aborts the walk immediately.  A ray that
+    shares its origin and direction objects with the ray traced last reuses
+    that ray's interval-free box and triangle tests (see the module
+    docstring).
     """
     nodes = built.tlas_nodes
     if not nodes:
         return
+    origin = ray.origin
+    direction = ray.direction
+    memo = built.memo  # read once: another thread may replace it
+    if memo is None or memo.origin is not origin or memo.direction is not direction:
+        memo = built.memo = _RayMemo(origin, direction)
     t_min = ray.t_min
     live = [ray.t_max]
     order = built.tlas_order
     instances = built.instances
-    wx, wy, wz = ray.origin
-    wdx, wdy, wdz = ray.direction
-    for first, count in _leaves(nodes, wx, wy, wz, wdx, wdy, wdz, t_min, live, stats):
+    inst_boxes = memo.inst_boxes
+    inst_rays = memo.inst_rays
+    wx, wy, wz = origin
+    wdx, wdy, wdz = direction
+    box_live = live if wdx or wdy or wdz else _UNBOUNDED  # as in _leaves
+    for first, count in _leaves(nodes, memo.tlas, wx, wy, wz, wdx, wdy, wdz, t_min, live, stats):
         for slot in range(first, first + count):
             bi = instances[order[slot]]
             stats.nodes_visited += 1
-            b = bi.bounds
-            if slab_entry(b[0], b[1], b[2], b[3], b[4], b[5], wx, wy, wz, wdx, wdy, wdz, t_min, live[0]) is None:
+            raw = inst_boxes.get(slot)
+            if raw is None:
+                b = bi.bounds
+                raw = slab_entry(b[0], b[1], b[2], b[3], b[4], b[5], wx, wy, wz, wdx, wdy, wdz)
+                raw = inst_boxes[slot] = raw or _EMPTY
+            if _entry(raw, t_min, box_live[0]) is None:
                 continue
-            ox, oy, oz, dx, dy, dz = bi.object_ray_parts(ray)
+            entry = inst_rays.get(slot)
+            if entry is None:
+                entry = inst_rays[slot] = (bi.object_ray_parts(ray), [({}, {}) for _ in bi.geoms])
+            (ox, oy, oz, dx, dy, dz), geom_memos = entry
             inst_index = bi.index
-            for geom in bi.geoms:
+            for geom, (boxes, leaf_hits) in zip(bi.geoms, geom_memos):
                 blas = geom.blas
                 packed = blas.packed
                 prims = blas.order
                 sbt = geom.sbt_offset
-                for tfirst, tcount in _leaves(blas.nodes, ox, oy, oz, dx, dy, dz, t_min, live, stats):
-                    for tslot in range(tfirst, tfirst + tcount):
-                        stats.tri_tests += 1
-                        hit = mt_core(ox, oy, oz, dx, dy, dz, t_min, live[0], *packed[tslot])
-                        if hit is None:
+                for tfirst, tcount in _leaves(blas.nodes, boxes, ox, oy, oz, dx, dy, dz, t_min, live, stats):
+                    hits = leaf_hits.get(tfirst)
+                    if hits is None:
+                        hits = []
+                        for tslot in range(tfirst, tfirst + tcount):
+                            hit = mt_core(ox, oy, oz, dx, dy, dz, -_INF, _INF, *packed[tslot])
+                            if hit is not None:
+                                hits.append((tslot, hit))
+                        leaf_hits[tfirst] = hits  # published whole: another trace may read it
+                    tested = tfirst  # slots before this one are counted
+                    for tslot, hit in hits:
+                        if not t_min < hit[0] < live[0]:
                             continue
+                        stats.tri_tests += tslot + 1 - tested
+                        tested = tslot + 1
                         new_tmax, stop = visit(*hit, prims[tslot], sbt, inst_index, bi)
                         if new_tmax is not None:
                             live[0] = new_tmax
                         if stop:
                             return
+                    stats.tri_tests += tfirst + tcount - tested

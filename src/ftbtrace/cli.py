@@ -1,7 +1,7 @@
 """Command-line test rig: render, compare, validate, bench.
 
 Exit codes: 0 all checks pass, 1 a check found differences or violations,
-2 usage or I/O error.
+2 usage, input or I/O error, 3 internal error (a defect in ftbtrace).
 """
 
 from __future__ import annotations
@@ -207,6 +207,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # anything else is a bug; never exit 1 with a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

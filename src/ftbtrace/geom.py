@@ -18,6 +18,8 @@ from typing import NamedTuple, Optional
 
 from .floatstep import f32
 
+_INF = math.inf
+
 
 class Vec3(NamedTuple):
     x: float
@@ -64,6 +66,28 @@ class Ray(NamedTuple):
     direction: Vec3
     t_min: float
     t_max: float
+
+
+def camera_basis(position, look_at, up):
+    """Unit forward and right vectors and the true up vector of a camera
+    at ``position`` looking at ``look_at``, with ``up`` as the rough up
+    direction.
+
+    ValueError when the basis does not exist in floating point: look_at
+    equal to position, a view distance that overflows, or an up vector that
+    is zero or parallel to the view direction.
+    """
+    fwd = Vec3(*look_at).sub(Vec3(*position))
+    length = fwd.length()
+    if not 0.0 < length < math.inf:
+        raise ValueError("camera look_at must differ from position by a finite distance")
+    fwd = fwd.scale(1.0 / length)
+    right = fwd.cross(Vec3(*up))
+    length = right.length()
+    if length == 0.0:
+        raise ValueError("camera up must not be zero or parallel to the view direction")
+    right = right.scale(1.0 / length)
+    return fwd, right, right.cross(fwd)
 
 
 def make_ray(origin, direction, t_min, t_max) -> Ray:
@@ -190,6 +214,12 @@ def mt_core(
     binary64 computation from binary32 vertices is exact).  Boundary tests
     run on the binary64 barycentrics (edges inclusive), the hit distance is
     rounded to binary32 and then checked against the exclusive interval.
+    Nothing before that last check reads the interval, so traversal calls
+    this once per ray and triangle with (-inf, inf), keeps the result in its
+    one-ray memo (see ``bvh``: keyed by the identity of the ray's origin and
+    direction objects, it lives until a trace of another ray replaces it)
+    and checks t_min < t < t_max on every trace; the reference calls it with
+    the ray's own interval.
     """
     px = dy * e2z - dz * e2y
     py = dz * e2x - dx * e2z
@@ -218,17 +248,26 @@ def mt_core(
 
 def slab_entry(
     lox, loy, loz, hix, hiy, hiz,
-    ox, oy, oz, dx, dy, dz, t_min, t_max,
-) -> Optional[float]:
-    """Clamped entry distance into a box, or None when the slab interval
-    misses (t_min, t_max).
+    ox, oy, oz, dx, dy, dz,
+) -> Optional[tuple]:
+    """Raw slab interval ``(enter, exit)`` of a ray's line through a box, or
+    None when the slabs do not overlap.
 
-    Boundary overlap is inclusive on both sides, so the test may admit a box
-    it strictly need not, but never wrongly rejects one.  Rays parallel to a
-    slab pass when the origin lies inside it (inclusive).
+    No ray interval goes in: traversal computes this once per ray and box,
+    keeps it in its one-ray memo (see ``bvh``: keyed by the identity of the
+    ray's origin and direction objects, it lives until a trace of another
+    ray replaces it), and clamps it to the live (t_min, t_max) on every
+    trace -- the clamped entry is max(enter, t_min), and the box is missed
+    when that exceeds min(exit, t_max).  Boundary
+    overlap is inclusive on both sides, so the test may admit a box it
+    strictly need not, but never wrongly rejects one.  An axis the ray is
+    parallel to passes when the origin lies inside its slab (inclusive) and
+    bounds nothing; with the direction (0, 0, 0) no axis bounds the interval
+    at all, and traversal then admits the box for any (t_min, t_max), even
+    an inverted one.
     """
-    enter = t_min
-    exit_ = t_max
+    enter = -_INF
+    exit_ = _INF
     if dx != 0.0:
         inv = 1.0 / dx
         t0 = (lox - ox) * inv
@@ -271,4 +310,4 @@ def slab_entry(
             return None
     elif oz < loz or oz > hiz:
         return None
-    return enter
+    return enter, exit_

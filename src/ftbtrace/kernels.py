@@ -144,6 +144,7 @@ def iter_reject_repeats(built: BuiltScene, ray, stats: TraceStats):
     prd = _RejectRepeatsPrd()
     next_tmin = ray.t_min
     next_skip = 0
+    group = set()  # hits delivered at the anchor's distance
     while True:
         prd.found = None
         prd.skip_left = next_skip
@@ -152,15 +153,22 @@ def iter_reject_repeats(built: BuiltScene, ray, stats: TraceStats):
         if ctx is None:
             return
         got = _desc(ctx)
-        yield got, ctx
         if got.t > prd.skip_hit.t:
             # new distance: re-anchor and count skips from zero again
             # (the anchor itself is skipped by identity, on top of the count)
             next_tmin = just_below(got.t)
             next_skip = 0
             prd.skip_hit = got
+            group = {got}
+        elif got.t < prd.skip_hit.t or got in group:
+            # the trace did not move past what was delivered: skipping on
+            # would deliver the same hits again and again
+            raise RuntimeError(f"reject-repeats stalled: trace committed {got} again "
+                               f"at t_min={next_tmin!r}, skip={next_skip}")
         else:
             next_skip += 1
+            group.add(got)
+        yield got, ctx
 
 
 def run_reject_repeats(built, ray, user_code, stats=None, user_prd=None) -> FtbReport:
@@ -188,6 +196,8 @@ def _feeler_hits(built: BuiltScene, ray, d: _Delivery):
         ctx = d.found
         if ctx is None:
             return
+        if not ctx.t > t_lo:
+            raise RuntimeError(f"feeler stalled: trace committed t={ctx.t!r} at t_min={t_lo!r}")
         yield ctx
         t_lo = ctx.t  # anything strictly beyond the finished distance
 
@@ -273,6 +283,11 @@ def run_while_merged(built, ray, user_code, stats=None, user_prd=None) -> FtbRep
         trace(built, ray._replace(t_min=cur_tmin), _WM_CFG, prd, prd.stats)
         if prd.stopped or prd.found is None:
             break  # user code stopped, or no next distance
+        # cur_tmin advances with the promoted distance; it may stay put once,
+        # when the first distance is just_above(t_min)
+        if not prd.found.t > prd.t_exec:
+            raise RuntimeError(f"while-merged stalled: trace committed t={prd.found.t!r} "
+                               f"after promoting t={prd.t_exec!r}")
         prd.t_exec = prd.found.t
         cur_tmin = just_below(prd.t_exec)
     return prd.report()
@@ -333,6 +348,8 @@ def iter_multi_hit_batches(built: BuiltScene, ray, n: int, stats: TraceStats):
         if not prd.buffer:
             return
         batch = prd.buffer
+        if not less(hit_min, batch[-1]):
+            raise RuntimeError(f"multi-hit stalled: batch ends at {batch[-1]} after {hit_min}")
         yield batch
         hit_min = batch[-1]
         cur_tmin = just_below(hit_min.t)

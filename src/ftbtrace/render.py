@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 from .bvh import BuiltScene, build_scene
 from .floatstep import f32_bits
-from .geom import Ray, Vec3, apply_point, make_ray
+from .geom import Ray, apply_point, camera_basis, make_ray
 from .hitorder import HitDesc
 from . import oracle
 from .kernels import Step, run_kernel
@@ -61,18 +61,13 @@ class Camera:
 
 def pixel_ray(cam: Camera, x: int, y: int) -> Ray:
     """Primary ray through the center of pixel (x, y); y runs downward."""
-    pos = Vec3(*cam.position)
-    fwd = Vec3(*cam.look_at).sub(pos)
-    fwd = fwd.scale(1.0 / fwd.length())
-    right = fwd.cross(Vec3(*cam.up))
-    right = right.scale(1.0 / right.length())
-    upv = right.cross(fwd)
+    fwd, right, upv = camera_basis(cam.position, cam.look_at, cam.up)
     tan_half = math.tan(math.radians(cam.fov_y) * 0.5)
     aspect = cam.width / cam.height
     px = ((x + 0.5) / cam.width * 2.0 - 1.0) * tan_half * aspect
     py = (1.0 - (y + 0.5) / cam.height * 2.0) * tan_half
     d = fwd.add(right.scale(px)).add(upv.scale(py))
-    return make_ray(pos, d, 0.0, T_FAR)
+    return make_ray(cam.position, d, 0.0, T_FAR)
 
 
 def camera_rays(cam: Camera) -> list:
@@ -108,6 +103,13 @@ def resolve_camera(scene, width: int, height: int) -> Camera:
     center = tuple((lo[a] + hi[a]) * 0.5 for a in range(3))
     radius = max(hi[a] - lo[a] for a in range(3)) * 0.5 + 1e-3
     pos = (center[0] + 0.07 * radius, center[1] + 0.05 * radius, center[2] - 3.0 * radius)
+    try:
+        camera_basis(pos, center, (0.0, 1.0, 0.0))
+    except ValueError:
+        raise ValueError(
+            "scene bounds cannot be framed automatically (too large, or too small "
+            "for their distance from the origin); set a camera hint in a JSON manifest"
+        ) from None
     return Camera(pos, center, (0.0, 1.0, 0.0), 40.0, width, height)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bvh import BuildOptions
-from .geom import Affine3, IDENTITY, Vec3, det3, translation, vec3_32
+from .geom import Affine3, IDENTITY, Vec3, camera_basis, det3, translation, vec3_32
 
 
 @dataclass
@@ -143,7 +143,8 @@ def _is_finite_number(x) -> bool:
 
 def _check_camera_hint(hint) -> None:
     """A camera hint is an object with finite numeric 3-vectors ``position``,
-    ``look_at`` and (optional) ``up``, and a finite numeric ``fov_y``."""
+    ``look_at`` and (optional) ``up``, and a finite numeric ``fov_y``; the
+    three vectors must span a camera basis (see ``geom.camera_basis``)."""
     if not isinstance(hint, dict):
         raise ValueError("camera must be a JSON object")
     for key in ("position", "look_at", "up"):
@@ -154,6 +155,7 @@ def _check_camera_hint(hint) -> None:
             raise ValueError(f"camera {key} must be a list of 3 finite numbers")
     if not _is_finite_number(hint.get("fov_y")):
         raise ValueError("camera fov_y must be a finite number")
+    camera_basis(hint["position"], hint["look_at"], hint.get("up", (0.0, 1.0, 0.0)))
 
 
 def scene_from_manifest(doc: dict, base_dir: str = ".") -> Scene:

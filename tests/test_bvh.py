@@ -22,9 +22,10 @@ from ftbtrace import (
     oracle_all_hits,
     traverse,
 )
+import ftbtrace.bvh as bvh_mod
 from ftbtrace.bvh import BuiltInstance
-from ftbtrace.floatstep import F32_MAX, f32_bits, just_below
-from ftbtrace.geom import IDENTITY, det3, transform_ray_inv
+from ftbtrace.floatstep import F32_MAX, f32_bits, just_above, just_below
+from ftbtrace.geom import IDENTITY, Ray, det3, transform_ray_inv
 from ftbtrace.pipeline import TraceStats
 
 from probes import rays_for
@@ -297,3 +298,118 @@ def test_traversal_candidates_and_counters_are_pinned():
                         digest.update(repr(seen).encode())
         got[name] = (digest.hexdigest()[:16], totals.nodes_visited, totals.tri_tests)
     assert got == _WALK_PINS
+
+
+def _intervals(ray, ts):
+    """A kernel-like interval sequence for one ray, from its candidate
+    distances ts: the user interval, t_min raised to and just below hit
+    distances, one-value intervals, and an inverted interval."""
+    lo, hi = ray.t_min, ray.t_max
+    out = [(lo, hi)]
+    for t in ts[:1] + ts[len(ts) // 2 : len(ts) // 2 + 1] + ts[-1:]:
+        out += [(t, hi), (just_below(t), hi), (just_below(t), just_above(t))]
+    out += [(hi, lo), (lo, hi)]
+    return out
+
+
+def _trace_all(built, rays, verdict):
+    """traverse each ray in turn; every candidate's bits and identity per
+    trace, and the summed counters."""
+    seen = []
+    stats = TraceStats()
+    for ray in rays:
+        trace_seen = []
+
+        def visit(t, u, v, front, prim, sbt, inst, bi, _seen=trace_seen):
+            _seen.append((f32_bits(t), f32_bits(u), f32_bits(v), front, prim, sbt, inst))
+            return verdict(len(_seen), t)
+
+        traverse(built, ray, visit, stats)
+        seen.append(trace_seen)
+    return seen, stats.as_dict()
+
+
+def test_retraces_of_one_ray_match_fresh_rays(monkeypatch):
+    # tracing one Ray object again and again reuses its memoised box and
+    # triangle tests; every trace must report exactly what the same trace
+    # on a fresh, equal-valued Ray (a memo miss) reports, counters included
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(bvh_mod, "slab_entry", counted(bvh_mod.slab_entry))
+    monkeypatch.setattr(bvh_mod, "mt_core", counted(bvh_mod.mt_core))
+    fresh_calls = same_calls = 0
+    for spec in _WALK_SCENES:
+        scene = make_scene(spec)
+        rays = rays_for(scene, 4, 3)
+        for leaf_size in (1, 2, 4):
+            for seed in (None, 7):
+                built = build_scene(scene, BuildOptions(leaf_size=leaf_size, permute_seed=seed))
+                for ray in rays:
+                    ts = sorted({t for t, _, _, _ in _collect(built, ray)[0]})
+                    intervals = _intervals(ray, ts)
+                    same = [ray._replace(t_min=lo, t_max=hi) for lo, hi in intervals]
+                    fresh = [Ray(Vec3(*ray.origin), Vec3(*ray.direction), lo, hi) for lo, hi in intervals]
+                    for verdict in _WALK_VERDICTS.values():
+                        calls[0] = 0
+                        want = _trace_all(built, fresh, verdict)
+                        fresh_calls += calls[0]
+                        calls[0] = 0
+                        assert _trace_all(built, same, verdict) == want
+                        same_calls += calls[0]
+    # the retraces really were served from the memo
+    assert 0 < same_calls < fresh_calls / 4
+
+
+def test_zero_direction_enters_boxes_whatever_the_interval():
+    # with direction (0, 0, 0) no slab bounds the ray: a box holding the
+    # origin is entered even under an inverted interval, as under any other
+    for spec in _WALK_SCENES:
+        scene = make_scene(spec)
+        for leaf_size in (1, 4):
+            built = build_scene(scene, BuildOptions(leaf_size=leaf_size))
+            b = built.tlas_nodes[0]
+            centre = ((b[0] + b[3]) / 2, (b[1] + b[4]) / 2, (b[2] + b[5]) / 2)
+            ray = make_ray(centre, (0.0, -0.0, 0.0), 0.0, 100.0)
+            counts = []
+            for t_min, t_max in ((0.0, 100.0), (100.0, 0.0), (5.0, 5.0)):
+                seen, stats = _collect(built, Ray(Vec3(*ray.origin), ray.direction, t_min, t_max))
+                assert seen == []
+                counts.append(stats.nodes_visited)
+            assert counts[0] > 1
+            assert counts == [counts[0]] * 3
+
+
+def test_trace_nested_in_a_visit_keeps_each_rays_results():
+    # a visitor that traces another ray replaces the scene's ray memo in
+    # the middle of the outer walk, as a racing thread would; both rays
+    # must still see exactly what they see alone.  The inner ray starts a
+    # little behind the outer one, so it enters the same instances with
+    # other object-space parts and hit distances
+    for spec in _WALK_SCENES:
+        scene = make_scene(spec)
+        built = build_scene(scene, BuildOptions(leaf_size=1))
+        for ray in rays_for(scene, 8, 6):
+            ox, oy, oz = ray.origin
+            other = make_ray((ox, oy, oz - 0.25), ray.direction, ray.t_min, ray.t_max)
+            want, want_inner = _collect(built, ray), _collect(built, other)
+            inner = []
+            seen = []
+
+            def visit(t, u, v, front, prim, sbt, inst, bi):
+                inner.append(_collect(built, other))
+                seen.append((t, prim, sbt, inst))
+                return None, False
+
+            for _ in range(2):  # the retrace finds the memo replaced
+                seen.clear()
+                stats = TraceStats()
+                traverse(built, ray._replace(t_min=ray.t_min), visit, stats)
+                assert (seen, stats) == want
+            assert all(got == want_inner for got in inner)

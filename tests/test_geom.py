@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ftbtrace import Mesh, build_blas
-from ftbtrace.bvh import BuiltInstance
+from ftbtrace.bvh import BuiltInstance, _entry
 from ftbtrace.floatstep import f32, f32_bits, ulp_distance
 from ftbtrace.geom import (
     IDENTITY,
+    Ray,
     Vec3,
     affine_inverse,
     make_ray,
@@ -145,9 +150,77 @@ def test_dual_intersector_agreement():
 
 
 def _box_entry(ray, lo, hi):
-    """slab_entry, the traversal's box test, on a Ray and corner Vec3s."""
+    """The traversal's box test on a Ray and corner Vec3s: the raw
+    slab_entry interval, clamped to the ray's interval as bvh does (with no
+    t_max bound for a zero direction)."""
     o, d = ray.origin, ray.direction
-    return slab_entry(*lo, *hi, o.x, o.y, o.z, d.x, d.y, d.z, ray.t_min, ray.t_max)
+    raw = slab_entry(*lo, *hi, *o, *d)
+    if raw is None:
+        return None
+    return _entry(raw, ray.t_min, ray.t_max if any(d) else math.inf)
+
+
+def _reference_slab_entry(lox, loy, loz, hix, hiy, hiz, ox, oy, oz, dx, dy, dz, t_min, t_max):
+    """The box test as it was before traversal memoised raw intervals: the
+    slab interval clamped to (t_min, t_max) axis by axis.  Kept as the
+    reference that raw slab_entry plus the clamp must equal."""
+    enter = t_min
+    exit_ = t_max
+    for lo, hi, o, d in ((lox, hix, ox, dx), (loy, hiy, oy, dy), (loz, hiz, oz, dz)):
+        if d != 0.0:
+            inv = 1.0 / d
+            t0 = (lo - o) * inv
+            t1 = (hi - o) * inv
+            if t0 > t1:
+                t0, t1 = t1, t0
+            if t0 > enter:
+                enter = t0
+            if t1 < exit_:
+                exit_ = t1
+            if enter > exit_:
+                return None
+        elif o < lo or o > hi:
+            return None
+    return enter
+
+
+_SLAB_COORD = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3e38, -3e38, math.inf, -math.inf]),
+    st.floats(width=32, allow_nan=False),
+)
+_SLAB_DIR = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-45, -1e-45, 3e38]),
+    st.floats(width=32, allow_nan=False),
+)
+# trace rejects NaN intervals, so the interval never holds one
+_SLAB_T = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 3e38, -3e38, math.inf, -math.inf]),
+    st.floats(width=32, allow_nan=False),
+)
+
+
+@settings(max_examples=500)
+@given(
+    st.tuples(*[_SLAB_COORD] * 6),
+    st.tuples(*[_SLAB_COORD] * 3),
+    st.tuples(*[_SLAB_DIR] * 3),
+    _SLAB_T,
+    _SLAB_T,
+)
+# zero direction, origin inside, inverted interval: entered at t_min
+@example((0.0, 0.0, 0.0, 1.0, 1.0, 1.0), (0.5, 0.5, 0.5), (0.0, -0.0, 0.0), 2.0, 1.0)
+# and an inverted interval with one moving axis: missed
+@example((0.0, 0.0, 0.0, 1.0, 1.0, 1.0), (0.5, 0.5, 0.5), (0.0, 0.0, 1.0), 2.0, 1.0)
+# slab distances overflow to +-inf
+@example((-3e38, -3e38, -3e38, 3e38, 3e38, 3e38), (0.0, 0.0, 0.0), (1e-45, 1.0, 1.0), 0.0, 10.0)
+# -0.0 bounds and origin
+@example((-0.0, 0.0, -0.0, 0.0, 1.0, 0.0), (0.0, -0.0, -0.0), (-1.0, 0.0, 0.0), -0.0, 0.0)
+def test_raw_slab_entry_clamped_matches_reference(box, origin, direction, t_min, t_max):
+    want = _reference_slab_entry(*box, *origin, *direction, t_min, t_max)
+    got = _box_entry(Ray(origin, direction, t_min, t_max), box[:3], box[3:])
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got == want
 
 
 UNIT_LO = Vec3(0, 0, 0)

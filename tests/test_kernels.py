@@ -6,7 +6,9 @@ import pytest
 from ftbtrace import (
     BuildOptions,
     HitContext,
+    Mesh,
     Step,
+    Vec3,
     build_scene,
     gen_abutting_boxes,
     gen_adversarial_order,
@@ -24,9 +26,11 @@ from ftbtrace import (
     run_stable_next,
     run_while_merged,
     run_while_while,
+    single_mesh_scene,
     sort_hits,
     validate_kernel,
 )
+from ftbtrace.floatstep import just_below
 from ftbtrace.hitorder import order_key
 from ftbtrace.kernels import CORRECT_KERNELS, parse_kernel
 from ftbtrace.pipeline import TraceStats
@@ -534,3 +538,47 @@ def test_kernel_deliveries_and_counters_are_pinned():
         rule = validate_kernel(kid, build_scene(_SCENES[0]), []).counter_rule
         got[kid] = (rule, digest.hexdigest()[:16], totals.as_dict())
     assert got == _PINS
+
+
+def _stuck_trace(built, ray, cfg, prd=None, stats=None):
+    """A broken pipeline: every trace commits the same hit, whatever the
+    interval and whatever the any-hit program would say."""
+    import ftbtrace.kernels as kernels_mod
+
+    ctx = HitContext(2.0, 0.25, 0.25, True, 0, 0, 0, None, None)
+    stats.traces += 1
+    if cfg is kernels_mod._MH_CFG:
+        prd.buffer = [kernels_mod._desc(ctx)]
+    elif cfg.closest_hit is not None:
+        cfg.closest_hit(ctx, prd)
+    return ctx
+
+
+@pytest.mark.parametrize("kernel", [*CORRECT_KERNELS, "ch-only"])
+def test_kernel_loop_that_stops_advancing_raises(monkeypatch, kernel):
+    # a trace that never moves the kernel's position (feeler t_lo,
+    # while-merged's promoted distance, multi-hit's hit_min, reject-repeats'
+    # anchor and skip count) must fail loudly instead of spinning
+    import ftbtrace.kernels as kernels_mod
+
+    built = build_scene(gen_coplanar_stack(2, True))
+    monkeypatch.setattr(kernels_mod, "trace", _stuck_trace)
+    stats = TraceStats()
+    with pytest.raises(RuntimeError, match="stalled"):
+        run_kernel(kernel, built, CENTER_RAY, lambda h, c, p: None, stats=stats)
+    # the second identical commit is refused (while-while's executor ran between)
+    assert stats.traces == (3 if kernel == "while-while" else 2)
+
+
+@pytest.mark.parametrize("kernel", CORRECT_KERNELS)
+def test_first_distance_just_above_t_min_is_progress(kernel):
+    # two coincident triangles at the smallest subnormal distance: the
+    # re-trace's t_min, just_below(t), equals the ray's own t_min of 0, yet
+    # the loop has advanced (past the anchor, or to a promoted distance)
+    z = 1e-45
+    verts = [Vec3(-1.0, -1.0, z), Vec3(1.0, -1.0, z), Vec3(0.0, 1.0, z)]
+    built = build_scene(single_mesh_scene(Mesh(verts * 2, [(0, 1, 2), (3, 4, 5)])))
+    ray = make_ray((0.1, 0.1, 0.0), (0, 0, 1), 0.0, 10.0)
+    want = oracle_all_hits(built, ray).hits
+    assert len(want) == 2 and just_below(want[0].t) == ray.t_min
+    assert validate_kernel(kernel, built, [ray]).ok

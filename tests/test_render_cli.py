@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -71,10 +72,17 @@ def test_render_is_bitwise_deterministic():
 
 
 def test_render_thread_count_does_not_change_bytes():
+    # threads switch every microsecond, so they race on the scene's
+    # one-ray traversal memo in the middle of traces
     built = build_scene(gen_abutting_boxes(3))
     cam = resolve_camera(gen_abutting_boxes(3), 10, 8)
     a, sa = render_image(built, cam, "reject-repeats", CountAll(), threads=1)
-    b, sb = render_image(built, cam, "reject-repeats", CountAll(), threads=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        b, sb = render_image(built, cam, "reject-repeats", CountAll(), threads=4)
+    finally:
+        sys.setswitchinterval(interval)
     assert a == b
     assert sa.as_dict() == sb.as_dict()
 

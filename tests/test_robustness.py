@@ -183,6 +183,10 @@ def _shifted(x):
     return [[1, 0, 0, x], [0, 1, 0, 0], [0, 0, 1, 0]]
 
 
+# world bounds stay finite, but the framing camera's view distance overflows
+_UNFRAMEABLE = _one_instance([[1e300, 0, 0, 0], [0, 1e300, 0, 0], [0, 0, 1e300, 0]])
+
+
 def _cli_error(capsys, argv):
     from ftbtrace.cli import main
 
@@ -275,17 +279,26 @@ def test_cli_manifest_negative_index_exits_2(tmp_path, capsys, field):
         _one_instance([[math.inf, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]),
         {"meshes": [dict(_ONE_TRIANGLE, indices=[["a", 1, 2]])],
          "geometries": [{"mesh": 0, "sbtOffset": 0}], "instances": [{"geometries": [0]}]},
+        _one_instance(camera={"position": [0, 0, -2], "look_at": [0, 0, -2], "fov_y": 30}),
+        _one_instance(camera={"position": [0, 0, -2], "look_at": [0, 0, 5], "up": [0, 0, 3],
+                              "fov_y": 30}),
+        _UNFRAMEABLE,
     ],
     ids=["geometry-without-mesh", "mesh-not-object", "instance-without-geometries",
          "meshes-not-list", "sbt-offset-infinite", "camera-not-object",
          "camera-without-position", "camera-fov-not-number", "translation-nan",
          "translation-infinite", "translation-overflows-binary32", "linear-part-infinite",
-         "vertex-index-not-number"],
+         "vertex-index-not-number", "camera-looks-at-itself", "camera-up-along-view",
+         "framing-overflows"],
 )
 def test_cli_manifest_missing_key_or_wrong_type_exits_2(tmp_path, capsys, doc):
     path = _manifest(tmp_path, doc)
-    err = _cli_error(capsys, ["render", "--scene", path, "--out", str(tmp_path / "x.ppm")])
-    assert err.startswith("error: manifest: ")
+    # a valid manifest without a camera hint that the automatic framing
+    # cannot frame is refused when the camera is resolved, not when loading
+    want = "error: scene bounds " if doc == _UNFRAMEABLE else "error: manifest: "
+    for argv in (["render", "--out", str(tmp_path / "x.ppm")], ["validate"]):
+        err = _cli_error(capsys, argv + ["--scene", path, "--size", "4x3"])
+        assert err.startswith(want)
 
 
 def test_cli_validate_takes_no_threads_option(capsys):
@@ -295,3 +308,17 @@ def test_cli_validate_takes_no_threads_option(capsys):
         main(["validate", "--gen", "coplanar:n=2", "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_cli_unexpected_exception_exits_3(monkeypatch, tmp_path, capsys):
+    # a defect inside a command is not a failed check (1) or bad input (2)
+    import ftbtrace.cli as cli
+
+    def broken(args):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(cli, "_cmd_render", broken)
+    code = cli.main(["render", "--gen", "coplanar:n=2", "--out", str(tmp_path / "x.ppm")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "internal error: ZeroDivisionError: float division by zero\n"
