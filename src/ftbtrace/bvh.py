@@ -184,6 +184,9 @@ def build_blas(mesh, opts: BuildOptions = BuildOptions()) -> Blas:
 
 
 class BuiltGeometry:
+    """One geometry of one built instance (never shared between instances:
+    the ray memo keys each walked tree's results on it)."""
+
     __slots__ = ("sbt_offset", "blas")
 
     def __init__(self, sbt_offset, blas):
@@ -231,9 +234,11 @@ class BuiltInstance:
 
     def object_ray_parts(self, ray: Ray):
         """Object-space origin/direction (binary32 components) for this
-        instance, bitwise equal to ``geom.transform_ray_inv(self.inverse, ray)``:
-        the same binary64 operation order as ``apply_point``/``apply_vector``,
-        then binary32 rounding.  The identity returns the ray's own components."""
+        instance: the ray's origin and direction through ``self.inverse`` in
+        binary64, with ``geom.apply_point``'s operation order (the direction
+        without the translation), then rounded to binary32.  The direction is
+        not renormalised, so object-space hit distances equal world-space
+        ones.  The identity returns the ray's own components."""
         ox, oy, oz = ray.origin
         dx, dy, dz = ray.direction
         rows = self.inv_rows
@@ -255,12 +260,13 @@ class _RayMemo:
     needs them: raw slab intervals of the instance tree's nodes (``tlas``,
     laid out as ``_leaves`` describes) and of each instance slot's bounds
     (``inst_boxes``); per entered instance slot, the object-space ray parts
-    and one (node boxes, leaf hits) dict pair per geometry (``inst_rays``).
-    A missed box is ``_EMPTY``; a leaf's entry, keyed by its first slot,
-    lists the (slot, raw ``mt_core`` hit) pairs of its triangles that the
-    ray's line hits."""
+    (``inst_rays``); and per geometry whose tree has been walked, keyed by
+    its ``BuiltGeometry``, a (node boxes, leaf hits) dict pair
+    (``geom_tests``).  A missed box is ``_EMPTY``; a leaf's entry, keyed by
+    its first slot, lists the (slot, raw ``mt_core`` hit) pairs of its
+    triangles that the ray's line hits."""
 
-    __slots__ = ("origin", "direction", "tlas", "inst_boxes", "inst_rays")
+    __slots__ = ("origin", "direction", "tlas", "inst_boxes", "inst_rays", "geom_tests")
 
     def __init__(self, origin, direction):
         self.origin = origin
@@ -268,6 +274,7 @@ class _RayMemo:
         self.tlas = {}
         self.inst_boxes = {}
         self.inst_rays = {}
+        self.geom_tests = {}
 
 
 class BuiltScene:
@@ -413,6 +420,7 @@ def traverse(built: BuiltScene, ray: Ray, visit, stats) -> None:
     instances = built.instances
     inst_boxes = memo.inst_boxes
     inst_rays = memo.inst_rays
+    geom_tests = memo.geom_tests
     wx, wy, wz = origin
     wdx, wdy, wdz = direction
     box_live = live if wdx or wdy or wdz else _UNBOUNDED  # as in _leaves
@@ -427,12 +435,16 @@ def traverse(built: BuiltScene, ray: Ray, visit, stats) -> None:
                 raw = inst_boxes[slot] = raw or _EMPTY
             if _entry(raw, t_min, box_live[0]) is None:
                 continue
-            entry = inst_rays.get(slot)
-            if entry is None:
-                entry = inst_rays[slot] = (bi.object_ray_parts(ray), [({}, {}) for _ in bi.geoms])
-            (ox, oy, oz, dx, dy, dz), geom_memos = entry
+            parts = inst_rays.get(slot)
+            if parts is None:
+                parts = inst_rays[slot] = bi.object_ray_parts(ray)
+            ox, oy, oz, dx, dy, dz = parts
             inst_index = bi.index
-            for geom, (boxes, leaf_hits) in zip(bi.geoms, geom_memos):
+            for geom in bi.geoms:
+                tests = geom_tests.get(geom)
+                if tests is None:
+                    tests = geom_tests[geom] = ({}, {})
+                boxes, leaf_hits = tests
                 blas = geom.blas
                 packed = blas.packed
                 prims = blas.order

@@ -139,15 +139,6 @@ def apply_point(xf: Affine3, p: Vec3) -> Vec3:
     )
 
 
-def apply_vector(xf: Affine3, v: Vec3) -> Vec3:
-    m = xf.m
-    return Vec3(
-        m[0][0] * v.x + m[0][1] * v.y + m[0][2] * v.z,
-        m[1][0] * v.x + m[1][1] * v.y + m[1][2] * v.z,
-        m[2][0] * v.x + m[2][1] * v.y + m[2][2] * v.z,
-    )
-
-
 def det3(m) -> float:
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -187,21 +178,6 @@ def affine_inverse(xf: Affine3) -> Affine3:
         -(inv[2][0] * t.x + inv[2][1] * t.y + inv[2][2] * t.z),
     )
     return Affine3(inv, ti)
-
-
-def transform_ray_inv(inv: Affine3, ray: Ray) -> Ray:
-    """Map a world-space ray into an instance's frame, given the inverse of
-    the instance transform.
-
-    Origin and direction go through ``apply_point``/``apply_vector`` in
-    binary64 and are then rounded to binary32; the direction is not
-    renormalised, so object-space hit parameters equal world-space ones, and
-    the interval is copied unchanged.  ``BuiltInstance.object_ray_parts``,
-    which traversal calls, is held bitwise equal to this reference.
-    """
-    o = apply_point(inv, ray.origin)
-    d = apply_vector(inv, ray.direction)
-    return Ray(vec3_32(*o), vec3_32(*d), ray.t_min, ray.t_max)
 
 
 def mt_core(

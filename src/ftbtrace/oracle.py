@@ -12,7 +12,7 @@ in the report, not exceptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .bvh import BuiltScene, build_scene, BuildOptions
@@ -106,6 +106,9 @@ class KernelValidation:
     rays: int
     checks: dict
     counter_rule: Optional[str] = None
+    # per-ray delivered sequences, for check_rebuild_stability's baseline;
+    # not part of the report
+    delivered: list = field(default_factory=list, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -132,7 +135,9 @@ def validate_kernel(kernel, built: BuiltScene, rays, oracles=None) -> KernelVali
     share them across kernels.  Checks: completeness (hit multiset),
     nondecreasing distances, distance-group contents (only meaningful when
     the order holds), duplicate identities, exact sorted-sequence equality
-    for the stable kernels, and the kernel's trace-count identity.
+    for the stable kernels, and the kernel's trace-count identity.  The
+    result's ``delivered`` holds each ray's delivered sequence, so that a
+    rebuild-stability check on the same build need not run the kernel again.
     """
     if isinstance(kernel, str):
         name = kernel
@@ -150,11 +155,13 @@ def validate_kernel(kernel, built: BuiltScene, rays, oracles=None) -> KernelVali
     }
     if stable:
         checks["stableSequence"] = CheckResult()
+    delivered = []
     for i, ray in enumerate(rays):
         orc = oracles[i] if oracles is not None else oracle_all_hits(built, ray)
         stats = TraceStats()
         rep = run_kernel(kernel, built, ray, lambda h, c, p: None, stats=stats)
         got = rep.hits
+        delivered.append(got)
         H = len(orc.hits)
         G = len(orc.groups)
 
@@ -197,6 +204,7 @@ def validate_kernel(kernel, built: BuiltScene, rays, oracles=None) -> KernelVali
         rays=len(rays),
         checks=checks,
         counter_rule=spec.counter_rule if spec else None,
+        delivered=delivered,
     )
 
 
@@ -225,12 +233,25 @@ class StabilityReport:
         return d
 
 
-def check_rebuild_stability(kernel, scene, rays, seeds) -> StabilityReport:
+def rebuild_options(opts: BuildOptions, seed) -> BuildOptions:
+    """Options of the permuted rebuild with ``seed`` of a build made with ``opts``."""
+    return BuildOptions(leaf_size=opts.leaf_size, permute_seed=seed)
+
+
+def check_rebuild_stability(kernel, scene, rays, seeds, baseline=None, builds=None) -> StabilityReport:
     """Rebuild the scene tree with permuted primitive order per seed and
     compare delivered sequences against the baseline build.
 
     Stable kernels must reproduce the exact sequence; the others only have
     to preserve the hit multiset and the contents of each distance group.
+
+    The baseline is the kernel's delivered sequence per ray on a build with
+    ``scene.build_options``; ``baseline`` may pass those sequences (e.g. a
+    ``validate_kernel`` result's ``delivered``) when they were taken on a
+    build with exactly those options, or they are computed here.
+    ``builds`` may pass the permuted builds, parallel to ``seeds`` and made
+    with ``rebuild_options(scene.build_options, seed)``; otherwise each seed's
+    tree is built here.
     """
     exact = is_stable(kernel)
     report = StabilityReport(
@@ -239,13 +260,14 @@ def check_rebuild_stability(kernel, scene, rays, seeds) -> StabilityReport:
         requires_exact_sequence=exact,
     )
     base_opts = scene.build_options
-    built0 = build_scene(scene, base_opts)
-    baseline = [
-        run_kernel(kernel, built0, ray, lambda h, c, p: None).hits for ray in rays
-    ]
-    for seed in seeds:
-        opts = BuildOptions(leaf_size=base_opts.leaf_size, permute_seed=seed)
-        built = build_scene(scene, opts)
+    if baseline is None:
+        built0 = build_scene(scene, base_opts)
+        baseline = [
+            run_kernel(kernel, built0, ray, lambda h, c, p: None).hits for ray in rays
+        ]
+    if builds is None:
+        builds = (build_scene(scene, rebuild_options(base_opts, seed)) for seed in seeds)
+    for seed, built in zip(seeds, builds):
         for i, ray in enumerate(rays):
             got = run_kernel(kernel, built, ray, lambda h, c, p: None).hits
             want = baseline[i]

@@ -59,20 +59,32 @@ class Camera:
     height: int
 
 
-def pixel_ray(cam: Camera, x: int, y: int) -> Ray:
-    """Primary ray through the center of pixel (x, y); y runs downward."""
-    fwd, right, upv = camera_basis(cam.position, cam.look_at, cam.up)
+def _ray_maker(cam: Camera):
+    """``pixel_ray`` for one camera, with the camera's basis computed once."""
+    position = cam.position
+    fwd, right, upv = camera_basis(position, cam.look_at, cam.up)
     tan_half = math.tan(math.radians(cam.fov_y) * 0.5)
     aspect = cam.width / cam.height
-    px = ((x + 0.5) / cam.width * 2.0 - 1.0) * tan_half * aspect
-    py = (1.0 - (y + 0.5) / cam.height * 2.0) * tan_half
-    d = fwd.add(right.scale(px)).add(upv.scale(py))
-    return make_ray(cam.position, d, 0.0, T_FAR)
+    width, height = cam.width, cam.height
+
+    def ray(x: int, y: int) -> Ray:
+        px = ((x + 0.5) / width * 2.0 - 1.0) * tan_half * aspect
+        py = (1.0 - (y + 0.5) / height * 2.0) * tan_half
+        d = fwd.add(right.scale(px)).add(upv.scale(py))
+        return make_ray(position, d, 0.0, T_FAR)
+
+    return ray
+
+
+def pixel_ray(cam: Camera, x: int, y: int) -> Ray:
+    """Primary ray through the center of pixel (x, y); y runs downward."""
+    return _ray_maker(cam)(x, y)
 
 
 def camera_rays(cam: Camera) -> list:
     """All primary rays, row-major from the top-left pixel."""
-    return [pixel_ray(cam, x, y) for y in range(cam.height) for x in range(cam.width)]
+    ray = _ray_maker(cam)
+    return [ray(x, y) for y in range(cam.height) for x in range(cam.width)]
 
 
 def resolve_camera(scene, width: int, height: int) -> Camera:
@@ -225,12 +237,13 @@ def render_image(built: BuiltScene, cam: Camera, kernel_id, spec: UserCodeSpec,
     identical for any thread count.
     """
     width, height = cam.width, cam.height
+    pixel = _ray_maker(cam)
 
     def render_row(y: int):
         row = bytearray()
         row_stats = TraceStats()
         for x in range(width):
-            ray = pixel_ray(cam, x, y)
+            ray = pixel(x, y)
             code, state = make_user_code(spec, x, y)
             run_kernel(kernel_id, built, ray, code, stats=row_stats)
             row.extend(pseudo_color(state.count, state.last))
@@ -310,10 +323,17 @@ def compare_kernels(built: BuiltScene, cam: Camera, kernel_ids, spec: UserCodeSp
 def run_validation(scene, kernel_ids, cam: Camera, seeds=()):
     """Drive the differential validator over all camera rays.
 
+    Runs each kernel once per build: the base tree (``scene.build_options``)
+    and each seed's permuted tree are built once, and per kernel the
+    sequences ``validate_kernel`` delivers on the base tree are the baseline
+    of its ``check_rebuild_stability``.  Only one kernel's sequences are
+    held at a time.
+
     Returns (status, report dict); status is 0 only when every check of
     every kernel (and, with seeds, every rebuild-stability check) passed.
     """
     built = build_scene(scene)
+    permuted = [build_scene(scene, oracle.rebuild_options(scene.build_options, s)) for s in seeds]
     rays = camera_rays(cam)
     # looked up on the oracle module at each call, so a wrapper installed
     # there (as the benchmark's tracer does) also sees these calls
@@ -330,9 +350,8 @@ def run_validation(scene, kernel_ids, cam: Camera, seeds=()):
         report["kernels"][k] = v.to_dict()
         if not v.ok:
             status = 1
-    for k in kernel_ids:
         if seeds:
-            s = check_rebuild_stability(k, scene, rays, seeds)
+            s = check_rebuild_stability(k, scene, rays, seeds, baseline=v.delivered, builds=permuted)
             report["stability"][k] = s.to_dict()
             if not s.ok:
                 status = 1

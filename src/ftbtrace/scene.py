@@ -404,7 +404,11 @@ GENERATORS = {
 
 
 def make_scene(spec: str) -> Scene:
-    """Scene from a generator spec string like ``coplanar:n=8:same_t=true``."""
+    """Scene from a generator spec string like ``coplanar:n=8:same_t=true``.
+
+    ValueError for an unknown generator, a malformed value, or a key the
+    generator does not take or requires and is not given.
+    """
     parts = spec.split(":")
     name = parts[0]
     fn = GENERATORS.get(name)
@@ -419,4 +423,14 @@ def make_scene(spec: str) -> Scene:
             kwargs[k] = v.lower() == "true"
         else:
             kwargs[k] = int(v)
+    # generators are plain functions; their code object names their keys
+    # far more cheaply than inspect.signature, which would cost a fifth of
+    # a small scene's set-up
+    code = fn.__code__
+    keys = code.co_varnames[: code.co_argcount]
+    unknown = [k for k in kwargs if k not in keys]
+    missing = [k for k in keys[: len(keys) - len(fn.__defaults__ or ())] if k not in kwargs]
+    if unknown or missing:
+        problem = f"unknown key {unknown[0]!r}" if unknown else f"missing key {missing[0]!r}"
+        raise ValueError(f"generator {name!r}: {problem} (valid keys: {', '.join(keys) or 'none'})")
     return fn(**kwargs)

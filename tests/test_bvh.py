@@ -7,12 +7,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ftbtrace import (
+    CORRECT_KERNELS,
     Affine3,
     BuildOptions,
+    Camera,
+    Instance,
     Mesh,
+    Scene,
     Vec3,
     build_blas,
     build_scene,
+    camera_rays,
     gen_abutting_boxes,
     gen_coplanar_stack,
     gen_instanced_grid,
@@ -20,12 +25,14 @@ from ftbtrace import (
     make_ray,
     make_scene,
     oracle_all_hits,
+    translation,
     traverse,
+    validate_kernel,
 )
 import ftbtrace.bvh as bvh_mod
 from ftbtrace.bvh import BuiltInstance
 from ftbtrace.floatstep import F32_MAX, f32_bits, just_above, just_below
-from ftbtrace.geom import IDENTITY, Ray, det3, transform_ray_inv
+from ftbtrace.geom import IDENTITY, Ray, apply_point, det3, vec3_32
 from ftbtrace.pipeline import TraceStats
 
 from probes import rays_for
@@ -159,6 +166,23 @@ def test_tmax_shrink_is_respected_mid_trace():
 
     traverse(built, ray, visit, TraceStats())
     assert all(b < a for a, b in zip(seen, seen[1:]))
+
+
+def transform_ray_inv(inv: Affine3, ray: Ray) -> Ray:
+    """Reference for ``BuiltInstance.object_ray_parts``: a world-space ray
+    mapped into an instance's frame, given the inverse of the instance
+    transform.  The origin goes through ``apply_point`` and the direction
+    through the linear part in the same operation order, both in binary64,
+    then each component is rounded to binary32; the interval is copied."""
+    o = apply_point(inv, ray.origin)
+    m = inv.m
+    v = ray.direction
+    d = (
+        m[0][0] * v.x + m[0][1] * v.y + m[0][2] * v.z,
+        m[1][0] * v.x + m[1][1] * v.y + m[1][2] * v.z,
+        m[2][0] * v.x + m[2][1] * v.y + m[2][2] * v.z,
+    )
+    return Ray(vec3_32(*o), vec3_32(*d), ray.t_min, ray.t_max)
 
 
 def _bits(values):
@@ -365,6 +389,23 @@ def test_retraces_of_one_ray_match_fresh_rays(monkeypatch):
                         same_calls += calls[0]
     # the retraces really were served from the memo
     assert 0 < same_calls < fresh_calls / 4
+
+
+def test_instances_sharing_a_mesh_keep_their_own_memo_entries():
+    # three instances of one mesh, which one tree serves, stacked along the
+    # view axis so that rays pass through all of them: each instance's box
+    # and triangle tests are in its own object space, so the ray memo must
+    # keep them apart although the tree is the same
+    geom = make_scene("abutting:k=2").instances[0].geometries[0]
+    transforms = [IDENTITY, translation(0.125, 0.0625, 1.5), Affine3(_DIAG_HALF, Vec3(0.25, 0.25, 3.0))]
+    scene = Scene([Instance([geom], xf, i) for i, xf in enumerate(transforms)])
+    built = build_scene(scene, BuildOptions(leaf_size=2))
+    assert len({id(bi.geoms[0].blas) for bi in built.instances}) == 1
+    rays = camera_rays(Camera((0.45, 0.55, -3.0), (0.5, 0.5, 3.0), (0.0, 1.0, 0.0), 20.0, 8, 6))
+    oracles = [oracle_all_hits(built, ray) for ray in rays]
+    assert any(len({h.inst for h in orc.hits}) == 3 for orc in oracles)
+    for kernel in CORRECT_KERNELS:
+        assert validate_kernel(kernel, built, rays, oracles=oracles).ok, kernel
 
 
 def test_zero_direction_enters_boxes_whatever_the_interval():

@@ -1,4 +1,6 @@
 import json
+import math
+import struct
 import sys
 
 import pytest
@@ -11,10 +13,12 @@ from ftbtrace import (
     Scene,
     build_scene,
     camera_rays,
+    check_rebuild_stability,
     compare_kernels,
     gen_abutting_boxes,
     gen_adversarial_order,
     gen_coplanar_stack,
+    make_scene,
     make_user_code,
     oracle_all_hits,
     pixel_ray,
@@ -23,8 +27,11 @@ from ftbtrace import (
     resolve_camera,
     run_kernel,
     run_validation,
+    validate_kernel,
 )
 from ftbtrace.cli import main
+from ftbtrace.geom import camera_basis, make_ray
+from ftbtrace.kernels import CORRECT_KERNELS
 from ftbtrace.render import mix64, parse_user_code, stats_csv
 from ftbtrace.pipeline import TraceStats
 
@@ -32,6 +39,36 @@ from ftbtrace.pipeline import TraceStats
 def _narrow_camera(w=8, h=6):
     # straight onto the stack, covering only one triangle's interior
     return Camera((0.1, -0.2, -2.0), (0.1, -0.2, 5.0), (0, 1, 0), 1.5, w, h)
+
+
+def _reference_pixel_ray(cam, x, y):
+    # the primary-ray rule with the camera basis recomputed for every pixel
+    fwd, right, upv = camera_basis(cam.position, cam.look_at, cam.up)
+    tan_half = math.tan(math.radians(cam.fov_y) * 0.5)
+    aspect = cam.width / cam.height
+    px = ((x + 0.5) / cam.width * 2.0 - 1.0) * tan_half * aspect
+    py = (1.0 - (y + 0.5) / cam.height * 2.0) * tan_half
+    d = fwd.add(right.scale(px)).add(upv.scale(py))
+    return make_ray(cam.position, d, 0.0, 1.0e30)
+
+
+def _ray_bits(ray):
+    return [struct.pack("<d", c) for c in (*ray.origin, *ray.direction, ray.t_min, ray.t_max)]
+
+
+@pytest.mark.parametrize(
+    "cam",
+    [
+        _narrow_camera(7, 5),
+        Camera((0.3, 2.0, -7.5), (0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 40.0, 9, 4),
+        Camera((-1e3, 1e-3, 3.0), (2.5, -0.75, 1e4), (0.1, 0.9, -0.2), 120.0, 3, 11),
+        resolve_camera(gen_abutting_boxes(3), 6, 6),
+    ],
+)
+def test_camera_rays_are_bitwise_the_per_pixel_rule(cam):
+    want = [_ray_bits(_reference_pixel_ray(cam, x, y)) for y in range(cam.height) for x in range(cam.width)]
+    assert [_ray_bits(r) for r in camera_rays(cam)] == want
+    assert [_ray_bits(pixel_ray(cam, x, y)) for y in range(cam.height) for x in range(cam.width)] == want
 
 
 def test_empty_scene_single_background_pixel():
@@ -214,6 +251,84 @@ def test_run_validation_nonzero_for_baselines():
     checks = report["kernels"]["ch-only"]["checks"]
     assert checks["completeness"]["violations"] > 0
     assert checks["order"]["violations"] == 0
+
+
+def _dropping_kernel(built, ray, user_code, stats=None, user_prd=None):
+    # fails completeness on every ray with a hit, and its delivery order
+    # follows the traversal, so a permuted rebuild can change it too
+    rep = run_kernel("ah-only", built, ray, user_code, stats=stats, user_prd=user_prd)
+    del rep.hits[:1]
+    return rep
+
+
+_VALIDATION_KERNELS = list(CORRECT_KERNELS) + ["ah-only", "ch-only", _dropping_kernel]
+
+
+def _standalone_report(scene, kernel_ids, cam, seeds):
+    """run_validation's report built from standalone calls, each of which
+    runs its kernels and builds its trees itself."""
+    built = build_scene(scene)
+    rays = camera_rays(cam)
+    oracles = [oracle_all_hits(built, r) for r in rays]
+    report = {"scene": scene.name or "custom", "rays": len(rays), "kernels": {}, "stability": {}}
+    status = 0
+    for k in kernel_ids:
+        v = validate_kernel(k, built, rays, oracles=oracles)
+        report["kernels"][k] = v.to_dict()
+        status |= not v.ok
+    for k in kernel_ids:
+        if seeds:
+            s = check_rebuild_stability(k, scene, rays, seeds)
+            report["stability"][k] = s.to_dict()
+            status |= not s.ok
+    report["status"] = int(status)
+    return report, rays, oracles
+
+
+@pytest.mark.parametrize("seeds", [(), (1,), (1, 2)], ids=["no-seeds", "one-seed", "two-seeds"])
+@pytest.mark.parametrize("gen", ["coplanar:n=4:same_t=true", "abutting:k=3", "grid:m=2", "leaf-reorder"])
+def test_run_validation_matches_standalone_checks(gen, seeds):
+    scene = make_scene(gen)
+    cam = resolve_camera(scene, 8, 6)
+    status, report = run_validation(scene, _VALIDATION_KERNELS, cam, seeds=seeds)
+    want, rays, oracles = _standalone_report(scene, _VALIDATION_KERNELS, cam, seeds)
+    assert report == want
+    assert status == want["status"] == 1
+    # firstFailure is the first ray on which the dropping kernel fails
+    built = build_scene(scene)
+    first = next(
+        i for i, (ray, orc) in enumerate(zip(rays, oracles))
+        if len(run_kernel(_dropping_kernel, built, ray, lambda h, c, p: None).hits) != len(orc.hits)
+    )
+    completeness = report["kernels"][_dropping_kernel]["checks"]["completeness"]
+    assert completeness["firstFailure"]["ray"] == first
+
+
+@pytest.mark.parametrize("seeds", [(), (1,), (1, 2)], ids=["no-seeds", "one-seed", "two-seeds"])
+def test_run_validation_builds_each_tree_and_runs_each_kernel_once(monkeypatch, seeds):
+    import ftbtrace.oracle as oracle_mod
+    import ftbtrace.render as render_mod
+
+    calls = {"build": 0, "run": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    build = counted("build", render_mod.build_scene)
+    run = counted("run", render_mod.run_kernel)
+    for mod in (render_mod, oracle_mod):
+        monkeypatch.setattr(mod, "build_scene", build)
+        monkeypatch.setattr(mod, "run_kernel", run)
+    scene = gen_abutting_boxes(3)
+    cam = resolve_camera(scene, 6, 4)
+    kernels = list(CORRECT_KERNELS) + ["ch-only"]
+    status, report = run_validation(scene, kernels, cam, seeds=seeds)
+    assert report["rays"] == 24
+    assert calls == {"build": 1 + len(seeds), "run": 24 * len(kernels) * (1 + len(seeds))}
 
 
 # ----------------------------------------------------------------------- CLI

@@ -301,6 +301,23 @@ def test_cli_manifest_missing_key_or_wrong_type_exits_2(tmp_path, capsys, doc):
         assert err.startswith(want)
 
 
+@pytest.mark.parametrize(
+    "gen, problem",
+    [
+        ("coplanar:n=8:bogus=1", "unknown key 'bogus' (valid keys: n, same_t)"),
+        ("coplanar:same_t=false", "missing key 'n' (valid keys: n, same_t)"),
+        ("adversarial:n=2", "unknown key 'n' (valid keys: none)"),
+    ],
+    ids=["unknown-key", "missing-key", "generator-without-keys"],
+)
+def test_cli_generator_key_it_does_not_take_exits_2(tmp_path, capsys, gen, problem):
+    name = gen.split(":")[0]
+    for argv in (["render", "--out", str(tmp_path / "x.ppm")], ["validate"]):
+        err = _cli_error(capsys, argv + ["--gen", gen, "--size", "4x3"])
+        assert err == f"error: generator {name!r}: {problem}\n"
+    assert not (tmp_path / "x.ppm").exists()
+
+
 def test_cli_validate_takes_no_threads_option(capsys):
     from ftbtrace.cli import main
 
