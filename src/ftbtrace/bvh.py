@@ -41,10 +41,12 @@ ray never read a half-filled one.
 
 Everything a ray reads that does not depend on the ray is computed at build
 time.  ``Blas.tris`` keeps each triangle's packed intersection data in
-primitive order, so the brute-force reference enumerates a mesh without
-sorting the tree's slots.  ``BuiltInstance.inv_rows`` holds the inverse
-transform as 12 flat floats (the rows of the linear part, then the
-translation), from which ``object_ray_parts`` maps a ray into object space.
+primitive order, the one copy of it: a mesh-tree leaf reads slot s as
+``tris[order[s]]``, as the instance tree reads ``instances[order[s]]``, and
+the brute-force reference enumerates ``tris`` without the tree.
+``BuiltInstance.inv_rows`` holds the inverse transform as 12 flat floats
+(the rows of the linear part, then the translation), from which
+``object_ray_parts`` maps a ray into object space.
 """
 
 from __future__ import annotations
@@ -133,16 +135,15 @@ def _build_nodes(bounds, centroids, order, leaf_size):
 
 
 class Blas:
-    """Tree over one mesh's triangles plus packed intersection data: in
-    tree slot order (``packed``, with ``order`` mapping slot to primitive)
-    and in primitive order (``tris``)."""
+    """Tree over one mesh's triangles plus their packed intersection data
+    in primitive order (``tris``); ``order`` maps a tree slot to its
+    primitive."""
 
-    __slots__ = ("nodes", "order", "packed", "tris")
+    __slots__ = ("nodes", "order", "tris")
 
-    def __init__(self, nodes, order, packed, tris):
+    def __init__(self, nodes, order, tris):
         self.nodes = nodes
         self.order = order
-        self.packed = packed
         self.tris = tris
 
     def root_bounds(self):
@@ -179,8 +180,7 @@ def build_blas(mesh, opts: BuildOptions = BuildOptions()) -> Blas:
     if opts.permute_seed is not None:
         random.Random(opts.permute_seed).shuffle(order)
     nodes = _build_nodes(bounds, centroids, order, opts.leaf_size)
-    packed = [tri_data[i] for i in order]
-    return Blas(nodes, order, packed, tri_data)
+    return Blas(nodes, order, tri_data)
 
 
 class BuiltGeometry:
@@ -446,7 +446,7 @@ def traverse(built: BuiltScene, ray: Ray, visit, stats) -> None:
                     tests = geom_tests[geom] = ({}, {})
                 boxes, leaf_hits = tests
                 blas = geom.blas
-                packed = blas.packed
+                tris = blas.tris
                 prims = blas.order
                 sbt = geom.sbt_offset
                 for tfirst, tcount in _leaves(blas.nodes, boxes, ox, oy, oz, dx, dy, dz, t_min, live, stats):
@@ -454,7 +454,7 @@ def traverse(built: BuiltScene, ray: Ray, visit, stats) -> None:
                     if hits is None:
                         hits = []
                         for tslot in range(tfirst, tfirst + tcount):
-                            hit = mt_core(ox, oy, oz, dx, dy, dz, -_INF, _INF, *packed[tslot])
+                            hit = mt_core(ox, oy, oz, dx, dy, dz, -_INF, _INF, *tris[prims[tslot]])
                             if hit is not None:
                                 hits.append((tslot, hit))
                         leaf_hits[tfirst] = hits  # published whole: another trace may read it

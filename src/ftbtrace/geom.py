@@ -192,10 +192,9 @@ def mt_core(
     rounded to binary32 and then checked against the exclusive interval.
     Nothing before that last check reads the interval, so traversal calls
     this once per ray and triangle with (-inf, inf), keeps the result in its
-    one-ray memo (see ``bvh``: keyed by the identity of the ray's origin and
-    direction objects, it lives until a trace of another ray replaces it)
-    and checks t_min < t < t_max on every trace; the reference calls it with
-    the ray's own interval.
+    one-ray memo (the ``bvh`` module docstring describes it) and checks
+    t_min < t < t_max on every trace; the reference calls it with the ray's
+    own interval.
     """
     px = dy * e2z - dz * e2y
     py = dz * e2x - dx * e2z
@@ -230,17 +229,15 @@ def slab_entry(
     None when the slabs do not overlap.
 
     No ray interval goes in: traversal computes this once per ray and box,
-    keeps it in its one-ray memo (see ``bvh``: keyed by the identity of the
-    ray's origin and direction objects, it lives until a trace of another
-    ray replaces it), and clamps it to the live (t_min, t_max) on every
-    trace -- the clamped entry is max(enter, t_min), and the box is missed
-    when that exceeds min(exit, t_max).  Boundary
-    overlap is inclusive on both sides, so the test may admit a box it
-    strictly need not, but never wrongly rejects one.  An axis the ray is
-    parallel to passes when the origin lies inside its slab (inclusive) and
-    bounds nothing; with the direction (0, 0, 0) no axis bounds the interval
-    at all, and traversal then admits the box for any (t_min, t_max), even
-    an inverted one.
+    keeps it in its one-ray memo (the ``bvh`` module docstring describes
+    it), and clamps it to the live (t_min, t_max) on every trace -- the
+    clamped entry is max(enter, t_min), and the box is missed when that
+    exceeds min(exit, t_max).  Boundary overlap is inclusive on both sides,
+    so the test may admit a box it strictly need not, but never wrongly
+    rejects one.  An axis the ray is parallel to passes when the origin lies
+    inside its slab (inclusive) and bounds nothing; with the direction
+    (0, 0, 0) no axis bounds the interval at all, and traversal then admits
+    the box for any (t_min, t_max), even an inverted one.
     """
     enter = -_INF
     exit_ = _INF

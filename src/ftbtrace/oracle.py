@@ -3,7 +3,8 @@
 The reference enumerates every triangle of every instance directly -- no
 tree, no pipeline -- but runs the very same intersection routine and the
 same instance ray transform as the traversal, so reference-versus-kernel
-distance comparisons are exact with zero tolerance.  Validation replays a
+distance comparisons are exact with zero tolerance.  It yields hit
+identities (``HitDesc``) and their equal-distance groups.  Validation replays a
 kernel to exhaustion over many rays and checks completeness, ordering,
 distance-group contents, duplicates, stable-sequence equality and the
 kernels' trace-count identities against the reference.  Failures are data
@@ -17,15 +18,14 @@ from typing import Optional
 
 from .bvh import BuiltScene, build_scene, BuildOptions
 from .geom import mt_core
-from .hitorder import HitDesc, order_key, sort_hits
-from .kernels import is_stable, parse_kernel, run_kernel
-from .pipeline import HitContext, TraceStats
+from .hitorder import HitDesc, sort_hits
+from .kernels import parse_kernel, run_kernel
+from .pipeline import TraceStats
 
 
 @dataclass
 class OracleResult:
     hits: list  # HitDesc ascending under the total order
-    contexts: list  # HitContext parallel to hits
     groups: list  # lists of HitDesc partitioned by equal distance
 
 
@@ -37,28 +37,15 @@ def oracle_all_hits(built: BuiltScene, ray) -> OracleResult:
     for bi in built.instances:
         ox, oy, oz, dx, dy, dz = bi.object_ray_parts(ray)
         inst = bi.index
-        o2w = bi.transform
-        w2o = bi.inverse or bi.transform
         for geom in bi.geoms:
             sbt = geom.sbt_offset
             # original primitive order, independent of the tree
             for prim, tri in enumerate(geom.blas.tris):
                 hit = mt_core(ox, oy, oz, dx, dy, dz, t_min, t_max, *tri)
-                if hit is None:
-                    continue
-                desc = HitDesc(hit.t, prim, sbt, inst)
-                ctx = HitContext(hit.t, hit.u, hit.v, hit.front_face, prim, sbt, inst, o2w, w2o)
-                found.append((desc, ctx))
-    found.sort(key=lambda pair: order_key(pair[0]))
-    hits = [d for d, _ in found]
-    contexts = [c for _, c in found]
-    groups = []
-    for h in hits:
-        if groups and groups[-1][0].t == h.t:
-            groups[-1].append(h)
-        else:
-            groups.append([h])
-    return OracleResult(hits, contexts, groups)
+                if hit is not None:
+                    found.append(HitDesc(hit.t, prim, sbt, inst))
+    hits = sort_hits(found)
+    return OracleResult(hits, [g for _, g in _grouped(hits)])
 
 
 def _triple(h: HitDesc):
@@ -66,7 +53,7 @@ def _triple(h: HitDesc):
 
 
 def _grouped(seq):
-    """Contiguous equal-distance runs of a delivered sequence."""
+    """Contiguous equal-distance runs of a sequence, as (t, hits) pairs."""
     out = []
     for h in seq:
         if out and out[-1][0] == h.t:
@@ -74,6 +61,21 @@ def _grouped(seq):
         else:
             out.append((h.t, [h]))
     return out
+
+
+def _group_contents(seq):
+    """Each equal-distance run of a sequence as (t, sorted identities): two
+    sequences with equal group contents hold the same hit multiset."""
+    return [(t, sorted(_triple(h) for h in g)) for t, g in _grouped(seq)]
+
+
+def _resolve_kernel(kernel):
+    """(report name, registry entry, capacity n) of a kernel id or callable;
+    a callable has no entry and no n.  Unknown ids fail fast."""
+    if not isinstance(kernel, str):
+        return getattr(kernel, "__name__", "custom"), None, None
+    spec, n = parse_kernel(kernel)
+    return kernel, spec, n
 
 
 def _fmt_hits(hits, limit=16):
@@ -139,13 +141,8 @@ def validate_kernel(kernel, built: BuiltScene, rays, oracles=None) -> KernelVali
     result's ``delivered`` holds each ray's delivered sequence, so that a
     rebuild-stability check on the same build need not run the kernel again.
     """
-    if isinstance(kernel, str):
-        name = kernel
-        spec, n = parse_kernel(kernel)  # fails fast on unknown ids
-        stable = spec.stable
-    else:
-        name = getattr(kernel, "__name__", "custom")
-        spec, n, stable = None, None, False
+    name, spec, n = _resolve_kernel(kernel)
+    stable = spec is not None and spec.stable
     checks = {
         "completeness": CheckResult(),
         "order": CheckResult(),
@@ -165,7 +162,7 @@ def validate_kernel(kernel, built: BuiltScene, rays, oracles=None) -> KernelVali
         H = len(orc.hits)
         G = len(orc.groups)
 
-        if sorted(got, key=order_key) != orc.hits:
+        if sort_hits(got) != orc.hits:
             checks["completeness"].fail(
                 {
                     "ray": i,
@@ -177,9 +174,8 @@ def validate_kernel(kernel, built: BuiltScene, rays, oracles=None) -> KernelVali
         if not in_order:
             checks["order"].fail({"ray": i, "actual": _fmt_hits(got)})
         elif got:
-            runs = _grouped(got)
-            want = [(g[0].t, sorted(_triple(h) for h in g)) for g in orc.groups]
-            have = [(t, sorted(_triple(h) for h in g)) for t, g in runs]
+            want = _group_contents(orc.hits)
+            have = _group_contents(got)
             if want != have:
                 checks["groups"].fail(
                     {
@@ -208,29 +204,24 @@ def validate_kernel(kernel, built: BuiltScene, rays, oracles=None) -> KernelVali
     )
 
 
-@dataclass
-class StabilityReport:
+@dataclass(kw_only=True)
+class StabilityReport(CheckResult):
     kernel: str
     seeds: tuple
     requires_exact_sequence: bool
-    violations: int = 0
-    first_failure: Optional[dict] = None
 
     @property
     def ok(self) -> bool:
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "kernel": self.kernel,
             "seeds": list(self.seeds),
             "exactSequence": self.requires_exact_sequence,
             "ok": self.ok,
-            "violations": self.violations,
+            **super().to_dict(),
         }
-        if self.first_failure is not None:
-            d["firstFailure"] = self.first_failure
-        return d
 
 
 def rebuild_options(opts: BuildOptions, seed) -> BuildOptions:
@@ -253,12 +244,9 @@ def check_rebuild_stability(kernel, scene, rays, seeds, baseline=None, builds=No
     with ``rebuild_options(scene.build_options, seed)``; otherwise each seed's
     tree is built here.
     """
-    exact = is_stable(kernel)
-    report = StabilityReport(
-        kernel=kernel if isinstance(kernel, str) else "custom",
-        seeds=tuple(seeds),
-        requires_exact_sequence=exact,
-    )
+    name, spec, _ = _resolve_kernel(kernel)
+    exact = spec is not None and spec.stable
+    report = StabilityReport(kernel=name, seeds=tuple(seeds), requires_exact_sequence=exact)
     base_opts = scene.build_options
     if baseline is None:
         built0 = build_scene(scene, base_opts)
@@ -271,21 +259,6 @@ def check_rebuild_stability(kernel, scene, rays, seeds, baseline=None, builds=No
         for i, ray in enumerate(rays):
             got = run_kernel(kernel, built, ray, lambda h, c, p: None).hits
             want = baseline[i]
-            if exact:
-                same = got == want
-            else:
-                same = sorted(got, key=order_key) == sorted(want, key=order_key)
-                if same:
-                    a = [(t, sorted(_triple(h) for h in g)) for t, g in _grouped(got)]
-                    b = [(t, sorted(_triple(h) for h in g)) for t, g in _grouped(want)]
-                    same = a == b
-            if not same:
-                report.violations += 1
-                if report.first_failure is None:
-                    report.first_failure = {
-                        "seed": seed,
-                        "ray": i,
-                        "expected": _fmt_hits(want),
-                        "actual": _fmt_hits(got),
-                    }
+            if got != want and (exact or _group_contents(got) != _group_contents(want)):
+                report.fail({"seed": seed, "ray": i, "expected": _fmt_hits(want), "actual": _fmt_hits(got)})
     return report

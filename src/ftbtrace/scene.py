@@ -402,12 +402,18 @@ GENERATORS = {
     "leaf-reorder": gen_leaf_reorder,
 }
 
+# the largest value of each generator's size key: 8192 triangles, 12288
+# triangles in 1024 geometries, 4096 instances; each builds in well under
+# a second
+SIZE_CAPS = {"coplanar": ("n", 4096), "abutting": ("k", 1024), "grid": ("m", 64)}
+
 
 def make_scene(spec: str) -> Scene:
     """Scene from a generator spec string like ``coplanar:n=8:same_t=true``.
 
-    ValueError for an unknown generator, a malformed value, or a key the
-    generator does not take or requires and is not given.
+    ValueError for an unknown generator, a malformed value, a key the
+    generator does not take or requires and is not given, or a size above
+    its ``SIZE_CAPS`` entry.
     """
     parts = spec.split(":")
     name = parts[0]
@@ -433,4 +439,8 @@ def make_scene(spec: str) -> Scene:
     if unknown or missing:
         problem = f"unknown key {unknown[0]!r}" if unknown else f"missing key {missing[0]!r}"
         raise ValueError(f"generator {name!r}: {problem} (valid keys: {', '.join(keys) or 'none'})")
+    if name in SIZE_CAPS:
+        key, cap = SIZE_CAPS[name]
+        if kwargs[key] > cap:
+            raise ValueError(f"generator {name!r}: {key}={kwargs[key]} is above its cap {cap}")
     return fn(**kwargs)

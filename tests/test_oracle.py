@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
 from ftbtrace import (
     BuildOptions,
+    HitDesc,
     build_scene,
     check_rebuild_stability,
     gen_abutting_boxes,
@@ -9,11 +13,17 @@ from ftbtrace import (
     gen_coplanar_stack,
     gen_instanced_grid,
     make_ray,
+    make_scene,
     oracle_all_hits,
+    resolve_camera,
+    run_kernel,
+    run_validation,
     run_while_while,
+    sort_hits,
     validate_kernel,
 )
-from ftbtrace.kernels import FtbReport
+from ftbtrace.kernels import CORRECT_KERNELS, FtbReport
+from ftbtrace.pipeline import TraceStats
 
 from probes import rays_for
 
@@ -40,7 +50,7 @@ def test_oracle_is_idempotent():
     a = oracle_all_hits(built, AXIS_RAY)
     b = oracle_all_hits(built, AXIS_RAY)
     assert a.hits == b.hits
-    assert a.contexts == b.contexts
+    assert a.groups == b.groups
 
 
 def test_oracle_is_tree_independent():
@@ -52,13 +62,13 @@ def test_oracle_is_tree_independent():
         assert got.hits == base.hits
 
 
-def test_oracle_contexts_parallel_and_sorted():
+def test_oracle_hits_sorted_and_grouped():
     built = build_scene(gen_abutting_boxes(2))
     orc = oracle_all_hits(built, AXIS_RAY)
-    assert [c.t for c in orc.contexts] == [h.t for h in orc.hits]
-    assert [(c.prim, c.geom, c.inst) for c in orc.contexts] == [
-        (h.prim, h.geom, h.inst) for h in orc.hits
-    ]
+    assert orc.hits == sort_hits(orc.hits)
+    assert [len(g) for g in orc.groups] == [1, 2, 1]
+    assert [h for g in orc.groups for h in g] == orc.hits
+    assert all(h.t == g[0].t for g in orc.groups for h in g)
 
 
 def test_validate_correct_kernel_is_clean():
@@ -166,3 +176,84 @@ def test_validation_report_serializes():
     assert d["ok"] is True
     assert set(d["checks"]) >= {"completeness", "order", "groups", "duplicates", "counters"}
     assert "stableSequence" in d["checks"]
+
+
+# run_validation reports for string kernel ids, pinned as the sha256 prefix
+# of json.dumps(report, sort_keys=True) over 8x6 rays through each
+# generator's canonical camera: a change to any check's rule, failure
+# detail or report layout changes them
+_KERNELS_PINNED = list(CORRECT_KERNELS) + ["ah-only", "ch-only"]
+_REPORT_DIGESTS = {
+    ("coplanar:n=8:same_t=true", ()): "1ac31db14537c9ad",
+    ("coplanar:n=8:same_t=true", (1, 7)): "6ce323eb756208bf",
+    ("abutting:k=4", ()): "22c85a787e35311c",
+    ("abutting:k=4", (1, 7)): "c979ed6b163ee147",
+    ("grid:m=3", ()): "b83693b3c9ca4021",
+    ("grid:m=3", (1, 7)): "9be83f765baf79ec",
+    ("adversarial", ()): "232593031017a187",
+    ("adversarial", (1, 7)): "b1952c6f0ad128cc",
+    ("leaf-reorder", ()): "72cbe498cf32126f",
+    ("leaf-reorder", (1, 7)): "4c405b94f152779b",
+}
+
+
+@pytest.mark.parametrize("gen, seeds", sorted(_REPORT_DIGESTS), ids=str)
+def test_validation_reports_are_pinned(gen, seeds):
+    scene = make_scene(gen)
+    status, report = run_validation(scene, _KERNELS_PINNED, resolve_camera(scene, 8, 6), seeds=seeds)
+    assert status == 1  # ah-only and ch-only fail
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest[:16] == _REPORT_DIGESTS[gen, seeds]
+
+
+def _fixed(hits):
+    """A kernel that delivers ``hits`` whatever the tree."""
+
+    def fixed(built_, ray, user_code, stats=None, user_prd=None):
+        return FtbReport(list(hits), False, stats if stats is not None else TraceStats())
+
+    return fixed
+
+
+_A, _B, _C = HitDesc(1.0, 0, 0, 0), HitDesc(1.0, 1, 0, 0), HitDesc(2.0, 2, 0, 0)
+
+
+def test_rebuild_rule_on_hand_made_sequences():
+    scene = gen_coplanar_stack(2, True)
+    rays = [CENTER_RAY]
+    # a reorder inside one distance group: same groups, different sequence
+    rep = check_rebuild_stability(_fixed([_B, _A, _C]), scene, rays, (1,), baseline=[[_A, _B, _C]])
+    assert rep.ok and not rep.requires_exact_sequence
+    # same multiset, but t=1 is split into two runs around t=2
+    rep = check_rebuild_stability(_fixed([_A, _C, _B]), scene, rays, (1,), baseline=[[_A, _B, _C]])
+    assert not rep.ok
+    assert rep.first_failure == {
+        "seed": 1, "ray": 0,
+        "expected": [f"(t=1.0,prim={p},geom=0,inst=0)" for p in (0, 1)] + ["(t=2.0,prim=2,geom=0,inst=0)"],
+        "actual": [f"(t={t},prim={p},geom=0,inst=0)" for t, p in ((1.0, 0), (2.0, 2), (1.0, 1))],
+    }
+
+
+@pytest.mark.parametrize("kernel", ["stable-next", "reject-repeats"])
+def test_rebuild_rule_on_edited_baselines(kernel):
+    scene = gen_abutting_boxes(3)
+    rays = [AXIS_RAY]
+    got = run_kernel(kernel, build_scene(scene), AXIS_RAY, lambda h, c, p: None).hits
+    # one face at x = 0 and x = 3, two coincident ones at x = 1 and x = 2
+    assert [h.t for h in got] == [1.0, 2.0, 2.0, 3.0, 3.0, 4.0]
+    # a reorder inside the group at t = 2
+    reordered = [got[0], got[2], got[1]] + got[3:]
+    rep = check_rebuild_stability(kernel, scene, rays, (1,), baseline=[reordered])
+    assert rep.ok == (kernel == "reject-repeats")
+    # the same multiset, with t = 2 split into two runs around t = 3
+    split = [got[0], got[1], got[3], got[4], got[2], got[5]]
+    rep = check_rebuild_stability(kernel, scene, rays, (1,), baseline=[split])
+    assert not rep.ok and rep.violations == 1
+
+
+def test_callable_kernel_has_one_name_in_both_reports():
+    scene = gen_coplanar_stack(4, True)
+    kernel = _fixed([])
+    status, report = run_validation(scene, [kernel], resolve_camera(scene, 4, 3), seeds=(1,))
+    assert report["kernels"][kernel]["kernel"] == "fixed"
+    assert report["stability"][kernel]["kernel"] == "fixed"

@@ -19,6 +19,7 @@ from ftbtrace import (
     gen_coplanar_stack,
     gen_instanced_grid,
     make_ray,
+    make_scene,
     oracle_all_hits,
     resolve_camera,
     run_kernel,
@@ -315,6 +316,21 @@ def test_cli_generator_key_it_does_not_take_exits_2(tmp_path, capsys, gen, probl
     for argv in (["render", "--out", str(tmp_path / "x.ppm")], ["validate"]):
         err = _cli_error(capsys, argv + ["--gen", gen, "--size", "4x3"])
         assert err == f"error: generator {name!r}: {problem}\n"
+    assert not (tmp_path / "x.ppm").exists()
+
+
+@pytest.mark.parametrize("gen", ["coplanar:n=4097", "abutting:k=1025", "grid:m=65"])
+def test_cli_generator_size_above_its_cap_exits_2(tmp_path, capsys, gen):
+    from ftbtrace.scene import SIZE_CAPS
+
+    name, key_value = gen.split(":")
+    key, value = key_value.split("=")
+    cap = int(value) - 1
+    assert SIZE_CAPS[name] == (key, cap)
+    make_scene(f"{name}:{key}={cap}")  # the cap itself is accepted
+    for argv in (["render", "--out", str(tmp_path / "x.ppm")], ["validate"]):
+        err = _cli_error(capsys, argv + ["--gen", gen, "--size", "4x3"])
+        assert err == f"error: generator {name!r}: {key_value} is above its cap {cap}\n"
     assert not (tmp_path / "x.ppm").exists()
 
 
