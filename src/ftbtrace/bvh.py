@@ -25,27 +25,27 @@ and no box or triangle test result depends on the interval until it is
 compared with it.  So ``traverse`` keeps a one-ray memo on the
 ``BuiltScene`` (``built.memo``): the raw slab interval of each node and
 instance box (``slab_entry``), each entered instance's ``object_ray_parts``
-and each leaf's raw ``mt_core`` hits, all computed without an interval, and
-only for what the ray has touched.  Every trace clamps a cached interval to
-the live (t_min, t_max) and accepts a cached hit when t_min < t < live
-t_max, so the results are bitwise those of testing afresh, and
-``nodes_visited``/``tri_tests`` still count every emulated test of every
-trace.  The memo is keyed by the identity of ``ray.origin`` and
-``ray.direction`` (it holds both, so neither id can be reused while it
-lives): a kernel's ``ray._replace(t_min=..., t_max=...)`` keeps them and
-hits it, and any other ray replaces it.  Origin and direction are immutable
-tuples.  Each trace reads ``built.memo`` once, so traces on several threads
-(or one nested in a ``visit``) never mix two rays' results; a race only
-costs a recompute.  Every entry is stored whole, so two traces of the same
-ray never read a half-filled one.
+and each leaf's ``mt_core`` hits as finished ``HitContext``s, all computed
+without an interval, and only for what the ray has touched.  Every trace
+clamps a cached interval to the live (t_min, t_max) and hands ``visit`` a
+cached hit when t_min < t < live t_max, so the results are bitwise those of
+testing afresh, and ``nodes_visited``/``tri_tests`` still count every
+emulated test of every trace.  The memo is keyed by the identity of
+``ray.origin`` and ``ray.direction`` (it holds both, so neither id can be
+reused while it lives): a kernel's ``ray._replace(t_min=..., t_max=...)``
+keeps them and hits it, and any other ray replaces it.  Origin and
+direction are immutable tuples.  Each trace reads ``built.memo`` once, so
+traces on several threads (or one nested in a ``visit``) never mix two rays'
+results; a race only costs a recompute.  Every entry is stored whole, so
+two traces of the same ray never read a half-filled one.
 
 Everything a ray reads that does not depend on the ray is computed at build
 time.  ``Blas.tris`` keeps each triangle's packed intersection data in
 primitive order, the one copy of it: a mesh-tree leaf reads slot s as
 ``tris[order[s]]``, as the instance tree reads ``instances[order[s]]``, and
 the brute-force reference enumerates ``tris`` without the tree.
-``BuiltInstance.inv_rows`` holds the inverse transform as 12 flat floats
-(the rows of the linear part, then the translation), from which
+``BuiltInstance.world_to_object`` holds the inverse transform, and
+``inv_rows`` its 12 floats (linear rows, then translation), from which
 ``object_ray_parts`` maps a ray into object space.
 """
 
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .floatstep import f32x6
-from .geom import IDENTITY, Ray, Vec3, affine_inverse, apply_point, mt_core, slab_entry
+from .geom import IDENTITY, HitContext, Ray, Vec3, affine_inverse, apply_point, mt_core, slab_entry
 
 # node tuple layout: (lox, loy, loz, hix, hiy, hiz, left, right, first, count)
 # leaf <=> left < 0; first/count index into the element permutation
@@ -195,16 +195,16 @@ class BuiltGeometry:
 
 
 class BuiltInstance:
-    __slots__ = ("index", "transform", "inverse", "inv_rows", "is_identity", "bounds", "geoms")
+    __slots__ = ("index", "transform", "world_to_object", "inv_rows", "bounds", "geoms")
 
     def __init__(self, index, transform, geoms):
         self.index = index
         self.transform = transform
-        self.is_identity = transform == IDENTITY
-        if self.is_identity:
-            self.inverse = self.inv_rows = None
+        identity = transform == IDENTITY
+        if identity:
+            self.world_to_object, self.inv_rows = transform, None
         else:
-            inv = self.inverse = affine_inverse(transform)
+            inv = self.world_to_object = affine_inverse(transform)
             self.inv_rows = (*inv.m[0], *inv.m[1], *inv.m[2], *inv.t)
         self.geoms = geoms
         lo = [float("inf")] * 3
@@ -214,7 +214,7 @@ class BuiltInstance:
             for cx in (blox, bhix):
                 for cy in (bloy, bhiy):
                     for cz in (bloz, bhiz):
-                        if self.is_identity:
+                        if identity:
                             wx, wy, wz = cx, cy, cz
                         else:
                             wx, wy, wz = apply_point(transform, Vec3(cx, cy, cz))
@@ -234,7 +234,7 @@ class BuiltInstance:
 
     def object_ray_parts(self, ray: Ray):
         """Object-space origin/direction (binary32 components) for this
-        instance: the ray's origin and direction through ``self.inverse`` in
+        instance: the ray's origin and direction through ``world_to_object`` in
         binary64, with ``geom.apply_point``'s operation order (the direction
         without the translation), then rounded to binary32.  The direction is
         not renormalised, so object-space hit distances equal world-space
@@ -263,7 +263,7 @@ class _RayMemo:
     (``inst_rays``); and per geometry whose tree has been walked, keyed by
     its ``BuiltGeometry``, a (node boxes, leaf hits) dict pair
     (``geom_tests``).  A missed box is ``_EMPTY``; a leaf's entry, keyed by
-    its first slot, lists the (slot, raw ``mt_core`` hit) pairs of its
+    its first slot, lists a (slot, ``HitContext``) pair for each of its
     triangles that the ray's line hits."""
 
     __slots__ = ("origin", "direction", "tlas", "inst_boxes", "inst_rays", "geom_tests")
@@ -399,11 +399,11 @@ def _leaves(nodes, boxes, ox, oy, oz, dx, dy, dz, t_min, live, stats):
 def traverse(built: BuiltScene, ray: Ray, visit, stats) -> None:
     """Report every candidate with t_min < t < current t_max exactly once.
 
-    visit(t, u, v, front_face, prim, sbt_offset, instance_index, built_instance)
-    returns (new_tmax, stop): a non-None new_tmax shrinks the live interval
-    for everything after it; stop aborts the walk immediately.  A ray that
+    visit(ctx) receives the candidate's ``HitContext`` and returns
+    (new_tmax, stop): a non-None new_tmax shrinks the live interval for
+    everything after it; stop aborts the walk immediately.  A ray that
     shares its origin and direction objects with the ray traced last reuses
-    that ray's interval-free box and triangle tests (see the module
+    that ray's interval-free tests and hit contexts (see the module
     docstring).
     """
     nodes = built.tlas_nodes
@@ -439,32 +439,31 @@ def traverse(built: BuiltScene, ray: Ray, visit, stats) -> None:
             if parts is None:
                 parts = inst_rays[slot] = bi.object_ray_parts(ray)
             ox, oy, oz, dx, dy, dz = parts
-            inst_index = bi.index
             for geom in bi.geoms:
                 tests = geom_tests.get(geom)
                 if tests is None:
                     tests = geom_tests[geom] = ({}, {})
                 boxes, leaf_hits = tests
                 blas = geom.blas
-                tris = blas.tris
-                prims = blas.order
-                sbt = geom.sbt_offset
                 for tfirst, tcount in _leaves(blas.nodes, boxes, ox, oy, oz, dx, dy, dz, t_min, live, stats):
                     hits = leaf_hits.get(tfirst)
                     if hits is None:
                         hits = []
                         for tslot in range(tfirst, tfirst + tcount):
-                            hit = mt_core(ox, oy, oz, dx, dy, dz, -_INF, _INF, *tris[prims[tslot]])
+                            prim = blas.order[tslot]
+                            hit = mt_core(ox, oy, oz, dx, dy, dz, -_INF, _INF, *blas.tris[prim])
                             if hit is not None:
-                                hits.append((tslot, hit))
+                                ctx = HitContext(*hit, prim, geom.sbt_offset, bi.index, bi.transform,
+                                                 bi.world_to_object)
+                                hits.append((tslot, ctx))
                         leaf_hits[tfirst] = hits  # published whole: another trace may read it
                     tested = tfirst  # slots before this one are counted
-                    for tslot, hit in hits:
-                        if not t_min < hit[0] < live[0]:
+                    for tslot, ctx in hits:
+                        if not t_min < ctx[0] < live[0]:
                             continue
                         stats.tri_tests += tslot + 1 - tested
                         tested = tslot + 1
-                        new_tmax, stop = visit(*hit, prims[tslot], sbt, inst_index, bi)
+                        new_tmax, stop = visit(ctx)
                         if new_tmax is not None:
                             live[0] = new_tmax
                         if stop:

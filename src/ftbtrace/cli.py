@@ -14,8 +14,6 @@ import time
 from .bvh import BuildOptions, build_scene
 from .kernels import CORRECT_KERNELS, parse_kernel
 from .render import (
-    Camera,
-    camera_rays,
     compare_kernels,
     parse_user_code,
     render_image,
@@ -23,7 +21,7 @@ from .render import (
     run_validation,
     stats_csv,
 )
-from .scene import GENERATORS, load_manifest, load_obj, make_scene, single_mesh_scene
+from .scene import load_manifest, load_obj, make_scene, single_mesh_scene
 
 
 def _add_scene_args(p: argparse.ArgumentParser) -> None:

@@ -114,6 +114,20 @@ IDENTITY = Affine3(
 )
 
 
+class HitContext(NamedTuple):
+    """Pipeline state for one candidate or committed hit."""
+
+    t: float
+    u: float
+    v: float
+    front_face: bool
+    prim: int
+    geom: int
+    inst: int
+    object_to_world: Affine3
+    world_to_object: Affine3
+
+
 def translation(x: float, y: float, z: float) -> Affine3:
     return Affine3(IDENTITY.m, vec3_32(x, y, z))
 
@@ -191,10 +205,10 @@ def mt_core(
     run on the binary64 barycentrics (edges inclusive), the hit distance is
     rounded to binary32 and then checked against the exclusive interval.
     Nothing before that last check reads the interval, so traversal calls
-    this once per ray and triangle with (-inf, inf), keeps the result in its
-    one-ray memo (the ``bvh`` module docstring describes it) and checks
-    t_min < t < t_max on every trace; the reference calls it with the ray's
-    own interval.
+    this once per ray and triangle with (-inf, inf), keeps each hit in its
+    one-ray memo as a finished ``HitContext`` (the ``bvh`` module docstring
+    describes the memo) and checks t_min < t < t_max on every trace; the
+    reference calls it with the ray's own interval.
     """
     px = dy * e2z - dz * e2y
     py = dz * e2x - dx * e2z

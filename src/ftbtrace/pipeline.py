@@ -17,12 +17,12 @@ pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntFlag, auto
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .bvh import BuiltScene, traverse
-from .geom import Affine3, Ray
+from .geom import HitContext, Ray
 
 
 class AhVerdict(Enum):
@@ -35,20 +35,6 @@ class TraceFlags(IntFlag):
     NONE = 0
     DISABLE_ANYHIT = 1
     DISABLE_CLOSESTHIT = 2
-
-
-class HitContext(NamedTuple):
-    """Pipeline state for one candidate or committed hit."""
-
-    t: float
-    u: float
-    v: float
-    front_face: bool
-    prim: int
-    geom: int
-    inst: int
-    object_to_world: Affine3
-    world_to_object: Affine3
 
 
 @dataclass
@@ -115,26 +101,19 @@ def trace(built: BuiltScene, ray: Ray, cfg: TraceConfig, prd=None,
     any_hit = None if cfg.flags & TraceFlags.DISABLE_ANYHIT else cfg.any_hit
     committed = [None]
 
-    if any_hit is None:
-        def visit(t, u, v, front, prim, sbt, inst, bi):
-            committed[0] = HitContext(t, u, v, front, prim, sbt, inst,
-                                      bi.transform, bi.inverse or bi.transform)
-            return t, False
-    else:
-        def visit(t, u, v, front, prim, sbt, inst, bi):
-            ctx = HitContext(t, u, v, front, prim, sbt, inst,
-                             bi.transform, bi.inverse or bi.transform)
+    def visit(ctx):
+        if any_hit is not None:
             stats.ah_calls += 1
             verdict = any_hit(ctx, prd)
-            if verdict is None or verdict is AhVerdict.ACCEPT:
-                committed[0] = ctx
-                return t, False
             if verdict is AhVerdict.IGNORE:
                 return None, False
             if verdict is AhVerdict.TERMINATE_ACCEPT:
                 committed[0] = ctx
-                return t, True
-            raise TypeError(f"any_hit returned {verdict!r}")
+                return ctx[0], True
+            if verdict is not None and verdict is not AhVerdict.ACCEPT:
+                raise TypeError(f"any_hit returned {verdict!r}")
+        committed[0] = ctx
+        return ctx[0], False
 
     traverse(built, ray, visit, stats)
 

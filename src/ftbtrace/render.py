@@ -331,7 +331,11 @@ def run_validation(scene, kernel_ids, cam: Camera, seeds=()):
 
     Returns (status, report dict); status is 0 only when every check of
     every kernel (and, with seeds, every rebuild-stability check) passed.
+    Both maps are keyed by report name; two unequal kernels may not share one.
     """
+    named = {oracle._resolve_kernel(k)[0]: k for k in kernel_ids}
+    if len(named) != len(set(kernel_ids)):
+        raise ValueError(f"two kernels share a report name (names: {', '.join(named)})")
     built = build_scene(scene)
     permuted = [build_scene(scene, oracle.rebuild_options(scene.build_options, s)) for s in seeds]
     rays = camera_rays(cam)
@@ -345,14 +349,14 @@ def run_validation(scene, kernel_ids, cam: Camera, seeds=()):
         "stability": {},
     }
     status = 0
-    for k in kernel_ids:
+    for name, k in named.items():
         v = validate_kernel(k, built, rays, oracles=oracles)
-        report["kernels"][k] = v.to_dict()
+        report["kernels"][name] = v.to_dict()
         if not v.ok:
             status = 1
         if seeds:
             s = check_rebuild_stability(k, scene, rays, seeds, baseline=v.delivered, builds=permuted)
-            report["stability"][k] = s.to_dict()
+            report["stability"][name] = s.to_dict()
             if not s.ok:
                 status = 1
     report["status"] = status

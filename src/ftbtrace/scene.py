@@ -166,9 +166,10 @@ def scene_from_manifest(doc: dict, base_dir: str = ".") -> Scene:
     "instances": [{"geometries": [g..], "transform": 3x4 rows (optional)}],
     "camera": {"position": [x,y,z], "look_at": [x,y,z], "up": [x,y,z]
     (optional), "fov_y": degrees} (optional hint)}.  Mesh and geometry
-    references must index into their lists.  A bad reference, a missing
-    key, a value of the wrong JSON type or out of range, or a scene that
-    fails ``Scene.validate`` is a ValueError.
+    references must index into their lists; triangles are 3 JSON integers
+    and ``sbtOffset`` is one.  A bad reference, a missing key, a value of
+    the wrong JSON type or out of range, or a scene that fails
+    ``Scene.validate`` is a ValueError.
     """
     if not isinstance(doc, dict):
         raise ValueError("manifest: top level must be a JSON object")
@@ -180,10 +181,14 @@ def scene_from_manifest(doc: dict, base_dir: str = ".") -> Scene:
             else:
                 verts = [vec3_32(*v) for v in m["vertices"]]
                 idx = [tuple(t) for t in m["indices"]]
+                if not all(len(t) == 3 and all(type(i) is int for i in t) for t in idx):
+                    raise ValueError("every triangle must be 3 integer vertex indices")
                 meshes.append(Mesh(verts, idx))
         geometries = []
         for g in doc.get("geometries", []):
-            geometries.append(Geometry(_ref(meshes, g["mesh"], "mesh"), int(g["sbtOffset"])))
+            if type(g["sbtOffset"]) is not int:
+                raise ValueError(f"sbtOffset {json.dumps(g['sbtOffset'])} must be an integer")
+            geometries.append(Geometry(_ref(meshes, g["mesh"], "mesh"), g["sbtOffset"]))
         instances = []
         for i, inst in enumerate(doc.get("instances", [])):
             rows = inst.get("transform")

@@ -42,8 +42,8 @@ def _collect(built, ray):
     seen = []
     stats = TraceStats()
 
-    def visit(t, u, v, front, prim, sbt, inst, bi):
-        seen.append((t, prim, sbt, inst))
+    def visit(ctx):
+        seen.append((ctx.t, ctx.prim, ctx.geom, ctx.inst))
         return None, False
 
     traverse(built, ray, visit, stats)
@@ -98,12 +98,12 @@ def test_accepting_front_hit_culls_farther_leaves():
     ray = make_ray((0.1, -0.2, -1.0), (0, 0, 1), 0, 100)
 
     ignore_stats = TraceStats()
-    traverse(built, ray, lambda *a: (None, False), ignore_stats)
+    traverse(built, ray, lambda ctx: (None, False), ignore_stats)
 
     accept_stats = TraceStats()
 
-    def accept_first(t, u, v, front, prim, sbt, inst, bi):
-        return t, False  # shrink the interval to every reported hit
+    def accept_first(ctx):
+        return ctx.t, False  # shrink the interval to every reported hit
 
     traverse(built, ray, accept_first, accept_stats)
     assert accept_stats.tri_tests < ignore_stats.tri_tests
@@ -160,9 +160,9 @@ def test_tmax_shrink_is_respected_mid_trace():
     ray = make_ray((0.1, -0.2, -1.0), (0, 0, 1), 0, 100)
     seen = []
 
-    def visit(t, u, v, front, prim, sbt, inst, bi):
-        seen.append(t)
-        return t, False
+    def visit(ctx):
+        seen.append(ctx.t)
+        return ctx.t, False
 
     traverse(built, ray, visit, TraceStats())
     assert all(b < a for a, b in zip(seen, seen[1:]))
@@ -225,7 +225,7 @@ _DIAG_ONE = IDENTITY.m
 def test_object_ray_parts_matches_transform_ray_inv_bitwise(xf, origin, direction):
     bi = BuiltInstance(0, xf, [])
     ray = make_ray(origin, direction, 0.0, 1.0)
-    want = transform_ray_inv(bi.inverse, ray)
+    want = transform_ray_inv(bi.world_to_object, ray)
     got = bi.object_ray_parts(ray)
     assert _bits(got) == _bits((*want.origin, *want.direction))
 
@@ -314,9 +314,9 @@ def test_traversal_candidates_and_counters_are_pinned():
                     for ray in rays:
                         seen = []
 
-                        def visit(t, u, v, front, prim, sbt, inst, bi, _seen=seen):
-                            _seen.append((f32_bits(t), prim, sbt, inst))
-                            return verdict(len(_seen), t)
+                        def visit(ctx, _seen=seen):
+                            _seen.append((f32_bits(ctx.t), ctx.prim, ctx.geom, ctx.inst))
+                            return verdict(len(_seen), ctx.t)
 
                         traverse(built, ray, visit, totals)
                         digest.update(repr(seen).encode())
@@ -344,9 +344,10 @@ def _trace_all(built, rays, verdict):
     for ray in rays:
         trace_seen = []
 
-        def visit(t, u, v, front, prim, sbt, inst, bi, _seen=trace_seen):
-            _seen.append((f32_bits(t), f32_bits(u), f32_bits(v), front, prim, sbt, inst))
-            return verdict(len(_seen), t)
+        def visit(ctx, _seen=trace_seen):
+            _seen.append((f32_bits(ctx.t), f32_bits(ctx.u), f32_bits(ctx.v), ctx.front_face,
+                          ctx.prim, ctx.geom, ctx.inst))
+            return verdict(len(_seen), ctx.t)
 
         traverse(built, ray, visit, stats)
         seen.append(trace_seen)
@@ -443,9 +444,9 @@ def test_trace_nested_in_a_visit_keeps_each_rays_results():
             inner = []
             seen = []
 
-            def visit(t, u, v, front, prim, sbt, inst, bi):
+            def visit(ctx):
                 inner.append(_collect(built, other))
-                seen.append((t, prim, sbt, inst))
+                seen.append((ctx.t, ctx.prim, ctx.geom, ctx.inst))
                 return None, False
 
             for _ in range(2):  # the retrace finds the memo replaced

@@ -255,5 +255,23 @@ def test_callable_kernel_has_one_name_in_both_reports():
     scene = gen_coplanar_stack(4, True)
     kernel = _fixed([])
     status, report = run_validation(scene, [kernel], resolve_camera(scene, 4, 3), seeds=(1,))
-    assert report["kernels"][kernel]["kernel"] == "fixed"
-    assert report["stability"][kernel]["kernel"] == "fixed"
+    assert report["kernels"]["fixed"]["kernel"] == "fixed"
+    assert report["stability"]["fixed"]["kernel"] == "fixed"
+    json.dumps(report)  # keyed by name, so the report serialises
+
+
+def test_two_kernels_with_one_report_name_are_refused_before_running():
+    scene = gen_coplanar_stack(4, True)
+    cam = resolve_camera(scene, 4, 3)
+    runs = []
+
+    def fixed(built_, ray, user_code, stats=None, user_prd=None):
+        runs.append(ray)
+        return FtbReport([], False, stats if stats is not None else TraceStats())
+
+    with pytest.raises(ValueError, match=r"two kernels share a report name \(names: fixed\)"):
+        run_validation(scene, [fixed, _fixed([])], cam)
+    assert runs == []
+    # the same kernel, or the same id, named twice is one entry
+    status, report = run_validation(scene, [fixed, fixed, "stable-next", "stable-next"], cam)
+    assert list(report["kernels"]) == ["fixed", "stable-next"]

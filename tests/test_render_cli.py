@@ -274,12 +274,12 @@ def _standalone_report(scene, kernel_ids, cam, seeds):
     status = 0
     for k in kernel_ids:
         v = validate_kernel(k, built, rays, oracles=oracles)
-        report["kernels"][k] = v.to_dict()
+        report["kernels"][v.kernel] = v.to_dict()
         status |= not v.ok
     for k in kernel_ids:
         if seeds:
             s = check_rebuild_stability(k, scene, rays, seeds)
-            report["stability"][k] = s.to_dict()
+            report["stability"][s.kernel] = s.to_dict()
             status |= not s.ok
     report["status"] = int(status)
     return report, rays, oracles
@@ -300,7 +300,7 @@ def test_run_validation_matches_standalone_checks(gen, seeds):
         i for i, (ray, orc) in enumerate(zip(rays, oracles))
         if len(run_kernel(_dropping_kernel, built, ray, lambda h, c, p: None).hits) != len(orc.hits)
     )
-    completeness = report["kernels"][_dropping_kernel]["checks"]["completeness"]
+    completeness = report["kernels"]["_dropping_kernel"]["checks"]["completeness"]
     assert completeness["firstFailure"]["ray"] == first
 
 

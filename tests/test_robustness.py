@@ -9,6 +9,7 @@ from ftbtrace import (
     Affine3,
     BuildOptions,
     Geometry,
+    HitContext,
     Instance,
     Mesh,
     Scene,
@@ -26,6 +27,8 @@ from ftbtrace import (
     run_stable_multi_hit,
     sort_hits,
 )
+from ftbtrace.floatstep import f32_bits
+from ftbtrace.geom import IDENTITY, affine_inverse, mt_core
 from ftbtrace.hitorder import order_key
 from ftbtrace.kernels import CORRECT_KERNELS
 from ftbtrace.render import camera_rays
@@ -86,6 +89,40 @@ def test_transformed_instances_all_reachable():
         for h in oracle_all_hits(built, ray).hits:
             seen_instances.add(h.inst)
     assert seen_instances == {0, 1, 2}
+
+
+def _recomputed_context(scene, built, ray, ctx):
+    """The context of ctx's hit, rebuilt from the scene: ``mt_core`` on the
+    instance's object-space ray, the hit's identity, the instance transform
+    and its inverse (the identity for the identity)."""
+    inst = scene.instances[ctx.inst]
+    (mesh,) = [g.mesh for g in inst.geometries if g.sbt_offset == ctx.geom]
+    a, b, c = (mesh.vertices[i] for i in mesh.indices[ctx.prim])
+    parts = built.instances[ctx.inst].object_ray_parts(ray)
+    hit = mt_core(*parts, -math.inf, math.inf, a.x, a.y, a.z,
+                  b.x - a.x, b.y - a.y, b.z - a.z, c.x - a.x, c.y - a.y, c.z - a.z)
+    xf = inst.transform
+    inverse = IDENTITY if xf == IDENTITY else affine_inverse(xf)
+    return HitContext(*hit, ctx.prim, ctx.geom, ctx.inst, xf, inverse)
+
+
+@pytest.mark.parametrize("kernel", ["reject-repeats", "while-while", "while-merged", "ah-only", "ch-only"])
+@pytest.mark.parametrize("spec", ["grid:m=3", "rotated"])
+def test_user_code_gets_the_full_hit_context(spec, kernel):
+    # every context user code receives is exactly the pipeline state of
+    # its hit, with t, u and v bitwise
+    scene = _rotated_scene() if spec == "rotated" else make_scene(spec)
+    built = build_scene(scene)
+    identity = set()
+    for ray in camera_rays(resolve_camera(scene, 12, 10)):
+        got = []
+        run_kernel(kernel, built, ray, lambda h, ctx, p: got.append(ctx))
+        for ctx in got:
+            want = _recomputed_context(scene, built, ray, ctx)
+            assert ctx == want
+            assert [f32_bits(x) for x in ctx[:3]] == [f32_bits(x) for x in want[:3]]
+        identity.update(ctx.object_to_world == IDENTITY for ctx in got)
+    assert identity == {True, False}  # identity and transformed instances seen
 
 
 AWKWARD_RAYS = [
@@ -178,6 +215,12 @@ def _one_instance(transform=None, **extra):
         inst["transform"] = transform
     return {"meshes": [_ONE_TRIANGLE], "geometries": [{"mesh": 0, "sbtOffset": 0}],
             "instances": [inst], **extra}
+
+
+def _with_triangle(indices):
+    """A one-instance manifest whose one mesh lists the triangle ``indices``."""
+    return {"meshes": [dict(_ONE_TRIANGLE, indices=[indices])],
+            "geometries": [{"mesh": 0, "sbtOffset": 0}], "instances": [{"geometries": [0]}]}
 
 
 def _shifted(x):
@@ -284,13 +327,20 @@ def test_cli_manifest_negative_index_exits_2(tmp_path, capsys, field):
         _one_instance(camera={"position": [0, 0, -2], "look_at": [0, 0, 5], "up": [0, 0, 3],
                               "fov_y": 30}),
         _UNFRAMEABLE,
+        _with_triangle([0.5, 1, 2]),
+        _with_triangle([True, 1, 2]),
+        _with_triangle([0, 1]),
+        _with_triangle([0, 1, 2, 0]),
+        {"meshes": [_ONE_TRIANGLE], "geometries": [{"mesh": 0, "sbtOffset": 1.5}],
+         "instances": [{"geometries": [0]}]},
     ],
     ids=["geometry-without-mesh", "mesh-not-object", "instance-without-geometries",
          "meshes-not-list", "sbt-offset-infinite", "camera-not-object",
          "camera-without-position", "camera-fov-not-number", "translation-nan",
          "translation-infinite", "translation-overflows-binary32", "linear-part-infinite",
          "vertex-index-not-number", "camera-looks-at-itself", "camera-up-along-view",
-         "framing-overflows"],
+         "framing-overflows", "vertex-index-float", "vertex-index-bool",
+         "triangle-of-two-indices", "triangle-of-four-indices", "sbt-offset-float"],
 )
 def test_cli_manifest_missing_key_or_wrong_type_exits_2(tmp_path, capsys, doc):
     path = _manifest(tmp_path, doc)

@@ -1,4 +1,5 @@
-"""The library in src/ftbtrace imports nothing outside the standard library."""
+"""The library in src/ftbtrace imports nothing outside the standard library
+and nothing it does not use."""
 
 import ast
 import pathlib
@@ -22,3 +23,26 @@ def test_src_imports_only_the_standard_library():
                 continue
             outside += [f"{path.name}: {m}" for m in modules if m.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def _module_imports(tree):
+    """(line, bound name) of each module-level import, ``__future__`` aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_src_module_level_imports_are_used():
+    # __init__.py imports only to re-export
+    files = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    assert files
+    unused = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for line, name in _module_imports(tree) if name not in used]
+    assert unused == []
