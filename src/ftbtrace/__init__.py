@@ -22,6 +22,7 @@ from .floatstep import (
 )
 from .geom import (
     Affine3,
+    HitContext,
     IDENTITY,
     Ray,
     TriHit,
@@ -57,7 +58,6 @@ from .oracle import (
 )
 from .pipeline import (
     AhVerdict,
-    HitContext,
     TraceConfig,
     TraceFlags,
     TraceStats,

@@ -283,11 +283,9 @@ class BuiltScene:
     ``memo`` is the memo of the ray traced last (see the module docstring).
     """
 
-    __slots__ = ("scene", "opts", "instances", "tlas_nodes", "tlas_order", "memo")
+    __slots__ = ("instances", "tlas_nodes", "tlas_order", "memo")
 
-    def __init__(self, scene, opts, instances, tlas_nodes, tlas_order):
-        self.scene = scene
-        self.opts = opts
+    def __init__(self, instances, tlas_nodes, tlas_order):
         self.instances = instances
         self.tlas_nodes = tlas_nodes
         self.tlas_order = tlas_order
@@ -313,7 +311,7 @@ def build_scene(scene, opts: Optional[BuildOptions] = None) -> BuiltScene:
         instances.append(BuiltInstance(inst.index, inst.transform, geoms))
     n = len(instances)
     if n == 0:
-        return BuiltScene(scene, opts, [], [], [])
+        return BuiltScene([], [], [])
     bounds = [bi.bounds for bi in instances]
     centroids = [
         ((b[0] + b[3]) / 2.0, (b[1] + b[4]) / 2.0, (b[2] + b[5]) / 2.0) for b in bounds
@@ -322,7 +320,7 @@ def build_scene(scene, opts: Optional[BuildOptions] = None) -> BuiltScene:
     if opts.permute_seed is not None:
         random.Random(opts.permute_seed ^ 0x5CE11E).shuffle(order)
     nodes = _build_nodes(bounds, centroids, order, opts.leaf_size)
-    return BuiltScene(scene, opts, instances, nodes, order)
+    return BuiltScene(instances, nodes, order)
 
 
 def _entry(raw, t_min, t_max):

@@ -71,31 +71,42 @@ def _load_scene(args):
     return scene
 
 
+def _kernel_ids(args) -> list:
+    """--kernel, or --kernels split at commas (default: every correct
+    kernel), each checked by ``parse_kernel`` before any work starts."""
+    if "kernel" in vars(args):
+        kernels = [args.kernel]
+    else:
+        kernels = args.kernels.split(",") if args.kernels else list(CORRECT_KERNELS)
+    for k in kernels:
+        parse_kernel(k)
+    return kernels
+
+
 def _cmd_render(args) -> int:
+    [kernel] = _kernel_ids(args)
     scene = _load_scene(args)
     width, height = _parse_size(args.size)
     cam = resolve_camera(scene, width, height)
     built = build_scene(scene)
     spec = parse_user_code(args.user_code)
-    img, stats = render_image(built, cam, args.kernel, spec, threads=args.threads)
+    img, stats = render_image(built, cam, kernel, spec, threads=args.threads)
     with open(args.out, "wb") as fh:
         fh.write(img)
     if args.stats:
         with open(args.stats, "w", encoding="utf-8") as fh:
-            fh.write(stats_csv([(args.kernel, stats)]))
+            fh.write(stats_csv([(kernel, stats)]))
     print(f"wrote {args.out} ({width}x{height}), {stats.traces} traces")
     return 0
 
 
 def _cmd_compare(args) -> int:
+    kernels = _kernel_ids(args)
     scene = _load_scene(args)
     width, height = _parse_size(args.size)
     cam = resolve_camera(scene, width, height)
     built = build_scene(scene)
     spec = parse_user_code(args.user_code)
-    kernels = args.kernels.split(",")
-    for k in kernels:
-        parse_kernel(k)
     rep = compare_kernels(built, cam, kernels, spec, threads=args.threads)
     if args.out_dir:
         import os
@@ -115,12 +126,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    kernels = _kernel_ids(args)
     scene = _load_scene(args)
     width, height = _parse_size(args.size)
     cam = resolve_camera(scene, width, height)
-    kernels = args.kernels.split(",") if args.kernels else list(CORRECT_KERNELS)
-    for k in kernels:
-        parse_kernel(k)
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else []
     status, report = run_validation(scene, kernels, cam, seeds=seeds)
     text = json.dumps(report, indent=2, sort_keys=True)
@@ -137,15 +146,14 @@ def _cmd_validate(args) -> int:
 
 def _cmd_bench(args) -> int:
     # wall time on a CPU emulator says nothing about GPU cost; informational only
+    kernels = _kernel_ids(args)
     scene = _load_scene(args)
     width, height = _parse_size(args.size)
     cam = resolve_camera(scene, width, height)
     built = build_scene(scene)
     spec = parse_user_code(args.user_code)
-    kernels = args.kernels.split(",") if args.kernels else list(CORRECT_KERNELS)
     print(f"{'kernel':<22} {'seconds':>8}  traces")
     for k in kernels:
-        parse_kernel(k)
         start = time.perf_counter()
         _, stats = render_image(built, cam, k, spec, threads=args.threads)
         dt = time.perf_counter() - start

@@ -38,8 +38,9 @@ from typing import Callable, Optional
 
 from .bvh import BuiltScene
 from .floatstep import just_above, just_below
+from .geom import HitContext
 from .hitorder import HitDesc, less, order_key
-from .pipeline import AhVerdict, HitContext, TraceConfig, TraceFlags, TraceStats, trace
+from .pipeline import AhVerdict, TraceConfig, TraceFlags, TraceStats, trace
 
 
 class Step(Enum):
@@ -420,16 +421,18 @@ CORRECT_KERNELS = (
 
 
 def parse_kernel(kernel_id: str):
-    """Split 'name[:N]' into (Kernel, N); N is the multi-hit capacity, None
-    for kernels that take no parameter."""
-    name, _, arg = kernel_id.partition(":")
+    """Split 'name[:N]' into (Kernel, N); N, ASCII digits worth at least 1,
+    is the multi-hit capacity, None for kernels that take no parameter."""
+    name, sep, arg = kernel_id.partition(":")
     kernel = KERNELS.get(name)
     if kernel is None:
         raise ValueError(f"unknown kernel {kernel_id!r}; choose from {sorted(KERNELS)}")
-    if not arg:
+    if not sep:
         return kernel, kernel.n
     if kernel.n is None:
-        raise ValueError(f"kernel {name!r} takes no parameter")
+        raise ValueError(f"kernel {kernel_id!r}: {name} takes no parameter")
+    if not (arg.isascii() and arg.isdigit()) or int(arg) < 1:
+        raise ValueError(f"kernel {kernel_id!r}: N must be a whole number >= 1")
     return kernel, int(arg)
 
 

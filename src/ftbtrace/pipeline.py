@@ -22,7 +22,7 @@ from enum import Enum, IntFlag, auto
 from typing import Callable, Optional
 
 from .bvh import BuiltScene, traverse
-from .geom import HitContext, Ray
+from .geom import Ray
 
 
 class AhVerdict(Enum):
@@ -83,8 +83,9 @@ class TraceConfig:
 
 
 def trace(built: BuiltScene, ray: Ray, cfg: TraceConfig, prd=None,
-          stats: Optional[TraceStats] = None) -> Optional[HitContext]:
-    """Run one trace; returns the committed hit context, if any.
+          stats: Optional[TraceStats] = None) -> None:
+    """Run one trace; as on the hardware, only the closest-hit callback
+    sees the committed hit.
 
     Every candidate with t_min < t < current t_max triggers the any-hit
     callback (unless disabled); each accepted hit becomes the committed one
@@ -126,4 +127,3 @@ def trace(built: BuiltScene, ray: Ray, cfg: TraceConfig, prd=None,
         if cfg.miss is not None:
             stats.miss_calls += 1
             cfg.miss(prd)
-    return hit

@@ -10,6 +10,7 @@ rendering order can never change a single byte of output.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -160,52 +161,35 @@ def parse_user_code(s: str) -> UserCodeSpec:
     )
 
 
-class PixelState:
-    """Tracks how often user code ran and the identity it last saw."""
-
-    __slots__ = ("count", "last")
-
-    def __init__(self):
-        self.count = 0
-        self.last = None
+def _count_all(hit, ctx, prd):
+    """CountAll takes every hit; the pixel reads the count from the report."""
+    return Step.CONTINUE
 
 
 def make_user_code(spec: UserCodeSpec, x: int = 0, y: int = 0):
-    """Per-pixel user-code callback plus its observable state.
+    """Per-pixel user-code callback.
 
     For ProbDepth the per-pixel stream is keyed by hash(seed, x, y); the
     k-th decision draws from hash(key, k), so results are independent of
     evaluation order.
     """
-    state = PixelState()
     if isinstance(spec, CountAll):
+        return _count_all
+    if not isinstance(spec, (MaxDepth, ProbDepth)):
+        raise TypeError(f"unknown user code spec {spec!r}")
+    if spec.n < 1:
+        raise ValueError(f"{type(spec).__name__.lower()} needs n >= 1")
+    n = spec.n
+    calls = itertools.count(1)  # the stop rules need the call count
+    if isinstance(spec, MaxDepth):
         def code(hit, ctx, prd):
-            state.count += 1
-            state.last = hit
-            return Step.CONTINUE
-    elif isinstance(spec, MaxDepth):
-        n = spec.n
-        if n < 1:
-            raise ValueError("maxdepth needs n >= 1")
-        def code(hit, ctx, prd):
-            state.count += 1
-            state.last = hit
-            return Step.STOP if state.count >= n else Step.CONTINUE
-    elif isinstance(spec, ProbDepth):
-        n = spec.n
-        if n < 1:
-            raise ValueError("probdepth needs n >= 1")
+            return Step.STOP if next(calls) >= n else Step.CONTINUE
+    else:
         key = mix64(spec.seed, x, y)
         threshold = 1.0 / n
         def code(hit, ctx, prd):
-            state.count += 1
-            state.last = hit
-            if _u01(mix64(key, state.count)) < threshold:
-                return Step.STOP
-            return Step.CONTINUE
-    else:
-        raise TypeError(f"unknown user code spec {spec!r}")
-    return code, state
+            return Step.STOP if _u01(mix64(key, next(calls))) < threshold else Step.CONTINUE
+    return code
 
 
 # ---------------------------------------------------------------- image output
@@ -244,9 +228,8 @@ def render_image(built: BuiltScene, cam: Camera, kernel_id, spec: UserCodeSpec,
         row_stats = TraceStats()
         for x in range(width):
             ray = pixel(x, y)
-            code, state = make_user_code(spec, x, y)
-            run_kernel(kernel_id, built, ray, code, stats=row_stats)
-            row.extend(pseudo_color(state.count, state.last))
+            hits = run_kernel(kernel_id, built, ray, make_user_code(spec, x, y), stats=row_stats).hits
+            row.extend(pseudo_color(len(hits), hits[-1] if hits else None))
         return y, bytes(row), row_stats
 
     results = []
@@ -264,19 +247,14 @@ def render_image(built: BuiltScene, cam: Camera, kernel_id, spec: UserCodeSpec,
     return ppm_bytes(width, height, bytes(body)), stats
 
 
-STATS_CSV_HEADER = "kernel,traces,ahCalls,chCalls,userCodeCalls,nodesVisited,triTests"
+# TraceStats.as_dict() names, in CSV column order; missCalls is left out
+_CSV_COUNTERS = ("traces", "ahCalls", "chCalls", "userCodeCalls", "nodesVisited", "triTests")
+STATS_CSV_HEADER = ",".join(("kernel",) + _CSV_COUNTERS)
 
 
 def stats_csv_row(kernel_id: str, stats: TraceStats) -> str:
-    return "%s,%d,%d,%d,%d,%d,%d" % (
-        kernel_id,
-        stats.traces,
-        stats.ah_calls,
-        stats.ch_calls,
-        stats.user_code_calls,
-        stats.nodes_visited,
-        stats.tri_tests,
-    )
+    counts = stats.as_dict()
+    return ",".join([kernel_id] + ["%d" % counts[c] for c in _CSV_COUNTERS])
 
 
 def stats_csv(rows) -> str:

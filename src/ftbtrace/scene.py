@@ -141,6 +141,12 @@ def _is_finite_number(x) -> bool:
     return type(x) in (int, float) and math.isfinite(x)
 
 
+def _is_numbers(v, n: int, types=(int, float)) -> bool:
+    """Whether v is a list of exactly n JSON numbers of ``types``; a boolean
+    is not one."""
+    return isinstance(v, list) and len(v) == n and all(type(x) in types for x in v)
+
+
 def _check_camera_hint(hint) -> None:
     """A camera hint is an object with finite numeric 3-vectors ``position``,
     ``look_at`` and (optional) ``up``, and a finite numeric ``fov_y``; the
@@ -151,7 +157,7 @@ def _check_camera_hint(hint) -> None:
         if key == "up" and key not in hint:
             continue
         vec = hint.get(key)
-        if not (isinstance(vec, list) and len(vec) == 3 and all(map(_is_finite_number, vec))):
+        if not (_is_numbers(vec, 3) and all(map(math.isfinite, vec))):
             raise ValueError(f"camera {key} must be a list of 3 finite numbers")
     if not _is_finite_number(hint.get("fov_y")):
         raise ValueError("camera fov_y must be a finite number")
@@ -167,9 +173,10 @@ def scene_from_manifest(doc: dict, base_dir: str = ".") -> Scene:
     "camera": {"position": [x,y,z], "look_at": [x,y,z], "up": [x,y,z]
     (optional), "fov_y": degrees} (optional hint)}.  Mesh and geometry
     references must index into their lists; triangles are 3 JSON integers
-    and ``sbtOffset`` is one.  A bad reference, a missing key, a value of
-    the wrong JSON type or out of range, or a scene that fails
-    ``Scene.validate`` is a ValueError.
+    and ``sbtOffset`` is one; an inline vertex is 3 JSON numbers and a
+    transform 3 rows of 4 (a boolean is not a number).  A bad reference, a
+    missing key, a value of the wrong JSON type or out of range, or a scene
+    that fails ``Scene.validate`` is a ValueError.
     """
     if not isinstance(doc, dict):
         raise ValueError("manifest: top level must be a JSON object")
@@ -179,11 +186,12 @@ def scene_from_manifest(doc: dict, base_dir: str = ".") -> Scene:
             if "path" in m:
                 meshes.append(load_obj(os.path.join(base_dir, m["path"])))
             else:
-                verts = [vec3_32(*v) for v in m["vertices"]]
-                idx = [tuple(t) for t in m["indices"]]
-                if not all(len(t) == 3 and all(type(i) is int for i in t) for t in idx):
+                verts, idx = m["vertices"], m["indices"]
+                if not all(_is_numbers(v, 3) for v in verts):
+                    raise ValueError("every vertex must be 3 numbers")
+                if not all(_is_numbers(t, 3, (int,)) for t in idx):
                     raise ValueError("every triangle must be 3 integer vertex indices")
-                meshes.append(Mesh(verts, idx))
+                meshes.append(Mesh([vec3_32(*v) for v in verts], [tuple(t) for t in idx]))
         geometries = []
         for g in doc.get("geometries", []):
             if type(g["sbtOffset"]) is not int:
@@ -194,6 +202,8 @@ def scene_from_manifest(doc: dict, base_dir: str = ".") -> Scene:
             rows = inst.get("transform")
             if rows is None:
                 xf = IDENTITY
+            elif not (isinstance(rows, list) and len(rows) == 3 and all(_is_numbers(r, 4) for r in rows)):
+                raise ValueError(f"instance {i}: transform must be 3 rows of 4 numbers")
             else:
                 m = tuple(tuple(float(v) for v in row[:3]) for row in rows)
                 t = vec3_32(rows[0][3], rows[1][3], rows[2][3])
@@ -223,6 +233,11 @@ def load_manifest(path) -> Scene:
 _QUAD_XY = ((-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5))
 
 
+def _camera_hint(position, look_at, fov_y) -> dict:
+    """A generator's camera hint; every generator's camera has +y up."""
+    return {"position": position, "look_at": look_at, "up": (0.0, 1.0, 0.0), "fov_y": fov_y}
+
+
 def gen_coplanar_stack(n: int, same_t: bool = True) -> Scene:
     """n unit quads (2n triangles) stacked along z.
 
@@ -243,12 +258,7 @@ def gen_coplanar_stack(n: int, same_t: bool = True) -> Scene:
         indices.append((base, base + 1, base + 2))
         indices.append((base, base + 2, base + 3))
     mesh = Mesh(vertices, indices)
-    hint = {
-        "position": (0.12, 0.07, -2.0),
-        "look_at": (0.0, 0.0, 5.0),
-        "up": (0.0, 1.0, 0.0),
-        "fov_y": 7.5,
-    }
+    hint = _camera_hint((0.12, 0.07, -2.0), (0.0, 0.0, 5.0), 7.5)
     return single_mesh_scene(mesh, name="coplanar-stack", camera_hint=hint)
 
 
@@ -286,12 +296,7 @@ def gen_abutting_boxes(k: int) -> Scene:
         for i in range(k)
     ]
     inst = Instance(geometries, IDENTITY, 0)
-    hint = {
-        "position": (-2.0, 0.43, 0.57),
-        "look_at": (float(k), 0.45, 0.5),
-        "up": (0.0, 1.0, 0.0),
-        "fov_y": 9.0,
-    }
+    hint = _camera_hint((-2.0, 0.43, 0.57), (float(k), 0.45, 0.5), 9.0)
     return Scene([inst], name="abutting-boxes", camera_hint=hint)
 
 
@@ -320,12 +325,7 @@ def gen_instanced_grid(m: int) -> Scene:
     c = float(m - 1)
     half_extent = c + 0.7
     fov = 2.0 * math.degrees(math.atan(half_extent / 11.0))
-    hint = {
-        "position": (c + 0.1, c + 0.05, -6.0),
-        "look_at": (c, c, 5.0),
-        "up": (0.0, 1.0, 0.0),
-        "fov_y": fov,
-    }
+    hint = _camera_hint((c + 0.1, c + 0.05, -6.0), (c, c, 5.0), fov)
     return Scene(instances, name="instanced-grid", camera_hint=hint)
 
 
@@ -341,6 +341,14 @@ def _plane_tri(x: float, flip: bool = False) -> list:
     return [Vec3(x, -1.0, -1.0), Vec3(x, 1.0, -1.0), Vec3(x, 0.0, 1.0)]
 
 
+def _probe_scene(name: str, tris) -> Scene:
+    """One mesh of hand-placed triangles in leaves of two, framed for probe
+    rays from x = 10 toward -x."""
+    mesh = Mesh([v for tri in tris for v in tri], [(i, i + 1, i + 2) for i in range(0, 3 * len(tris), 3)])
+    hint = _camera_hint((10.0, 0.03, 0.02), (0.0, 0.0, 0.0), 10.0)
+    return single_mesh_scene(mesh, name=name, build_options=BuildOptions(leaf_size=2), camera_hint=hint)
+
+
 def gen_adversarial_order() -> Scene:
     """Two-leaf tree where the leaf visited first holds the farther triangle.
 
@@ -348,24 +356,9 @@ def gen_adversarial_order() -> Scene:
     a triangle at distance 7 while the second leaf holds one at distance 5,
     so arrival order violates ascending distance.
     """
-    vertices = []
-    indices = []
-    for tri in (_sliver(0.0, 6.0), _plane_tri(3.0), _plane_tri(5.0, flip=True), _sliver(5.4, 5.5)):
-        base = len(vertices)
-        vertices.extend(tri)
-        indices.append((base, base + 1, base + 2))
-    mesh = Mesh(vertices, indices)
-    hint = {
-        "position": (10.0, 0.03, 0.02),
-        "look_at": (0.0, 0.0, 0.0),
-        "up": (0.0, 1.0, 0.0),
-        "fov_y": 10.0,
-    }
-    return single_mesh_scene(
-        mesh,
-        name="adversarial-order",
-        build_options=BuildOptions(leaf_size=2),
-        camera_hint=hint,
+    return _probe_scene(
+        "adversarial-order",
+        (_sliver(0.0, 6.0), _plane_tri(3.0), _plane_tri(5.0, flip=True), _sliver(5.4, 5.5)),
     )
 
 
@@ -378,24 +371,9 @@ def gen_leaf_reorder() -> Scene:
     entries tie and the left leaf goes first, flipping the arrival order of
     the two equal-distance hits.
     """
-    vertices = []
-    indices = []
-    for tri in (_sliver(0.0, 4.0), _plane_tri(3.0), _plane_tri(3.0, flip=True), _sliver(4.9, 5.0)):
-        base = len(vertices)
-        vertices.extend(tri)
-        indices.append((base, base + 1, base + 2))
-    mesh = Mesh(vertices, indices)
-    hint = {
-        "position": (10.0, 0.03, 0.02),
-        "look_at": (0.0, 0.0, 0.0),
-        "up": (0.0, 1.0, 0.0),
-        "fov_y": 10.0,
-    }
-    return single_mesh_scene(
-        mesh,
-        name="leaf-reorder",
-        build_options=BuildOptions(leaf_size=2),
-        camera_hint=hint,
+    return _probe_scene(
+        "leaf-reorder",
+        (_sliver(0.0, 4.0), _plane_tri(3.0), _plane_tri(3.0, flip=True), _sliver(4.9, 5.0)),
     )
 
 

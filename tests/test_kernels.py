@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import pytest
 
@@ -419,6 +420,12 @@ def test_unknown_kernel_id_rejected():
         parse_kernel("wobble")
     with pytest.raises(ValueError):
         parse_kernel("while-while:3")
+    # N is ASCII digits with a value of at least 1, and the message names the id
+    for kernel_id in ("stable-multi-hit:0", "stable-multi-hit:-1", "stable-multi-hit:+4",
+                      "stable-multi-hit:", "stable-multi-hit:x", "stable-multi-hit:\u0664"):
+        with pytest.raises(ValueError, match=re.escape(repr(kernel_id))):
+            parse_kernel(kernel_id)
+    assert parse_kernel("stable-multi-hit:04")[1] == 4
 
 
 # ------------------------------------------------------------------- pinning

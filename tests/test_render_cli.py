@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -88,9 +89,8 @@ def test_interior_pixels_color_count_eight():
         ray = pixel_ray(cam, x, y)
         orc = oracle_all_hits(built, ray)
         assert len(orc.hits) == 8
-        code, state = make_user_code(CountAll(), x, y)
-        run_kernel("while-while", built, ray, code)
-        assert state.count == 8
+        rep = run_kernel("while-while", built, ray, make_user_code(CountAll(), x, y))
+        assert len(rep.hits) == 8
     img, _ = render_image(built, cam, "stable-next", CountAll())
     ray = pixel_ray(cam, 4, 3)
     orc = oracle_all_hits(built, ray)
@@ -106,6 +106,39 @@ def test_render_is_bitwise_deterministic():
     b, sb = render_image(built, cam, "while-while", CountAll())
     assert a == b
     assert sa.as_dict() == sb.as_dict()
+
+
+# sha256 prefixes of every image and stats CSV rendered at 12x9 through
+# each generator's canonical camera (every kernel below, three user codes),
+# and of each generated scene's repr: a change to how pixels are coloured,
+# which counters the CSV holds, or what a generator builds changes them
+_RENDER_KERNELS = list(CORRECT_KERNELS) + ["ah-only", "ch-only"]
+_RENDER_PINS = {
+    "coplanar:n=8:same_t=true": ("0c3a50807489550b", "303d96d41c89adde"),
+    "coplanar:n=5:same_t=false": ("e703917e7a069227", "bdbb7a147585cc95"),
+    "abutting:k=4": ("98c56a7e47470742", "19f22e696925b4e6"),
+    "grid:m=3": ("bf9aa84c786cd6fb", "bd961d348216fc0f"),
+    "adversarial": ("01dc84e0b65dc0fa", "b47c09bb29223c56"),
+    "leaf-reorder": ("56022fa4af17d3b7", "ddfce6f9eea98a7f"),
+}
+
+
+@pytest.mark.parametrize("gen", sorted(_RENDER_PINS))
+def test_images_stats_and_scenes_are_pinned(gen):
+    image_pin, scene_pin = _RENDER_PINS[gen]
+    scene = make_scene(gen)
+    assert hashlib.sha256(repr(scene).encode()).hexdigest()[:16] == scene_pin
+    built = build_scene(scene)
+    cam = resolve_camera(scene, 12, 9)
+    digest = hashlib.sha256()
+    for spec in (CountAll(), MaxDepth(2), ProbDepth(3, 5)):
+        rows = []
+        for k in _RENDER_KERNELS:
+            img, stats = render_image(built, cam, k, spec)
+            digest.update(img)
+            rows.append((k, stats))
+        digest.update(stats_csv(rows).encode())
+    assert digest.hexdigest()[:16] == image_pin
 
 
 def test_render_thread_count_does_not_change_bytes():
@@ -132,8 +165,8 @@ def test_stats_aggregate_equals_per_pixel_sum():
     manual = TraceStats()
     for y in range(cam.height):
         for x in range(cam.width):
-            code, _state = make_user_code(CountAll(), x, y)
-            run_kernel("while-merged", built, pixel_ray(cam, x, y), code, stats=manual)
+            run_kernel("while-merged", built, pixel_ray(cam, x, y), make_user_code(CountAll(), x, y),
+                       stats=manual)
     assert total.as_dict() == manual.as_dict()
 
 
@@ -178,13 +211,11 @@ def test_compare_ah_only_differs_with_depth_one_shading():
 
 
 def test_probdepth_is_reproducible_and_order_free():
-    code_a, state_a = make_user_code(ProbDepth(4, 7), 3, 2)
-    code_b, state_b = make_user_code(ProbDepth(4, 7), 3, 2)
     built = build_scene(gen_coplanar_stack(8, True))
     ray = pixel_ray(_narrow_camera(), 3, 2)
-    run_kernel("while-while", built, ray, code_a)
-    run_kernel("stable-next", built, ray, code_b)
-    assert state_a.count == state_b.count  # same stop decision stream
+    rep_a = run_kernel("while-while", built, ray, make_user_code(ProbDepth(4, 7), 3, 2))
+    rep_b = run_kernel("stable-next", built, ray, make_user_code(ProbDepth(4, 7), 3, 2))
+    assert len(rep_a.hits) == len(rep_b.hits)  # same stop decision stream
 
 
 def test_probdepth_expectation_matches_truncated_geometric():
@@ -200,9 +231,8 @@ def test_probdepth_expectation_matches_truncated_geometric():
     assert len(oracle_all_hits(built, probe).hits) == 8
     for y in range(h):
         for x in range(w):
-            code, state = make_user_code(ProbDepth(4, 123), x, y)
-            run_kernel("while-while", built, pixel_ray(cam, x, y), code)
-            total += state.count
+            code = make_user_code(ProbDepth(4, 123), x, y)
+            total += len(run_kernel("while-while", built, pixel_ray(cam, x, y), code).hits)
     mean = total / (w * h)
     assert abs(mean - expected) / expected < 0.10
 

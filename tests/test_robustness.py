@@ -223,6 +223,12 @@ def _with_triangle(indices):
             "geometries": [{"mesh": 0, "sbtOffset": 0}], "instances": [{"geometries": [0]}]}
 
 
+def _with_vertex(vertex):
+    """A one-instance manifest whose one triangle's first vertex is ``vertex``."""
+    return {"meshes": [dict(_ONE_TRIANGLE, vertices=[vertex] + _ONE_TRIANGLE["vertices"][1:])],
+            "geometries": [{"mesh": 0, "sbtOffset": 0}], "instances": [{"geometries": [0]}]}
+
+
 def _shifted(x):
     return [[1, 0, 0, x], [0, 1, 0, 0], [0, 0, 1, 0]]
 
@@ -260,6 +266,30 @@ def test_cli_threads_below_one_exits_2(tmp_path, capsys, threads):
                               "--out", str(tmp_path / "x.ppm")])
     assert "--threads" in err
     assert not (tmp_path / "x.ppm").exists()
+
+
+_KERNEL_ARGV = {
+    "render": ["--kernel", "{k}", "--out", "{out}/x.ppm", "--stats", "{out}/x.csv"],
+    "compare": ["--kernels", "while-while,{k}", "--out-dir", "{out}/images", "--stats", "{out}/x.csv"],
+    "validate": ["--kernels", "stable-next,{k}", "--report", "{out}/report.json"],
+    "bench": ["--kernels", "while-while,{k}"],
+}
+
+
+@pytest.mark.parametrize("kernel", ["bogus", "while-while:3", "stable-multi-hit:0", "stable-multi-hit:x"])
+@pytest.mark.parametrize("command", sorted(_KERNEL_ARGV))
+def test_cli_bad_kernel_id_exits_2_before_any_work(tmp_path, capsys, command, kernel):
+    from ftbtrace.cli import main
+
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [a.format(k=kernel, out=out) for a in _KERNEL_ARGV[command]]
+    code = main([command, "--gen", "coplanar:n=2", "--size", "4x3"] + argv)
+    printed = capsys.readouterr()
+    assert code == 2 and printed.out == ""
+    assert printed.err.startswith("error: ") and printed.err.count("\n") == 1, printed.err
+    assert repr(kernel) in printed.err
+    assert list(out.iterdir()) == []
 
 
 def test_cli_manifest_top_level_list_exits_2(tmp_path, capsys):
@@ -333,6 +363,14 @@ def test_cli_manifest_negative_index_exits_2(tmp_path, capsys, field):
         _with_triangle([0, 1, 2, 0]),
         {"meshes": [_ONE_TRIANGLE], "geometries": [{"mesh": 0, "sbtOffset": 1.5}],
          "instances": [{"geometries": [0]}]},
+        _with_vertex([True, 0, 5]),
+        _with_vertex(["1", 0, 5]),
+        _one_instance([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, "2"]]),
+        _one_instance([[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]),
+        _one_instance(_shifted(False)),
+        _one_instance([["1", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]),
+        _one_instance([[1, 0, 0, 0, 9], [0, 1, 0, 0], [0, 0, 1, 0]]),
+        _one_instance([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
     ],
     ids=["geometry-without-mesh", "mesh-not-object", "instance-without-geometries",
          "meshes-not-list", "sbt-offset-infinite", "camera-not-object",
@@ -340,7 +378,10 @@ def test_cli_manifest_negative_index_exits_2(tmp_path, capsys, field):
          "translation-infinite", "translation-overflows-binary32", "linear-part-infinite",
          "vertex-index-not-number", "camera-looks-at-itself", "camera-up-along-view",
          "framing-overflows", "vertex-index-float", "vertex-index-bool",
-         "triangle-of-two-indices", "triangle-of-four-indices", "sbt-offset-float"],
+         "triangle-of-two-indices", "triangle-of-four-indices", "sbt-offset-float",
+         "vertex-coordinate-bool", "vertex-coordinate-string", "translation-string",
+         "linear-part-true", "translation-false", "linear-part-string",
+         "transform-row-of-five", "transform-fourth-row"],
 )
 def test_cli_manifest_missing_key_or_wrong_type_exits_2(tmp_path, capsys, doc):
     path = _manifest(tmp_path, doc)
