@@ -29,7 +29,6 @@ from .geom import (
     Vec3,
     affine_inverse,
     make_ray,
-    scaling,
     translation,
 )
 from .hitorder import HitDesc, less, order_key, sort_hits

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -33,105 +34,102 @@ def _add_scene_args(p: argparse.ArgumentParser) -> None:
         "grid:m=3, adversarial, leaf-reorder",
     )
     p.add_argument("--size", default="64x48", help="image size WxH (default 64x48)")
-    p.add_argument(
-        "--prim-order",
-        default="asgiven",
-        help="asgiven or permuted:SEED (tree build order)",
-    )
-    p.add_argument("--leaf-size", type=int, default=None, help="tree leaf size override")
+    p.add_argument("--prim-order", default="asgiven", help="asgiven or permuted:SEED (tree build order)")
+    p.add_argument("--leaf-size", help="tree leaf size override")
 
 
-def _parse_size(s: str):
-    w, _, h = s.lower().partition("x")
-    width, height = int(w), int(h)
-    if width < 1 or height < 1:
-        raise ValueError("size must be at least 1x1")
-    return width, height
+def _whole(text: str, least=None) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a whole number") from None
+    if least is not None and n < least:
+        raise ValueError(f"must be at least {least}, not {n}")
+    return n
 
 
-def _load_scene(args):
+def _prim_order(text: str):
+    """The build's permute seed; None for asgiven."""
+    order = text.lower()
+    if order != "asgiven" and not order.startswith("permuted:"):
+        raise ValueError("must be asgiven or permuted:SEED")
+    return None if order == "asgiven" else _whole(order[len("permuted:"):])
+
+
+def _kernel_id(text: str) -> str:
+    parse_kernel(text)
+    return text
+
+
+# the parser of each option's text, in the order they are checked
+_PARSERS = {
+    "kernel": _kernel_id,
+    "kernels": lambda text: [_kernel_id(k) for k in text.split(",")] if text else list(CORRECT_KERNELS),
+    "size": lambda text: tuple(_whole(n, 1) for n in text.lower().partition("x")[::2]),
+    "prim_order": _prim_order,
+    "leaf_size": lambda text: _whole(text, 1),
+    "seeds": lambda text: [_whole(s) for s in text.split(",")] if text else [],
+    "threads": lambda text: _whole(text, 1),
+    "user_code": parse_user_code,
+}
+
+
+def _setup(args) -> argparse.Namespace:
+    """Check every option value the command takes, raising a ValueError led
+    by the option's name, and only then load the scene, apply the build
+    options and resolve the camera.  Returns the parsed values by argparse
+    name (None if absent), with ``scene`` and ``cam``."""
+    run = argparse.Namespace()
+    for name, parse in _PARSERS.items():
+        text = getattr(args, name, None)
+        try:
+            setattr(run, name, None if text is None else parse(text))
+        except ValueError as exc:
+            raise ValueError(f"--{name.replace('_', '-')}: {exc}") from None
     if args.gen:
         scene = make_scene(args.gen)
+    elif args.scene.endswith(".json"):
+        scene = load_manifest(args.scene)
     else:
-        path = args.scene
-        if path.endswith(".json"):
-            scene = load_manifest(path)
-        else:
-            scene = single_mesh_scene(load_obj(path), name=path)
-    opts = scene.build_options
-    leaf = args.leaf_size if args.leaf_size is not None else opts.leaf_size
-    order = args.prim_order.lower()
-    if order == "asgiven":
-        seed = None
-    elif order.startswith("permuted:"):
-        seed = int(order.split(":", 1)[1])
-    else:
-        raise ValueError("--prim-order must be asgiven or permuted:SEED")
-    scene.build_options = BuildOptions(leaf_size=leaf, permute_seed=seed)
-    return scene
-
-
-def _kernel_ids(args) -> list:
-    """--kernel, or --kernels split at commas (default: every correct
-    kernel), each checked by ``parse_kernel`` before any work starts."""
-    if "kernel" in vars(args):
-        kernels = [args.kernel]
-    else:
-        kernels = args.kernels.split(",") if args.kernels else list(CORRECT_KERNELS)
-    for k in kernels:
-        parse_kernel(k)
-    return kernels
+        scene = single_mesh_scene(load_obj(args.scene), name=args.scene)
+    leaf = run.leaf_size or scene.build_options.leaf_size
+    scene.build_options = BuildOptions(leaf_size=leaf, permute_seed=run.prim_order)
+    run.scene, run.cam = scene, resolve_camera(scene, *run.size)
+    return run
 
 
 def _cmd_render(args) -> int:
-    [kernel] = _kernel_ids(args)
-    scene = _load_scene(args)
-    width, height = _parse_size(args.size)
-    cam = resolve_camera(scene, width, height)
-    built = build_scene(scene)
-    spec = parse_user_code(args.user_code)
-    img, stats = render_image(built, cam, kernel, spec, threads=args.threads)
+    run = _setup(args)
+    img, stats = render_image(build_scene(run.scene), run.cam, run.kernel, run.user_code, threads=run.threads)
     with open(args.out, "wb") as fh:
         fh.write(img)
     if args.stats:
         with open(args.stats, "w", encoding="utf-8") as fh:
-            fh.write(stats_csv([(kernel, stats)]))
-    print(f"wrote {args.out} ({width}x{height}), {stats.traces} traces")
+            fh.write(stats_csv([(run.kernel, stats)]))
+    print(f"wrote {args.out} ({run.cam.width}x{run.cam.height}), {stats.traces} traces")
     return 0
 
 
 def _cmd_compare(args) -> int:
-    kernels = _kernel_ids(args)
-    scene = _load_scene(args)
-    width, height = _parse_size(args.size)
-    cam = resolve_camera(scene, width, height)
-    built = build_scene(scene)
-    spec = parse_user_code(args.user_code)
-    rep = compare_kernels(built, cam, kernels, spec, threads=args.threads)
+    run = _setup(args)
+    rep = compare_kernels(build_scene(run.scene), run.cam, run.kernels, run.user_code, threads=run.threads)
     if args.out_dir:
-        import os
-
         os.makedirs(args.out_dir, exist_ok=True)
-        for k in kernels:
+        for k in run.kernels:
             name = k.replace(":", "_")
             with open(os.path.join(args.out_dir, f"{name}.ppm"), "wb") as fh:
                 fh.write(rep.images[k])
     if args.stats:
         with open(args.stats, "w", encoding="utf-8") as fh:
             fh.write(rep.csv())
-    base = kernels[0]
-    for k in kernels:
-        print(f"{k}: {rep.diff_pixels[k]} pixels differ from {base}")
+    for k in run.kernels:
+        print(f"{k}: {rep.diff_pixels[k]} pixels differ from {run.kernels[0]}")
     return 0 if rep.all_identical else 1
 
 
 def _cmd_validate(args) -> int:
-    kernels = _kernel_ids(args)
-    scene = _load_scene(args)
-    width, height = _parse_size(args.size)
-    cam = resolve_camera(scene, width, height)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else []
-    status, report = run_validation(scene, kernels, cam, seeds=seeds)
+    run = _setup(args)
+    status, report = run_validation(run.scene, run.kernels, run.cam, seeds=run.seeds)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -146,26 +144,18 @@ def _cmd_validate(args) -> int:
 
 def _cmd_bench(args) -> int:
     # wall time on a CPU emulator says nothing about GPU cost; informational only
-    kernels = _kernel_ids(args)
-    scene = _load_scene(args)
-    width, height = _parse_size(args.size)
-    cam = resolve_camera(scene, width, height)
-    built = build_scene(scene)
-    spec = parse_user_code(args.user_code)
+    run = _setup(args)
+    built = build_scene(run.scene)
     print(f"{'kernel':<22} {'seconds':>8}  traces")
-    for k in kernels:
+    for k in run.kernels:
         start = time.perf_counter()
-        _, stats = render_image(built, cam, k, spec, threads=args.threads)
-        dt = time.perf_counter() - start
-        print(f"{k:<22} {dt:>8.3f}  {stats.traces}")
+        _, stats = render_image(built, run.cam, k, run.user_code, threads=run.threads)
+        print(f"{k:<22} {time.perf_counter() - start:>8.3f}  {stats.traces}")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="ftbtrace",
-        description="Front-to-back any-hit traversal test rig",
-    )
+    p = argparse.ArgumentParser(prog="ftbtrace", description="Front-to-back any-hit traversal test rig")
     sub = p.add_subparsers(dest="command", required=True)
 
     r = sub.add_parser("render", help="render a pseudo-color visit-count image")
@@ -187,28 +177,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="check kernels against the brute-force reference")
     _add_scene_args(v)
-    v.add_argument("--kernels", help="comma-separated kernel ids (default: all correct ones)")
-    v.add_argument("--seeds", help="comma-separated rebuild seeds for stability checks")
+    v.add_argument("--kernels", default="", help="comma-separated kernel ids (default: all correct ones)")
+    v.add_argument("--seeds", default="", help="comma-separated rebuild seeds for stability checks")
     v.add_argument("--report", help="write the JSON report here instead of stdout")
     v.set_defaults(fn=_cmd_validate)
 
     b = sub.add_parser("bench", help="wall-clock per kernel (informational)")
     _add_scene_args(b)
-    b.add_argument("--kernels", help="comma-separated kernel ids")
+    b.add_argument("--kernels", default="", help="comma-separated kernel ids")
     b.add_argument("--user-code", default="countall")
     b.set_defaults(fn=_cmd_bench)
 
     for rendering in (r, c, b):
-        rendering.add_argument("--threads", type=int, default=1, help="render worker threads")
+        rendering.add_argument("--threads", default="1", help="render worker threads")
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise ValueError("--threads must be at least 1")
         return args.fn(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -132,17 +132,6 @@ def translation(x: float, y: float, z: float) -> Affine3:
     return Affine3(IDENTITY.m, vec3_32(x, y, z))
 
 
-def scaling(sx: float, sy: float = None, sz: float = None) -> Affine3:
-    if sy is None:
-        sy = sx
-    if sz is None:
-        sz = sy
-    return Affine3(
-        ((f32(sx), 0.0, 0.0), (0.0, f32(sy), 0.0), (0.0, 0.0, f32(sz))),
-        Vec3(0.0, 0.0, 0.0),
-    )
-
-
 def apply_point(xf: Affine3, p: Vec3) -> Vec3:
     m = xf.m
     t = xf.t

@@ -136,7 +136,7 @@ class MaxDepth:
 @dataclass(frozen=True)
 class ProbDepth:
     n: int
-    seed: int
+    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -148,17 +148,23 @@ UserCodeSpec = Union[MaxDepth, ProbDepth, CountAll]
 
 
 def parse_user_code(s: str) -> UserCodeSpec:
-    """Parse 'maxdepth:N', 'probdepth:N[:SEED]' or 'countall'."""
+    """Parse 'maxdepth:N', 'probdepth:N[:SEED]' or 'countall'; the spec must
+    pass ``make_user_code``'s checks too."""
     name, *args = s.lower().split(":")
+    try:
+        nums = [int(a) for a in args]
+    except ValueError:
+        nums = []
     if name == "countall" and not args:
         return CountAll()
-    if name == "maxdepth" and len(args) == 1:
-        return MaxDepth(int(args[0]))
-    if name == "probdepth" and len(args) in (1, 2):
-        return ProbDepth(int(args[0]), int(args[1]) if len(args) > 1 else 0)
-    raise ValueError(
-        f"unknown user code spec {s!r} (countall, maxdepth:N or probdepth:N[:SEED])"
-    )
+    if name == "maxdepth" and len(nums) == 1:
+        spec = MaxDepth(*nums)
+    elif name == "probdepth" and len(nums) in (1, 2):
+        spec = ProbDepth(*nums)
+    else:
+        raise ValueError(f"unknown user code spec {s!r} (countall, maxdepth:N or probdepth:N[:SEED])")
+    make_user_code(spec)
+    return spec
 
 
 def _count_all(hit, ctx, prd):
@@ -217,7 +223,7 @@ def render_image(built: BuiltScene, cam: Camera, kernel_id, spec: UserCodeSpec,
     """Render one pseudo-color image; returns (ppm bytes, aggregated stats).
 
     Rows render independently (optionally on a thread pool) and are merged
-    by row index; per-pixel state is self-contained, so the byte output is
+    in row order; per-pixel state is self-contained, so the byte output is
     identical for any thread count.
     """
     width, height = cam.width, cam.height
@@ -230,18 +236,16 @@ def render_image(built: BuiltScene, cam: Camera, kernel_id, spec: UserCodeSpec,
             ray = pixel(x, y)
             hits = run_kernel(kernel_id, built, ray, make_user_code(spec, x, y), stats=row_stats).hits
             row.extend(pseudo_color(len(hits), hits[-1] if hits else None))
-        return y, bytes(row), row_stats
+        return bytes(row), row_stats
 
-    results = []
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(render_row, range(height)))
     else:
         results = [render_row(y) for y in range(height)]
-    results.sort(key=lambda r: r[0])
     stats = TraceStats()
     body = bytearray()
-    for _, row, row_stats in results:
+    for row, row_stats in results:
         body.extend(row)
         stats.add(row_stats)
     return ppm_bytes(width, height, bytes(body)), stats
@@ -249,17 +253,15 @@ def render_image(built: BuiltScene, cam: Camera, kernel_id, spec: UserCodeSpec,
 
 # TraceStats.as_dict() names, in CSV column order; missCalls is left out
 _CSV_COUNTERS = ("traces", "ahCalls", "chCalls", "userCodeCalls", "nodesVisited", "triTests")
-STATS_CSV_HEADER = ",".join(("kernel",) + _CSV_COUNTERS)
-
-
-def stats_csv_row(kernel_id: str, stats: TraceStats) -> str:
-    counts = stats.as_dict()
-    return ",".join([kernel_id] + ["%d" % counts[c] for c in _CSV_COUNTERS])
 
 
 def stats_csv(rows) -> str:
     """CSV text: header plus one (kernel, stats) row each."""
-    return "\n".join([STATS_CSV_HEADER] + [stats_csv_row(k, s) for k, s in rows]) + "\n"
+    lines = [",".join(("kernel",) + _CSV_COUNTERS)]
+    for kernel_id, stats in rows:
+        counts = stats.as_dict()
+        lines.append(",".join([kernel_id] + ["%d" % counts[c] for c in _CSV_COUNTERS]))
+    return "\n".join(lines) + "\n"
 
 
 @dataclass

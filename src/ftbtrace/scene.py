@@ -411,7 +411,11 @@ def make_scene(spec: str) -> Scene:
         if v.lower() in ("true", "false"):
             kwargs[k] = v.lower() == "true"
         else:
-            kwargs[k] = int(v)
+            try:
+                kwargs[k] = int(v)
+            except ValueError:
+                problem = f"{k}={v!r} is not a whole number or true/false"
+                raise ValueError(f"generator {name!r}: {problem}") from None
     # generators are plain functions; their code object names their keys
     # far more cheaply than inspect.signature, which would cost a fifth of
     # a small scene's set-up

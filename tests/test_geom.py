@@ -10,12 +10,12 @@ from ftbtrace.bvh import BuiltInstance, _entry
 from ftbtrace.floatstep import f32, f32_bits, ulp_distance
 from ftbtrace.geom import (
     IDENTITY,
+    Affine3,
     Ray,
     Vec3,
     affine_inverse,
     make_ray,
     mt_core,
-    scaling,
     slab_entry,
     translation,
     vec3_32,
@@ -269,6 +269,11 @@ def test_aabb_never_culls_a_contained_hit():
             assert _box_entry(ray, bounds[:3], bounds[3:]) is not None
 
 
+def scaling(sx: float, sy: float, sz: float) -> Affine3:
+    """Scale transform with binary32 factors."""
+    return Affine3(((f32(sx), 0.0, 0.0), (0.0, f32(sy), 0.0), (0.0, 0.0, f32(sz))), Vec3(0.0, 0.0, 0.0))
+
+
 def _object_ray(xf, ray):
     """Object-space origin and direction, as traversal maps a ray."""
     return BuiltInstance(0, xf, []).object_ray_parts(ray)
@@ -292,7 +297,7 @@ def test_uniform_scale_preserves_hit_parameter():
     tri = AXIS_TRI
     scaled = _tri((-2, -2, 10), (2, -2, 10), (0, 2, 10))
     ray = make_ray((0.125, -0.25, -2), (0, 0, 1), 0, 100)
-    a = mt_core(*_object_ray(scaling(2.0), ray), ray.t_min, ray.t_max, *tri)
+    a = mt_core(*_object_ray(scaling(2.0, 2.0, 2.0), ray), ray.t_min, ray.t_max, *tri)
     b = _hit(ray, scaled)
     assert a is not None and b is not None
     assert a.t == b.t

@@ -241,8 +241,14 @@ def test_parse_user_code_specs():
     assert parse_user_code("countall") == CountAll()
     assert parse_user_code("maxdepth:3") == MaxDepth(3)
     assert parse_user_code("probdepth:4:9") == ProbDepth(4, 9)
-    with pytest.raises(ValueError):
-        parse_user_code("sometimes:2")
+    assert parse_user_code("probdepth:4") == ProbDepth(4, 0)
+    for bad in ("sometimes:2", "maxdepth", "maxdepth:x", "probdepth:1:2:3", "countall:1"):
+        with pytest.raises(ValueError, match="unknown user code spec"):
+            parse_user_code(bad)
+    # make_user_code's n >= 1 rule, run when the spec is parsed
+    for bad in ("maxdepth:0", "probdepth:-1:5"):
+        with pytest.raises(ValueError, match=f"{bad.split(':')[0]} needs n >= 1"):
+            parse_user_code(bad)
 
 
 def test_mix64_is_order_sensitive_and_stable():

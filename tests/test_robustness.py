@@ -292,6 +292,46 @@ def test_cli_bad_kernel_id_exits_2_before_any_work(tmp_path, capsys, command, ke
     assert list(out.iterdir()) == []
 
 
+_SCENE_OPTIONS = ("render", "compare", "validate", "bench")
+_RENDER_OPTIONS = ("render", "compare", "bench")
+_BAD_OPTIONS = [
+    ("--size", "4xq", _SCENE_OPTIONS),
+    ("--size", "0x3", _SCENE_OPTIONS),
+    ("--prim-order", "permuted:z", _SCENE_OPTIONS),
+    ("--prim-order", "bogus", _SCENE_OPTIONS),
+    ("--leaf-size", "0", _SCENE_OPTIONS),
+    ("--leaf-size", "x", _SCENE_OPTIONS),
+    ("--seeds", "1,z", ("validate",)),
+    ("--threads", "x", _RENDER_OPTIONS),
+    ("--threads", "0", _RENDER_OPTIONS),
+    ("--user-code", "maxdepth:0", _RENDER_OPTIONS),
+    ("--user-code", "probdepth:0", _RENDER_OPTIONS),
+    ("--user-code", "maxdepth:x", _RENDER_OPTIONS),
+    ("--gen", "coplanar:n=x", _SCENE_OPTIONS),
+]
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [(command, option, value) for option, value, commands in _BAD_OPTIONS for command in commands],
+)
+def test_cli_bad_option_value_exits_2_before_any_work(tmp_path, capsys, command, option, value):
+    from ftbtrace.cli import main
+
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [a.format(k="reject-repeats", out=out) for a in _KERNEL_ARGV[command]]
+    # a missing scene file: an option checked only after the load would
+    # report the file instead
+    source = [] if option == "--gen" else ["--scene", str(tmp_path / "missing.obj")]
+    code = main([command, *source, "--size", "4x3", *argv, option, value])
+    printed = capsys.readouterr()
+    assert code == 2 and printed.out == ""
+    lead = "error: generator 'coplanar': " if option == "--gen" else f"error: {option}: "
+    assert printed.err.startswith(lead) and printed.err.count("\n") == 1, printed.err
+    assert list(out.iterdir()) == []
+
+
 def test_cli_manifest_top_level_list_exits_2(tmp_path, capsys):
     path = _manifest(tmp_path, [_ONE_TRIANGLE])
     _cli_error(capsys, ["render", "--scene", path, "--out", str(tmp_path / "x.ppm")])

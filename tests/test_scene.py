@@ -237,3 +237,14 @@ def test_make_scene_parses_spec_strings():
     assert len(s.instances[0].geometries[0].mesh.indices) == 8
     with pytest.raises(ValueError):
         make_scene("nope:x=1")
+
+
+@pytest.mark.parametrize(
+    "spec, key_value",
+    [("coplanar:n=x", "n='x'"), ("coplanar:n=2:same_t=yes", "same_t='yes'"), ("grid:m=1e3", "m='1e3'")],
+)
+def test_make_scene_names_the_key_of_a_bad_value(spec, key_value):
+    name = spec.split(":")[0]
+    with pytest.raises(ValueError) as exc:
+        make_scene(spec)
+    assert str(exc.value) == f"generator {name!r}: {key_value} is not a whole number or true/false"
