@@ -36,6 +36,8 @@ from .kernels import (
     CORRECT_KERNELS,
     FtbReport,
     KERNELS,
+    Kernel,
+    KernelStalled,
     Step,
     is_stable,
     iter_multi_hit_batches,

@@ -48,6 +48,10 @@ class Step(Enum):
     STOP = auto()
 
 
+class KernelStalled(RuntimeError):
+    """A kernel loop's trace did not move past what it had delivered."""
+
+
 @dataclass
 class FtbReport:
     """What one kernel run delivered, in delivery order."""
@@ -164,8 +168,8 @@ def iter_reject_repeats(built: BuiltScene, ray, stats: TraceStats):
         elif got.t < prd.skip_hit.t or got in group:
             # the trace did not move past what was delivered: skipping on
             # would deliver the same hits again and again
-            raise RuntimeError(f"reject-repeats stalled: trace committed {got} again "
-                               f"at t_min={next_tmin!r}, skip={next_skip}")
+            raise KernelStalled(f"reject-repeats stalled: trace committed {got} again "
+                                f"at t_min={next_tmin!r}, skip={next_skip}")
         else:
             next_skip += 1
             group.add(got)
@@ -198,7 +202,7 @@ def _feeler_hits(built: BuiltScene, ray, d: _Delivery):
         if ctx is None:
             return
         if not ctx.t > t_lo:
-            raise RuntimeError(f"feeler stalled: trace committed t={ctx.t!r} at t_min={t_lo!r}")
+            raise KernelStalled(f"feeler stalled: trace committed t={ctx.t!r} at t_min={t_lo!r}")
         yield ctx
         t_lo = ctx.t  # anything strictly beyond the finished distance
 
@@ -287,8 +291,8 @@ def run_while_merged(built, ray, user_code, stats=None, user_prd=None) -> FtbRep
         # cur_tmin advances with the promoted distance; it may stay put once,
         # when the first distance is just_above(t_min)
         if not prd.found.t > prd.t_exec:
-            raise RuntimeError(f"while-merged stalled: trace committed t={prd.found.t!r} "
-                               f"after promoting t={prd.t_exec!r}")
+            raise KernelStalled(f"while-merged stalled: trace committed t={prd.found.t!r} "
+                                f"after promoting t={prd.t_exec!r}")
         prd.t_exec = prd.found.t
         cur_tmin = just_below(prd.t_exec)
     return prd.report()
@@ -350,7 +354,7 @@ def iter_multi_hit_batches(built: BuiltScene, ray, n: int, stats: TraceStats):
             return
         batch = prd.buffer
         if not less(hit_min, batch[-1]):
-            raise RuntimeError(f"multi-hit stalled: batch ends at {batch[-1]} after {hit_min}")
+            raise KernelStalled(f"multi-hit stalled: batch ends at {batch[-1]} after {hit_min}")
         yield batch
         hit_min = batch[-1]
         cur_tmin = just_below(hit_min.t)
@@ -376,7 +380,8 @@ def run_stable_next(built, ray, user_code, stats=None, user_prd=None) -> FtbRepo
 
 class Kernel:
     """One registry entry: the runner, whether it delivers the exact sorted
-    sequence, and its trace-count identity.
+    sequence, and its trace-count identity.  A kernel is named by its id in
+    ``KERNELS``; a custom kernel is one more entry.
 
     ``counter_rule`` is a Python expression over the run's ``traces`` and
     ``ahCalls``, the reference's ``hits`` and distance ``groups``, and the
@@ -436,17 +441,12 @@ def parse_kernel(kernel_id: str):
     return kernel, int(arg)
 
 
-def run_kernel(kernel_id, built, ray, user_code, stats=None, user_prd=None) -> FtbReport:
+def run_kernel(kernel_id: str, built, ray, user_code, stats=None, user_prd=None) -> FtbReport:
     """Run a kernel by id string, e.g. 'while-while' or 'stable-multi-hit:4'."""
-    if callable(kernel_id):
-        return kernel_id(built, ray, user_code, stats=stats, user_prd=user_prd)
     kernel, n = parse_kernel(kernel_id)
     kwargs = {} if n is None else {"n": n}
     return kernel.run(built, ray, user_code, stats=stats, user_prd=user_prd, **kwargs)
 
 
-def is_stable(kernel_id) -> bool:
-    if not isinstance(kernel_id, str):
-        return False
-    kernel = KERNELS.get(kernel_id.partition(":")[0])
-    return kernel is not None and kernel.stable
+def is_stable(kernel_id: str) -> bool:
+    return parse_kernel(kernel_id)[0].stable

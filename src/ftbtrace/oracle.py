@@ -19,7 +19,7 @@ from typing import Optional
 from .bvh import BuiltScene, build_scene, BuildOptions
 from .geom import mt_core
 from .hitorder import HitDesc, sort_hits
-from .kernels import parse_kernel, run_kernel
+from .kernels import KernelStalled, is_stable, parse_kernel, run_kernel
 from .pipeline import TraceStats
 
 
@@ -69,13 +69,13 @@ def _group_contents(seq):
     return [(t, sorted(_triple(h) for h in g)) for t, g in _grouped(seq)]
 
 
-def _resolve_kernel(kernel):
-    """(report name, registry entry, capacity n) of a kernel id or callable;
-    a callable has no entry and no n.  Unknown ids fail fast."""
-    if not isinstance(kernel, str):
-        return getattr(kernel, "__name__", "custom"), None, None
-    spec, n = parse_kernel(kernel)
-    return kernel, spec, n
+def _run_to_end(kernel_id: str, built: BuiltScene, ray, stats=None):
+    """(every hit the kernel delivers on the ray, None), or (None, the
+    message) if the kernel stalled."""
+    try:
+        return run_kernel(kernel_id, built, ray, lambda h, c, p: None, stats=stats).hits, None
+    except KernelStalled as exc:
+        return None, str(exc)
 
 
 def _fmt_hits(hits, limit=16):
@@ -107,9 +107,9 @@ class KernelValidation:
     kernel: str
     rays: int
     checks: dict
-    counter_rule: Optional[str] = None
-    # per-ray delivered sequences, for check_rebuild_stability's baseline;
-    # not part of the report
+    counter_rule: str
+    # per-ray delivered sequences (None where the kernel stalled), for
+    # check_rebuild_stability's baseline; not part of the report
     delivered: list = field(default_factory=list, repr=False)
 
     @property
@@ -129,20 +129,22 @@ class KernelValidation:
         }
 
 
-def validate_kernel(kernel, built: BuiltScene, rays, oracles=None) -> KernelValidation:
-    """Run a kernel to exhaustion on each ray and diff it against the
-    reference enumeration.
+def validate_kernel(kernel_id: str, built: BuiltScene, rays, oracles=None) -> KernelValidation:
+    """Run the ``KERNELS`` entry a kernel id names to exhaustion on each ray
+    and diff it against the reference enumeration.
 
     ``oracles`` may carry precomputed OracleResults (parallel to rays) to
     share them across kernels.  Checks: completeness (hit multiset),
     nondecreasing distances, distance-group contents (only meaningful when
     the order holds), duplicate identities, exact sorted-sequence equality
-    for the stable kernels, and the kernel's trace-count identity.  The
-    result's ``delivered`` holds each ray's delivered sequence, so that a
-    rebuild-stability check on the same build need not run the kernel again.
+    for the stable kernels, and the entry's counter rule, for a custom entry
+    as for a built-in one.  A ray on which the kernel stalls is one
+    completeness failure, with the message under ``stalled``, and no other
+    check.  The result's ``delivered`` holds each ray's delivered sequence
+    (None where it stalled), so that a rebuild-stability check on the same
+    build need not run the kernel again.
     """
-    name, spec, n = _resolve_kernel(kernel)
-    stable = spec is not None and spec.stable
+    spec, n = parse_kernel(kernel_id)
     checks = {
         "completeness": CheckResult(),
         "order": CheckResult(),
@@ -150,15 +152,17 @@ def validate_kernel(kernel, built: BuiltScene, rays, oracles=None) -> KernelVali
         "duplicates": CheckResult(),
         "counters": CheckResult(),
     }
-    if stable:
+    if spec.stable:
         checks["stableSequence"] = CheckResult()
     delivered = []
     for i, ray in enumerate(rays):
         orc = oracles[i] if oracles is not None else oracle_all_hits(built, ray)
         stats = TraceStats()
-        rep = run_kernel(kernel, built, ray, lambda h, c, p: None, stats=stats)
-        got = rep.hits
+        got, stalled = _run_to_end(kernel_id, built, ray, stats)
         delivered.append(got)
+        if stalled:
+            checks["completeness"].fail({"ray": i, "stalled": stalled})
+            continue
         H = len(orc.hits)
         G = len(orc.groups)
 
@@ -187,19 +191,19 @@ def validate_kernel(kernel, built: BuiltScene, rays, oracles=None) -> KernelVali
         triples = [_triple(h) for h in got]
         if len(set(triples)) != len(triples):
             checks["duplicates"].fail({"ray": i, "actual": _fmt_hits(got)})
-        if stable and got != orc.hits:
+        if spec.stable and got != orc.hits:
             checks["stableSequence"].fail(
                 {"ray": i, "expected": _fmt_hits(orc.hits), "actual": _fmt_hits(got)}
             )
-        if spec is not None and not spec.counters_ok(stats, H, G, n):
+        if not spec.counters_ok(stats, H, G, n):
             checks["counters"].fail(
                 {"ray": i, "stats": stats.as_dict(), "hits": H, "groups": G}
             )
     return KernelValidation(
-        kernel=name,
+        kernel=kernel_id,
         rays=len(rays),
         checks=checks,
-        counter_rule=spec.counter_rule if spec else None,
+        counter_rule=spec.counter_rule,
         delivered=delivered,
     )
 
@@ -229,12 +233,14 @@ def rebuild_options(opts: BuildOptions, seed) -> BuildOptions:
     return BuildOptions(leaf_size=opts.leaf_size, permute_seed=seed)
 
 
-def check_rebuild_stability(kernel, scene, rays, seeds, baseline=None, builds=None) -> StabilityReport:
+def check_rebuild_stability(kernel_id: str, scene, rays, seeds, baseline=None, builds=None) -> StabilityReport:
     """Rebuild the scene tree with permuted primitive order per seed and
     compare delivered sequences against the baseline build.
 
     Stable kernels must reproduce the exact sequence; the others only have
     to preserve the hit multiset and the contents of each distance group.
+    A stall on the base build or on a permuted build is one failure for
+    that seed and ray.
 
     The baseline is the kernel's delivered sequence per ray on a build with
     ``scene.build_options``; ``baseline`` may pass those sequences (e.g. a
@@ -244,21 +250,20 @@ def check_rebuild_stability(kernel, scene, rays, seeds, baseline=None, builds=No
     with ``rebuild_options(scene.build_options, seed)``; otherwise each seed's
     tree is built here.
     """
-    name, spec, _ = _resolve_kernel(kernel)
-    exact = spec is not None and spec.stable
-    report = StabilityReport(kernel=name, seeds=tuple(seeds), requires_exact_sequence=exact)
+    exact = is_stable(kernel_id)
+    report = StabilityReport(kernel=kernel_id, seeds=tuple(seeds), requires_exact_sequence=exact)
     base_opts = scene.build_options
     if baseline is None:
         built0 = build_scene(scene, base_opts)
-        baseline = [
-            run_kernel(kernel, built0, ray, lambda h, c, p: None).hits for ray in rays
-        ]
+        baseline = [_run_to_end(kernel_id, built0, ray)[0] for ray in rays]
     if builds is None:
         builds = (build_scene(scene, rebuild_options(base_opts, seed)) for seed in seeds)
     for seed, built in zip(seeds, builds):
         for i, ray in enumerate(rays):
-            got = run_kernel(kernel, built, ray, lambda h, c, p: None).hits
+            got, stalled = _run_to_end(kernel_id, built, ray)
             want = baseline[i]
-            if got != want and (exact or _group_contents(got) != _group_contents(want)):
+            if want is None or stalled:
+                report.fail({"seed": seed, "ray": i, "stalled": stalled or "on the base build"})
+            elif got != want and (exact or _group_contents(got) != _group_contents(want)):
                 report.fail({"seed": seed, "ray": i, "expected": _fmt_hits(want), "actual": _fmt_hits(got)})
     return report

@@ -303,19 +303,18 @@ def compare_kernels(built: BuiltScene, cam: Camera, kernel_ids, spec: UserCodeSp
 def run_validation(scene, kernel_ids, cam: Camera, seeds=()):
     """Drive the differential validator over all camera rays.
 
-    Runs each kernel once per build: the base tree (``scene.build_options``)
-    and each seed's permuted tree are built once, and per kernel the
-    sequences ``validate_kernel`` delivers on the base tree are the baseline
-    of its ``check_rebuild_stability``.  Only one kernel's sequences are
-    held at a time.
+    Each kernel id names a ``KERNELS`` entry, a custom one too, and is
+    validated and reported once however often it is named.  Runs each kernel
+    once per build: the base tree (``scene.build_options``) and each seed's
+    permuted tree are built once, and per kernel the sequences
+    ``validate_kernel`` delivers on the base tree are the baseline of its
+    ``check_rebuild_stability``.  Only one kernel's sequences are held at a
+    time.
 
     Returns (status, report dict); status is 0 only when every check of
     every kernel (and, with seeds, every rebuild-stability check) passed.
-    Both maps are keyed by report name; two unequal kernels may not share one.
+    Both maps are keyed by kernel id.
     """
-    named = {oracle._resolve_kernel(k)[0]: k for k in kernel_ids}
-    if len(named) != len(set(kernel_ids)):
-        raise ValueError(f"two kernels share a report name (names: {', '.join(named)})")
     built = build_scene(scene)
     permuted = [build_scene(scene, oracle.rebuild_options(scene.build_options, s)) for s in seeds]
     rays = camera_rays(cam)
@@ -329,14 +328,14 @@ def run_validation(scene, kernel_ids, cam: Camera, seeds=()):
         "stability": {},
     }
     status = 0
-    for name, k in named.items():
+    for k in dict.fromkeys(kernel_ids):
         v = validate_kernel(k, built, rays, oracles=oracles)
-        report["kernels"][name] = v.to_dict()
+        report["kernels"][k] = v.to_dict()
         if not v.ok:
             status = 1
         if seeds:
             s = check_rebuild_stability(k, scene, rays, seeds, baseline=v.delivered, builds=permuted)
-            report["stability"][name] = s.to_dict()
+            report["stability"][k] = s.to_dict()
             if not s.ok:
                 status = 1
     report["status"] = status

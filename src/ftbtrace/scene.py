@@ -137,10 +137,6 @@ def _ref(items: list, index, what: str):
     return items[index]
 
 
-def _is_finite_number(x) -> bool:
-    return type(x) in (int, float) and math.isfinite(x)
-
-
 def _is_numbers(v, n: int, types=(int, float)) -> bool:
     """Whether v is a list of exactly n JSON numbers of ``types``; a boolean
     is not one."""
@@ -149,8 +145,9 @@ def _is_numbers(v, n: int, types=(int, float)) -> bool:
 
 def _check_camera_hint(hint) -> None:
     """A camera hint is an object with finite numeric 3-vectors ``position``,
-    ``look_at`` and (optional) ``up``, and a finite numeric ``fov_y``; the
-    three vectors must span a camera basis (see ``geom.camera_basis``)."""
+    ``look_at`` and (optional) ``up``, and a numeric ``fov_y`` strictly
+    between 0 and 180 degrees; the three vectors must span a camera basis
+    (see ``geom.camera_basis``)."""
     if not isinstance(hint, dict):
         raise ValueError("camera must be a JSON object")
     for key in ("position", "look_at", "up"):
@@ -159,8 +156,9 @@ def _check_camera_hint(hint) -> None:
         vec = hint.get(key)
         if not (_is_numbers(vec, 3) and all(map(math.isfinite, vec))):
             raise ValueError(f"camera {key} must be a list of 3 finite numbers")
-    if not _is_finite_number(hint.get("fov_y")):
-        raise ValueError("camera fov_y must be a finite number")
+    fov_y = hint.get("fov_y")
+    if not (type(fov_y) in (int, float) and 0 < fov_y < 180):  # NaN fails too
+        raise ValueError("camera fov_y must be a number of degrees strictly between 0 and 180")
     camera_basis(hint["position"], hint["look_at"], hint.get("up", (0.0, 1.0, 0.0)))
 
 

@@ -17,3 +17,16 @@ def count_all():
         return None
 
     return code
+
+
+@pytest.fixture
+def register_kernel(monkeypatch):
+    """Add a test kernel to the registry for one test: ``register_kernel(id,
+    run, counter_rule)`` returns the id; the rule "True" checks nothing."""
+    from ftbtrace.kernels import KERNELS, Kernel
+
+    def register(kernel_id, run, counter_rule="True"):
+        monkeypatch.setitem(KERNELS, kernel_id, Kernel(run, False, counter_rule))
+        return kernel_id
+
+    return register

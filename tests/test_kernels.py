@@ -33,10 +33,10 @@ from ftbtrace import (
 )
 from ftbtrace.floatstep import just_below
 from ftbtrace.hitorder import order_key
-from ftbtrace.kernels import CORRECT_KERNELS, parse_kernel
+from ftbtrace.kernels import CORRECT_KERNELS, KernelStalled, is_stable, parse_kernel
 from ftbtrace.pipeline import TraceStats
 
-from probes import rays_for
+from probes import rays_for, stuck_trace
 
 CENTER_RAY = make_ray((0.1, -0.2, -1.0), (0, 0, 1), 0, 100)
 AXIS_RAY = make_ray((-1.0, 0.3, 0.4), (1, 0, 0), 0, 100)
@@ -547,20 +547,6 @@ def test_kernel_deliveries_and_counters_are_pinned():
     assert got == _PINS
 
 
-def _stuck_trace(built, ray, cfg, prd=None, stats=None):
-    """A broken pipeline: every trace commits the same hit, whatever the
-    interval and whatever the any-hit program would say."""
-    import ftbtrace.kernels as kernels_mod
-
-    ctx = HitContext(2.0, 0.25, 0.25, True, 0, 0, 0, None, None)
-    stats.traces += 1
-    if cfg is kernels_mod._MH_CFG:
-        prd.buffer = [kernels_mod._desc(ctx)]
-    elif cfg.closest_hit is not None:
-        cfg.closest_hit(ctx, prd)
-    return ctx
-
-
 @pytest.mark.parametrize("kernel", [*CORRECT_KERNELS, "ch-only"])
 def test_kernel_loop_that_stops_advancing_raises(monkeypatch, kernel):
     # a trace that never moves the kernel's position (feeler t_lo,
@@ -569,12 +555,19 @@ def test_kernel_loop_that_stops_advancing_raises(monkeypatch, kernel):
     import ftbtrace.kernels as kernels_mod
 
     built = build_scene(gen_coplanar_stack(2, True))
-    monkeypatch.setattr(kernels_mod, "trace", _stuck_trace)
+    monkeypatch.setattr(kernels_mod, "trace", stuck_trace)
     stats = TraceStats()
-    with pytest.raises(RuntimeError, match="stalled"):
+    with pytest.raises(KernelStalled, match="stalled"):
         run_kernel(kernel, built, CENTER_RAY, lambda h, c, p: None, stats=stats)
     # the second identical commit is refused (while-while's executor ran between)
     assert stats.traces == (3 if kernel == "while-while" else 2)
+
+
+def test_is_stable_reads_the_registry():
+    assert is_stable("stable-next") and is_stable("stable-multi-hit:16")
+    assert not is_stable("while-while") and not is_stable("ah-only")
+    with pytest.raises(ValueError, match="unknown kernel 'stable'"):
+        is_stable("stable")
 
 
 @pytest.mark.parametrize("kernel", CORRECT_KERNELS)

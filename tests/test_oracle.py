@@ -22,10 +22,10 @@ from ftbtrace import (
     sort_hits,
     validate_kernel,
 )
-from ftbtrace.kernels import CORRECT_KERNELS, FtbReport
+from ftbtrace.kernels import CORRECT_KERNELS, KERNELS, FtbReport
 from ftbtrace.pipeline import TraceStats
 
-from probes import rays_for
+from probes import rays_for, stuck_trace
 
 CENTER_RAY = make_ray((0.1, -0.2, -1.0), (0, 0, 1), 0, 100)
 AXIS_RAY = make_ray((-1.0, 0.3, 0.4), (1, 0, 0), 0, 100)
@@ -100,7 +100,7 @@ def test_validate_ah_only_flags_order_not_completeness():
     assert counts["duplicates"] == 0
 
 
-def test_validate_reports_first_failing_ray_with_sequences():
+def test_validate_reports_first_failing_ray_with_sequences(register_kernel):
     scene = gen_coplanar_stack(4, True)
     built = build_scene(scene)
     rays = rays_for(scene, 10, 8)
@@ -111,7 +111,7 @@ def test_validate_reports_first_failing_ray_with_sequences():
             rep.hits.pop(1)
         return rep
 
-    v = validate_kernel(drops_one_tie, built, rays)
+    v = validate_kernel(register_kernel("drops-one-tie", drops_one_tie), built, rays)
     assert not v.ok
     fail = v.checks["completeness"].first_failure
     assert fail is not None
@@ -119,17 +119,24 @@ def test_validate_reports_first_failing_ray_with_sequences():
     assert fail["expected"] != fail["actual"]
 
 
-def test_validate_flags_broken_counters():
+def test_validate_flags_broken_counters(register_kernel):
     scene = gen_coplanar_stack(2, True)
     built = build_scene(scene)
+    rays = rays_for(scene, 6, 5)
 
     def extra_trace(built_, ray, user_code, stats=None, user_prd=None):
         rep = run_while_while(built_, ray, user_code, stats=stats, user_prd=user_prd)
         rep.stats.traces += 1
         return rep
 
-    # custom callables skip counter identities; string ids must check them
-    v = validate_kernel("while-while", built, rays_for(scene, 6, 5))
+    # a custom kernel's counter rule is checked as a built-in one's is
+    rule = KERNELS["while-while"].counter_rule
+    v = validate_kernel(register_kernel("extra-trace", extra_trace, rule), built, rays)
+    assert v.counter_rule == rule
+    assert v.violation_counts() == {
+        "completeness": 0, "order": 0, "groups": 0, "duplicates": 0, "counters": len(rays),
+    }
+    v = validate_kernel("while-while", built, rays)
     assert v.checks["counters"].violations == 0
 
 
@@ -150,7 +157,7 @@ def test_rebuild_stability_multiset_for_reject_repeats():
     assert rep.ok, rep.first_failure
 
 
-def test_rebuild_stability_catches_sequence_drift():
+def test_rebuild_stability_catches_sequence_drift(register_kernel):
     scene = gen_coplanar_stack(6, True)
     rays = [CENTER_RAY]
 
@@ -163,9 +170,35 @@ def test_rebuild_stability_catches_sequence_drift():
         flip["on"] = True
         return rep
 
-    rep = check_rebuild_stability(unstable, scene, rays, seeds=(1,))
+    rep = check_rebuild_stability(register_kernel("unstable", unstable), scene, rays, seeds=(1,))
     assert not rep.ok
     assert rep.first_failure["seed"] == 1
+
+
+def test_a_stalled_kernel_is_report_data(monkeypatch):
+    import ftbtrace.kernels as kernels_mod
+
+    scene = gen_coplanar_stack(2, True)
+    built = build_scene(scene)
+    rays = rays_for(scene, 4, 3)
+    baseline = validate_kernel("reject-repeats", built, rays).delivered
+    monkeypatch.setattr(kernels_mod, "trace", stuck_trace)
+    # one completeness failure per ray, and no other check run on it
+    v = validate_kernel("reject-repeats", built, rays)
+    assert v.violation_counts() == {
+        "completeness": len(rays), "order": 0, "groups": 0, "duplicates": 0, "counters": 0,
+    }
+    fail = v.checks["completeness"].first_failure
+    assert list(fail) == ["ray", "stalled"] and fail["ray"] == 0
+    assert fail["stalled"].startswith("reject-repeats stalled: trace committed ")
+    assert v.delivered == [None] * len(rays)
+    # a stall on the permuted builds, or on the base build, is one failure
+    # for each seed and ray
+    for base in (baseline, v.delivered, None):
+        rep = check_rebuild_stability("reject-repeats", scene, rays, (1, 2), baseline=base)
+        assert rep.violations == 2 * len(rays)
+        assert rep.first_failure["seed"] == 1 and rep.first_failure["ray"] == 0
+        assert rep.first_failure["stalled"].startswith("reject-repeats stalled: ")
 
 
 def test_validation_report_serializes():
@@ -207,7 +240,7 @@ def test_validation_reports_are_pinned(gen, seeds):
 
 
 def _fixed(hits):
-    """A kernel that delivers ``hits`` whatever the tree."""
+    """The run of a kernel that delivers ``hits`` whatever the tree."""
 
     def fixed(built_, ray, user_code, stats=None, user_prd=None):
         return FtbReport(list(hits), False, stats if stats is not None else TraceStats())
@@ -218,14 +251,16 @@ def _fixed(hits):
 _A, _B, _C = HitDesc(1.0, 0, 0, 0), HitDesc(1.0, 1, 0, 0), HitDesc(2.0, 2, 0, 0)
 
 
-def test_rebuild_rule_on_hand_made_sequences():
+def test_rebuild_rule_on_hand_made_sequences(register_kernel):
     scene = gen_coplanar_stack(2, True)
     rays = [CENTER_RAY]
     # a reorder inside one distance group: same groups, different sequence
-    rep = check_rebuild_stability(_fixed([_B, _A, _C]), scene, rays, (1,), baseline=[[_A, _B, _C]])
+    kernel = register_kernel("fixed-bac", _fixed([_B, _A, _C]))
+    rep = check_rebuild_stability(kernel, scene, rays, (1,), baseline=[[_A, _B, _C]])
     assert rep.ok and not rep.requires_exact_sequence
     # same multiset, but t=1 is split into two runs around t=2
-    rep = check_rebuild_stability(_fixed([_A, _C, _B]), scene, rays, (1,), baseline=[[_A, _B, _C]])
+    kernel = register_kernel("fixed-acb", _fixed([_A, _C, _B]))
+    rep = check_rebuild_stability(kernel, scene, rays, (1,), baseline=[[_A, _B, _C]])
     assert not rep.ok
     assert rep.first_failure == {
         "seed": 1, "ray": 0,
@@ -251,16 +286,7 @@ def test_rebuild_rule_on_edited_baselines(kernel):
     assert not rep.ok and rep.violations == 1
 
 
-def test_callable_kernel_has_one_name_in_both_reports():
-    scene = gen_coplanar_stack(4, True)
-    kernel = _fixed([])
-    status, report = run_validation(scene, [kernel], resolve_camera(scene, 4, 3), seeds=(1,))
-    assert report["kernels"]["fixed"]["kernel"] == "fixed"
-    assert report["stability"]["fixed"]["kernel"] == "fixed"
-    json.dumps(report)  # keyed by name, so the report serialises
-
-
-def test_two_kernels_with_one_report_name_are_refused_before_running():
+def test_a_kernel_named_twice_is_run_and_reported_once(register_kernel):
     scene = gen_coplanar_stack(4, True)
     cam = resolve_camera(scene, 4, 3)
     runs = []
@@ -269,9 +295,8 @@ def test_two_kernels_with_one_report_name_are_refused_before_running():
         runs.append(ray)
         return FtbReport([], False, stats if stats is not None else TraceStats())
 
-    with pytest.raises(ValueError, match=r"two kernels share a report name \(names: fixed\)"):
-        run_validation(scene, [fixed, _fixed([])], cam)
-    assert runs == []
-    # the same kernel, or the same id, named twice is one entry
-    status, report = run_validation(scene, [fixed, fixed, "stable-next", "stable-next"], cam)
-    assert list(report["kernels"]) == ["fixed", "stable-next"]
+    kernel = register_kernel("fixed", fixed)
+    status, report = run_validation(scene, [kernel, "stable-next", kernel, "stable-next"], cam, seeds=(1,))
+    assert list(report["kernels"]) == list(report["stability"]) == ["fixed", "stable-next"]
+    assert report["kernels"]["fixed"]["kernel"] == report["stability"]["fixed"]["kernel"] == "fixed"
+    assert len(runs) == 2 * 4 * 3  # the base and one permuted build, 4x3 rays

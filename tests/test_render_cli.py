@@ -32,7 +32,7 @@ from ftbtrace import (
 )
 from ftbtrace.cli import main
 from ftbtrace.geom import camera_basis, make_ray
-from ftbtrace.kernels import CORRECT_KERNELS
+from ftbtrace.kernels import CORRECT_KERNELS, KERNELS
 from ftbtrace.render import mix64, parse_user_code, stats_csv
 from ftbtrace.pipeline import TraceStats
 
@@ -297,7 +297,7 @@ def _dropping_kernel(built, ray, user_code, stats=None, user_prd=None):
     return rep
 
 
-_VALIDATION_KERNELS = list(CORRECT_KERNELS) + ["ah-only", "ch-only", _dropping_kernel]
+_VALIDATION_KERNELS = list(CORRECT_KERNELS) + ["ah-only", "ch-only", "drops-first-hit"]
 
 
 def _standalone_report(scene, kernel_ids, cam, seeds):
@@ -323,7 +323,8 @@ def _standalone_report(scene, kernel_ids, cam, seeds):
 
 @pytest.mark.parametrize("seeds", [(), (1,), (1, 2)], ids=["no-seeds", "one-seed", "two-seeds"])
 @pytest.mark.parametrize("gen", ["coplanar:n=4:same_t=true", "abutting:k=3", "grid:m=2", "leaf-reorder"])
-def test_run_validation_matches_standalone_checks(gen, seeds):
+def test_run_validation_matches_standalone_checks(register_kernel, gen, seeds):
+    register_kernel("drops-first-hit", _dropping_kernel, KERNELS["ah-only"].counter_rule)
     scene = make_scene(gen)
     cam = resolve_camera(scene, 8, 6)
     status, report = run_validation(scene, _VALIDATION_KERNELS, cam, seeds=seeds)
@@ -334,9 +335,9 @@ def test_run_validation_matches_standalone_checks(gen, seeds):
     built = build_scene(scene)
     first = next(
         i for i, (ray, orc) in enumerate(zip(rays, oracles))
-        if len(run_kernel(_dropping_kernel, built, ray, lambda h, c, p: None).hits) != len(orc.hits)
+        if len(run_kernel("drops-first-hit", built, ray, lambda h, c, p: None).hits) != len(orc.hits)
     )
-    completeness = report["kernels"]["_dropping_kernel"]["checks"]["completeness"]
+    completeness = report["kernels"]["drops-first-hit"]["checks"]["completeness"]
     assert completeness["firstFailure"]["ray"] == first
 
 

@@ -1,6 +1,7 @@
 """Differential stress tests off the happy path: transformed instances,
 awkward rays, user sub-intervals, and buffer eviction under permuted arrival."""
 
+import json
 import math
 
 import pytest
@@ -32,6 +33,8 @@ from ftbtrace.geom import IDENTITY, affine_inverse, mt_core
 from ftbtrace.hitorder import order_key
 from ftbtrace.kernels import CORRECT_KERNELS
 from ftbtrace.render import camera_rays
+
+from probes import stuck_trace
 
 
 def _check_against_oracle(built, ray, kernels=CORRECT_KERNELS):
@@ -387,6 +390,8 @@ def test_cli_manifest_negative_index_exits_2(tmp_path, capsys, field):
         _one_instance(camera=5),
         _one_instance(camera={"look_at": [0, 0, 5], "fov_y": 30}),
         _one_instance(camera={"position": [0, 0, -2], "look_at": [0, 0, 5], "fov_y": "x"}),
+        *(_one_instance(camera={"position": [0, 0, -2], "look_at": [0, 0, 5], "fov_y": fov})
+          for fov in (0, -30, 180, 540, math.nan)),
         _one_instance(_shifted(math.nan)),
         _one_instance(_shifted(math.inf)),
         _one_instance(_shifted(1e300)),
@@ -414,7 +419,9 @@ def test_cli_manifest_negative_index_exits_2(tmp_path, capsys, field):
     ],
     ids=["geometry-without-mesh", "mesh-not-object", "instance-without-geometries",
          "meshes-not-list", "sbt-offset-infinite", "camera-not-object",
-         "camera-without-position", "camera-fov-not-number", "translation-nan",
+         "camera-without-position", "camera-fov-not-number", "camera-fov-0",
+         "camera-fov-negative", "camera-fov-180", "camera-fov-540", "camera-fov-nan",
+         "translation-nan",
          "translation-infinite", "translation-overflows-binary32", "linear-part-infinite",
          "vertex-index-not-number", "camera-looks-at-itself", "camera-up-along-view",
          "framing-overflows", "vertex-index-float", "vertex-index-bool",
@@ -486,3 +493,35 @@ def test_cli_unexpected_exception_exits_3(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err == "internal error: ZeroDivisionError: float division by zero\n"
+
+
+def test_cli_validate_reports_a_stalled_kernel_and_exits_1(monkeypatch, tmp_path, capsys):
+    # a stall is a failed check of one kernel: the report is written, and
+    # the other kernels' results are kept
+    import ftbtrace.cli as cli
+    import ftbtrace.kernels as kernels_mod
+
+    report = tmp_path / "report.json"
+    monkeypatch.setattr(kernels_mod, "trace", stuck_trace)
+    code = cli.main(["validate", "--gen", "coplanar:n=2", "--size", "4x3", "--kernels", "reject-repeats",
+                     "--seeds", "1", "--report", str(report)])
+    assert code == 1
+    doc = json.loads(report.read_text())
+    checks = doc["kernels"]["reject-repeats"]["checks"]
+    assert checks["completeness"]["violations"] == 12
+    assert checks["completeness"]["firstFailure"]["stalled"].startswith("reject-repeats stalled: ")
+    assert doc["stability"]["reject-repeats"]["violations"] == 12
+    assert "reject-repeats: violations {'completeness': 12}" in capsys.readouterr().err
+
+
+def test_cli_validate_exits_3_on_any_other_kernel_error(monkeypatch, capsys):
+    import ftbtrace.cli as cli
+    import ftbtrace.kernels as kernels_mod
+
+    def broken(*args):
+        raise RuntimeError("not a stall")
+
+    monkeypatch.setattr(kernels_mod, "trace", broken)
+    code = cli.main(["validate", "--gen", "coplanar:n=2", "--size", "4x3", "--kernels", "reject-repeats"])
+    assert code == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: not a stall\n"

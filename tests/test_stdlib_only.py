@@ -46,3 +46,24 @@ def test_src_module_level_imports_are_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line}: {name}" for line, name in _module_imports(tree) if name not in used]
     assert unused == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_src_modules_read_no_private_name_of_another():
+    # a module's _names are its own: another module may not import them
+    # (``from .x import _name``) or read them (``x._name`` after ``from . import x``)
+    modules = {path.stem for path in SRC.glob("*.py")}
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+        bound = {a.asname or a.name for node in imported if node.module is None for a in node.names if a.name in modules}
+        reads += [f"{path.name}:{node.lineno}: from .{node.module} import {a.name}"
+                  for node in imported if node.module is not None for a in node.names if _private(a.name)]
+        reads += [f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in bound and _private(node.attr)]
+    assert reads == []
