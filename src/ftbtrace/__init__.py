@@ -42,14 +42,7 @@ from .kernels import (
     is_stable,
     iter_multi_hit_batches,
     iter_reject_repeats,
-    run_ah_only,
-    run_ch_only,
     run_kernel,
-    run_reject_repeats,
-    run_stable_multi_hit,
-    run_stable_next,
-    run_while_merged,
-    run_while_while,
 )
 from .oracle import (
     OracleResult,

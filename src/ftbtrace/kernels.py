@@ -9,12 +9,15 @@ pipeline cannot cull that hit's distance ties) and OptiX-accepts hits it
 discards (so the traversal interval still shrinks).  That looks wrong and
 is intentional.
 
-All kernels drive a common ``user_code(hit, ctx, prd)`` callback through one
-delivery object; `ctx` is the full pipeline hit state for kernels whose user
-code sees a live or committed hit, and None for the stable kernels, which
-can only hand out the stored identity tuple.  reject-repeats and the
-multi-hit kernel additionally expose resumable iterators so callers can do
-arbitrary work between hits.
+`run_kernel` is the one way to run a kernel.  It makes the `FtbReport` the
+run delivers into and calls the registry entry's ``run(built, ray, rep)``
+(``run(built, ray, rep, n)`` for a kernel that takes a capacity).  The
+kernel traces with ``rep.stats`` and hands each hit to the user's
+``user_code(hit, ctx, prd)`` through ``rep.deliver``; `ctx` is the full
+pipeline hit state for kernels whose user code sees a live or committed
+hit, and None for the stable kernels, which can only hand out the stored
+identity tuple.  reject-repeats and the multi-hit kernel additionally
+expose resumable iterators so callers can do arbitrary work between hits.
 
 Several kernels are special cases of others:
 
@@ -32,8 +35,8 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass
 from enum import Enum, auto
+from functools import partial
 from typing import Callable, Optional
 
 from .bvh import BuiltScene
@@ -52,34 +55,22 @@ class KernelStalled(RuntimeError):
     """A kernel loop's trace did not move past what it had delivered."""
 
 
-@dataclass
 class FtbReport:
-    """What one kernel run delivered, in delivery order."""
+    """One kernel run: the hits handed to user code, in delivery order,
+    whether user code stopped the run, and the run's counters.
 
-    hits: list
-    stopped_early: bool
-    stats: TraceStats
-    batches: Optional[list] = None  # multi-hit only: delivered batch sizes
-
-
-def _desc(ctx: HitContext) -> HitDesc:
-    return HitDesc(ctx.t, ctx.prim, ctx.geom, ctx.inst)
-
-
-class _Delivery:
-    """The prd every kernel hands hits to user code through.
-
+    A kernel delivers through `deliver` and traces with ``stats``;
     ``found`` is where `_record_closest_hit` leaves a trace's committed hit.
     """
 
-    __slots__ = ("user_code", "user_prd", "stats", "hits", "stopped", "found")
+    __slots__ = ("user_code", "user_prd", "stats", "hits", "stopped_early", "found")
 
-    def __init__(self, user_code, user_prd, stats):
+    def __init__(self, user_code, stats=None, user_prd=None):
         self.user_code = user_code
         self.user_prd = user_prd
         self.stats = stats if stats is not None else TraceStats()
         self.hits = []
-        self.stopped = False
+        self.stopped_early = False
         self.found = None
 
     def deliver(self, hit, ctx) -> bool:
@@ -87,11 +78,12 @@ class _Delivery:
         self.hits.append(hit)
         self.stats.user_code_calls += 1
         if self.user_code(hit, ctx, self.user_prd) is Step.STOP:
-            self.stopped = True
-        return self.stopped
+            self.stopped_early = True
+        return self.stopped_early
 
-    def report(self, batches=None) -> FtbReport:
-        return FtbReport(self.hits, self.stopped, self.stats, batches)
+
+def _desc(ctx: HitContext) -> HitDesc:
+    return HitDesc(ctx.t, ctx.prim, ctx.geom, ctx.inst)
 
 
 def _record_closest_hit(ctx, prd):
@@ -176,17 +168,15 @@ def iter_reject_repeats(built: BuiltScene, ray, stats: TraceStats):
         yield got, ctx
 
 
-def run_reject_repeats(built, ray, user_code, stats=None, user_prd=None) -> FtbReport:
-    d = _Delivery(user_code, user_prd, stats)
-    for hit, ctx in iter_reject_repeats(built, ray, d.stats):
-        if d.deliver(hit, ctx):
-            break
-    return d.report()
+def _reject_repeats(built, ray, rep: FtbReport) -> None:
+    for hit, ctx in iter_reject_repeats(built, ray, rep.stats):
+        if rep.deliver(hit, ctx):
+            return
 
 
 # ------------------------------------------------ while-while, ah-only, ch-only
 
-def _feeler_hits(built: BuiltScene, ray, d: _Delivery):
+def _feeler_hits(built: BuiltScene, ray, rep: FtbReport):
     """Committed hits of plain closest-hit traces (any-hit disabled), each
     trace starting at the previous hit's distance.
 
@@ -196,9 +186,9 @@ def _feeler_hits(built: BuiltScene, ray, d: _Delivery):
     """
     t_lo = ray.t_min
     while True:
-        d.found = None
-        trace(built, ray._replace(t_min=t_lo), _FEELER_CFG, d, d.stats)
-        ctx = d.found
+        rep.found = None
+        trace(built, ray._replace(t_min=t_lo), _FEELER_CFG, rep, rep.stats)
+        ctx = rep.found
         if ctx is None:
             return
         if not ctx.t > t_lo:
@@ -207,7 +197,7 @@ def _feeler_hits(built: BuiltScene, ray, d: _Delivery):
         t_lo = ctx.t  # anything strictly beyond the finished distance
 
 
-def run_while_while(built, ray, user_code, stats=None, user_prd=None) -> FtbReport:
+def _while_while(built, ray, rep: FtbReport) -> None:
     """Feeler rays find each next hit distance; executor rays enumerate it.
 
     Each feeler's result sets the executor's interval to
@@ -216,47 +206,42 @@ def run_while_while(built, ray, user_code, stats=None, user_prd=None) -> FtbRepo
     for precisely the hits at that distance, and OptiX-rejecting each keeps
     every distance tie coming.
     """
-    d = _Delivery(user_code, user_prd, stats)
-    for ctx in _feeler_hits(built, ray, d):
+    for ctx in _feeler_hits(built, ray, rep):
         t = ctx.t
-        trace(built, ray._replace(t_min=just_below(t), t_max=just_above(t)), _DELIVER_CFG, d, d.stats)
-        if d.stopped:
-            break
-    return d.report()
+        trace(built, ray._replace(t_min=just_below(t), t_max=just_above(t)), _DELIVER_CFG, rep, rep.stats)
+        if rep.stopped_early:
+            return
 
 
-def run_ah_only(built, ray, user_code, stats=None, user_prd=None) -> FtbReport:
+def _ah_only(built, ray, rep: FtbReport) -> None:
     """The while-while executor over the whole user interval: one trace.
 
     Finds every hit but delivers them in traversal order, which need not be
     ascending in distance; kept as the fast-but-unordered reference.
     """
-    d = _Delivery(user_code, user_prd, stats)
-    trace(built, ray, _DELIVER_CFG, d, d.stats)
-    return d.report()
+    trace(built, ray, _DELIVER_CFG, rep, rep.stats)
 
 
-def run_ch_only(built, ray, user_code, stats=None, user_prd=None) -> FtbReport:
+def _ch_only(built, ray, rep: FtbReport) -> None:
     """The while-while feeler loop, delivering each committed hit itself.
 
     Exactly one hit per distance survives; kept as the simple-but-lossy
     reference.
     """
-    d = _Delivery(user_code, user_prd, stats)
-    for ctx in _feeler_hits(built, ray, d):
-        if d.deliver(_desc(ctx), ctx):
-            break
-    return d.report()
+    for ctx in _feeler_hits(built, ray, rep):
+        if rep.deliver(_desc(ctx), ctx):
+            return
 
 
 # --------------------------------------------------------------- while-merged
 
-class _WhileMergedPrd(_Delivery):
-    __slots__ = ("t_exec",)
+class _WhileMergedPrd:
+    __slots__ = ("rep", "t_exec", "found")
 
-    def __init__(self, user_code, user_prd, stats):
-        super().__init__(user_code, user_prd, stats)
+    def __init__(self, rep: FtbReport):
+        self.rep = rep
         self.t_exec = -1.0  # no distance promoted yet; below every t_min >= 0
+        self.found = None
 
 
 def _wm_any_hit(ctx, prd):
@@ -264,13 +249,13 @@ def _wm_any_hit(ctx, prd):
         # feeler part: accept silently so t_max homes in on the next
         # distance; user code must not see these
         return AhVerdict.ACCEPT
-    return _deliver_any_hit(ctx, prd)
+    return _deliver_any_hit(ctx, prd.rep)
 
 
 _WM_CFG = TraceConfig(any_hit=_wm_any_hit, closest_hit=_record_closest_hit)
 
 
-def run_while_merged(built, ray, user_code, stats=None, user_prd=None) -> FtbReport:
+def _while_merged(built, ray, rep: FtbReport) -> None:
     """Single trace per distance: executor and feeler merged into one ray.
 
     The any-hit program runs user code only at the distance promoted from
@@ -281,13 +266,13 @@ def run_while_merged(built, ray, user_code, stats=None, user_prd=None) -> FtbRep
     """
     if ray.t_min < 0.0:
         raise ValueError("while-merged needs t_min >= 0 (negative sentinel values)")
-    prd = _WhileMergedPrd(user_code, user_prd, stats)
+    prd = _WhileMergedPrd(rep)
     cur_tmin = ray.t_min
     while True:
         prd.found = None
-        trace(built, ray._replace(t_min=cur_tmin), _WM_CFG, prd, prd.stats)
-        if prd.stopped or prd.found is None:
-            break  # user code stopped, or no next distance
+        trace(built, ray._replace(t_min=cur_tmin), _WM_CFG, prd, rep.stats)
+        if rep.stopped_early or prd.found is None:
+            return  # user code stopped, or no next distance
         # cur_tmin advances with the promoted distance; it may stay put once,
         # when the first distance is just_above(t_min)
         if not prd.found.t > prd.t_exec:
@@ -295,7 +280,6 @@ def run_while_merged(built, ray, user_code, stats=None, user_prd=None) -> FtbRep
                                 f"after promoting t={prd.t_exec!r}")
         prd.t_exec = prd.found.t
         cur_tmin = just_below(prd.t_exec)
-    return prd.report()
 
 
 # ------------------------------------------------ stable multi-hit, stable-next
@@ -360,28 +344,25 @@ def iter_multi_hit_batches(built: BuiltScene, ray, n: int, stats: TraceStats):
         cur_tmin = just_below(hit_min.t)
 
 
-def run_stable_multi_hit(built, ray, user_code, stats=None, user_prd=None, *, n: int) -> FtbReport:
-    d = _Delivery(user_code, user_prd, stats)
-    batches = []
-    for batch in iter_multi_hit_batches(built, ray, n, d.stats):
-        batches.append(len(batch))
+def _stable_multi_hit(built, ray, rep: FtbReport, n: int) -> None:
+    for batch in iter_multi_hit_batches(built, ray, n, rep.stats):
         for hit in batch:
-            if d.deliver(hit, None):
-                return d.report(batches)
-    return d.report(batches)
-
-
-def run_stable_next(built, ray, user_code, stats=None, user_prd=None) -> FtbReport:
-    """stable-multi-hit:1 under its own name."""
-    return run_stable_multi_hit(built, ray, user_code, stats, user_prd, n=1)
+            if rep.deliver(hit, None):
+                return
 
 
 # -------------------------------------------------------------------- registry
 
 class Kernel:
-    """One registry entry: the runner, whether it delivers the exact sorted
-    sequence, and its trace-count identity.  A kernel is named by its id in
-    ``KERNELS``; a custom kernel is one more entry.
+    """One registry entry: the kernel body, whether it delivers the exact
+    sorted sequence, and its trace-count identity.  A kernel is named by its
+    id in ``KERNELS``; a custom kernel is one more entry.
+
+    ``run(built, ray, rep)`` (``run(built, ray, rep, n)`` when ``n`` is set)
+    runs the kernel on one ray.  It delivers each hit through
+    ``rep.deliver(hit, ctx)``, which returns True once user code has asked
+    to stop, traces with ``rep.stats``, and returns nothing; `run_kernel`
+    makes ``rep`` and returns it.
 
     ``counter_rule`` is a Python expression over the run's ``traces`` and
     ``ahCalls``, the reference's ``hits`` and distance ``groups``, and the
@@ -405,13 +386,13 @@ class Kernel:
 
 
 KERNELS = {
-    "stable-next": Kernel(run_stable_next, True, "traces == hits + 1"),
-    "reject-repeats": Kernel(run_reject_repeats, False, "traces == hits + 1"),
-    "while-while": Kernel(run_while_while, False, "traces == 2 * groups + 1 and ahCalls == hits"),
-    "while-merged": Kernel(run_while_merged, False, "traces == groups + 1"),
-    "stable-multi-hit": Kernel(run_stable_multi_hit, True, "traces == ceil(hits / n) + 1", n=4),
-    "ah-only": Kernel(run_ah_only, False, "traces == 1"),
-    "ch-only": Kernel(run_ch_only, False, "traces == groups + 1"),
+    "stable-next": Kernel(partial(_stable_multi_hit, n=1), True, "traces == hits + 1"),
+    "reject-repeats": Kernel(_reject_repeats, False, "traces == hits + 1"),
+    "while-while": Kernel(_while_while, False, "traces == 2 * groups + 1 and ahCalls == hits"),
+    "while-merged": Kernel(_while_merged, False, "traces == groups + 1"),
+    "stable-multi-hit": Kernel(_stable_multi_hit, True, "traces == ceil(hits / n) + 1", n=4),
+    "ah-only": Kernel(_ah_only, False, "traces == 1"),
+    "ch-only": Kernel(_ch_only, False, "traces == groups + 1"),
 }
 
 CORRECT_KERNELS = (
@@ -442,10 +423,21 @@ def parse_kernel(kernel_id: str):
 
 
 def run_kernel(kernel_id: str, built, ray, user_code, stats=None, user_prd=None) -> FtbReport:
-    """Run a kernel by id string, e.g. 'while-while' or 'stable-multi-hit:4'."""
+    """Run a kernel by id string, e.g. 'while-while' or 'stable-multi-hit:4',
+    and return the report it delivered into.
+
+    This is the one way to run a kernel.  ``user_code(hit, ctx, user_prd)``
+    sees each delivered hit and may return ``Step.STOP``.  The run counts
+    into ``stats`` when it is given, and the report's ``stats`` is that
+    object.
+    """
     kernel, n = parse_kernel(kernel_id)
-    kwargs = {} if n is None else {"n": n}
-    return kernel.run(built, ray, user_code, stats=stats, user_prd=user_prd, **kwargs)
+    rep = FtbReport(user_code, stats, user_prd)
+    if n is None:
+        kernel.run(built, ray, rep)
+    else:
+        kernel.run(built, ray, rep, n)
+    return rep
 
 
 def is_stable(kernel_id: str) -> bool:

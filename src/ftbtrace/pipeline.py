@@ -37,6 +37,18 @@ class TraceFlags(IntFlag):
     DISABLE_CLOSESTHIT = 2
 
 
+# each TraceStats counter's attribute and its name in reports, in report order
+_COUNTERS = (
+    ("traces", "traces"),
+    ("nodes_visited", "nodesVisited"),
+    ("tri_tests", "triTests"),
+    ("ah_calls", "ahCalls"),
+    ("ch_calls", "chCalls"),
+    ("miss_calls", "missCalls"),
+    ("user_code_calls", "userCodeCalls"),
+)
+
+
 @dataclass
 class TraceStats:
     traces: int = 0
@@ -48,24 +60,11 @@ class TraceStats:
     user_code_calls: int = 0
 
     def add(self, other: "TraceStats") -> None:
-        self.traces += other.traces
-        self.nodes_visited += other.nodes_visited
-        self.tri_tests += other.tri_tests
-        self.ah_calls += other.ah_calls
-        self.ch_calls += other.ch_calls
-        self.miss_calls += other.miss_calls
-        self.user_code_calls += other.user_code_calls
+        for attr, _ in _COUNTERS:
+            setattr(self, attr, getattr(self, attr) + getattr(other, attr))
 
     def as_dict(self) -> dict:
-        return {
-            "traces": self.traces,
-            "nodesVisited": self.nodes_visited,
-            "triTests": self.tri_tests,
-            "ahCalls": self.ah_calls,
-            "chCalls": self.ch_calls,
-            "missCalls": self.miss_calls,
-            "userCodeCalls": self.user_code_calls,
-        }
+        return {name: getattr(self, attr) for attr, name in _COUNTERS}
 
 
 @dataclass

@@ -401,29 +401,35 @@ def make_scene(spec: str) -> Scene:
     fn = GENERATORS.get(name)
     if fn is None:
         raise ValueError(f"unknown generator {name!r}; choose from {sorted(GENERATORS)}")
+    # generators are plain functions; their code object names their keys
+    # far more cheaply than inspect.signature, which would cost a fifth of
+    # a small scene's set-up.  A key with a boolean default takes true or
+    # false; every other key takes a whole number.
+    code = fn.__code__
+    keys = code.co_varnames[: code.co_argcount]
+    defaults = fn.__defaults__ or ()
+    required = len(keys) - len(defaults)
+    boolean = {k for k, d in zip(keys[required:], defaults) if isinstance(d, bool)}
+    valid = f"(valid keys: {', '.join(keys) or 'none'})"
     kwargs = {}
     for p in parts[1:]:
         if "=" not in p:
             raise ValueError(f"bad generator parameter {p!r} (expected k=v)")
         k, v = p.split("=", 1)
-        if v.lower() in ("true", "false"):
+        if k not in keys:
+            raise ValueError(f"generator {name!r}: unknown key {k!r} {valid}")
+        if k in boolean:
+            if v.lower() not in ("true", "false"):
+                raise ValueError(f"generator {name!r}: {k}={v!r} is not true or false")
             kwargs[k] = v.lower() == "true"
         else:
             try:
                 kwargs[k] = int(v)
             except ValueError:
-                problem = f"{k}={v!r} is not a whole number or true/false"
-                raise ValueError(f"generator {name!r}: {problem}") from None
-    # generators are plain functions; their code object names their keys
-    # far more cheaply than inspect.signature, which would cost a fifth of
-    # a small scene's set-up
-    code = fn.__code__
-    keys = code.co_varnames[: code.co_argcount]
-    unknown = [k for k in kwargs if k not in keys]
-    missing = [k for k in keys[: len(keys) - len(fn.__defaults__ or ())] if k not in kwargs]
-    if unknown or missing:
-        problem = f"unknown key {unknown[0]!r}" if unknown else f"missing key {missing[0]!r}"
-        raise ValueError(f"generator {name!r}: {problem} (valid keys: {', '.join(keys) or 'none'})")
+                raise ValueError(f"generator {name!r}: {k}={v!r} is not a whole number") from None
+    missing = [k for k in keys[:required] if k not in kwargs]
+    if missing:
+        raise ValueError(f"generator {name!r}: missing key {missing[0]!r} {valid}")
     if name in SIZE_CAPS:
         key, cap = SIZE_CAPS[name]
         if kwargs[key] > cap:

@@ -25,6 +25,7 @@ from ftbtrace import (
     gen_abutting_boxes,
     gen_coplanar_stack,
     gen_instanced_grid,
+    iter_multi_hit_batches,
     just_above,
     just_below,
     make_ray,
@@ -32,7 +33,6 @@ from ftbtrace import (
     render_image,
     resolve_camera,
     run_kernel,
-    run_stable_multi_hit,
     run_validation,
     trace,
     ulp_distance,
@@ -263,8 +263,8 @@ def test_criterion_7_multi_hit_tie_boundary_resume():
     ray = make_ray((0.1, -0.2, -1.0), (0, 0, 1), 0, 100)
     orc = oracle_all_hits(built, ray)
     assert len(orc.hits) == 6 and len(orc.groups) == 1
-    rep = run_stable_multi_hit(built, ray, lambda h, c, p: None, n=4)
-    assert rep.batches == [4, 2]
+    rep = run_kernel("stable-multi-hit:4", built, ray, lambda h, c, p: None)
+    assert [len(b) for b in iter_multi_hit_batches(built, ray, 4, TraceStats())] == [4, 2]
     assert rep.hits == orc.hits  # no loss or duplication inside the tie group
     print("\nACCEPTANCE 7 multi-hit tie-boundary resume: PASS")
 

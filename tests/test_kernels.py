@@ -7,6 +7,7 @@ import pytest
 from ftbtrace import (
     BuildOptions,
     HitContext,
+    HitDesc,
     Mesh,
     Step,
     Vec3,
@@ -19,14 +20,7 @@ from ftbtrace import (
     iter_multi_hit_batches,
     make_ray,
     oracle_all_hits,
-    run_ah_only,
-    run_ch_only,
     run_kernel,
-    run_reject_repeats,
-    run_stable_multi_hit,
-    run_stable_next,
-    run_while_merged,
-    run_while_while,
     single_mesh_scene,
     sort_hits,
     validate_kernel,
@@ -43,8 +37,8 @@ AXIS_RAY = make_ray((-1.0, 0.3, 0.4), (1, 0, 0), 0, 100)
 REORDER_RAY = make_ray((10, 0, 0), (-1, 0, 0), 0, 100)
 
 
-def _exhaust(run, built, ray, **kw):
-    return run(built, ray, lambda h, c, p: None, **kw)
+def _exhaust(kernel_id, built, ray):
+    return run_kernel(kernel_id, built, ray, lambda h, c, p: None)
 
 
 def _groups(hits):
@@ -62,7 +56,7 @@ def _groups(hits):
 def test_stable_next_delivers_sorted_oracle_on_ties():
     built = build_scene(gen_coplanar_stack(4, True))
     orc = oracle_all_hits(built, CENTER_RAY)
-    rep = _exhaust(run_stable_next, built, CENTER_RAY)
+    rep = _exhaust("stable-next", built, CENTER_RAY)
     assert rep.hits == orc.hits
     assert len(rep.hits) == 4
     assert len({h.t for h in rep.hits}) == 1
@@ -71,23 +65,23 @@ def test_stable_next_delivers_sorted_oracle_on_ties():
 def test_stable_next_empty_region_is_one_trace():
     built = build_scene(gen_coplanar_stack(4, True))
     ray = make_ray((40, 40, -1), (0, 0, 1), 0, 100)
-    rep = _exhaust(run_stable_next, built, ray)
+    rep = _exhaust("stable-next", built, ray)
     assert rep.hits == []
     assert rep.stats.traces == 1
 
 
 def test_stable_next_trace_count_is_hits_plus_one():
     built = build_scene(gen_abutting_boxes(3))
-    rep = _exhaust(run_stable_next, built, AXIS_RAY)
+    rep = _exhaust("stable-next", built, AXIS_RAY)
     assert rep.stats.traces == len(rep.hits) + 1
 
 
 def test_stable_next_permuted_rebuild_same_sequence():
     scene = gen_coplanar_stack(8, True)
-    base = _exhaust(run_stable_next, build_scene(scene), CENTER_RAY).hits
+    base = _exhaust("stable-next", build_scene(scene), CENTER_RAY).hits
     for seed in (1, 2, 3):
         built = build_scene(scene, BuildOptions(permute_seed=seed))
-        assert _exhaust(run_stable_next, built, CENTER_RAY).hits == base
+        assert _exhaust("stable-next", built, CENTER_RAY).hits == base
 
 
 def test_stable_next_survives_redelivered_tie_arriving_first():
@@ -96,7 +90,7 @@ def test_stable_next_survives_redelivered_tie_arriving_first():
     # or the rest of the distance group would be culled
     built = build_scene(gen_leaf_reorder())
     orc = oracle_all_hits(built, REORDER_RAY)
-    rep = _exhaust(run_stable_next, built, REORDER_RAY)
+    rep = _exhaust("stable-next", built, REORDER_RAY)
     assert rep.hits == orc.hits
     assert len(rep.hits) == 2
 
@@ -117,7 +111,7 @@ def test_stable_next_cursor_allows_work_between_hits():
 def test_reject_repeats_matches_oracle_groups_on_ties():
     built = build_scene(gen_coplanar_stack(4, True))
     orc = oracle_all_hits(built, CENTER_RAY)
-    rep = _exhaust(run_reject_repeats, built, CENTER_RAY)
+    rep = _exhaust("reject-repeats", built, CENTER_RAY)
     assert sort_hits(rep.hits) == orc.hits
     assert len({h.t for h in rep.hits}) == 1
 
@@ -127,14 +121,14 @@ def test_reject_repeats_survives_tmin_leaf_reorder():
     # raising t_min flips the traversal order of the tied hits
     built = build_scene(gen_leaf_reorder())
     orc = oracle_all_hits(built, REORDER_RAY)
-    rep = _exhaust(run_reject_repeats, built, REORDER_RAY)
+    rep = _exhaust("reject-repeats", built, REORDER_RAY)
     assert sort_hits(rep.hits) == orc.hits
     assert rep.stats.traces == len(orc.hits) + 1
 
 
 def test_reject_repeats_single_hit_two_traces():
     built = build_scene(gen_coplanar_stack(1, True))
-    rep = _exhaust(run_reject_repeats, built, CENTER_RAY)
+    rep = _exhaust("reject-repeats", built, CENTER_RAY)
     assert len(rep.hits) == 1
     assert rep.stats.traces == 2
 
@@ -158,7 +152,7 @@ def test_reject_repeats_cursor_yields_hit_and_context():
 def test_while_while_delivers_all_ties_at_feeler_distance():
     built = build_scene(gen_coplanar_stack(4, True))
     stats = TraceStats()
-    rep = run_while_while(built, CENTER_RAY, lambda h, c, p: None, stats=stats)
+    rep = run_kernel("while-while", built, CENTER_RAY, lambda h, c, p: None, stats=stats)
     assert len(rep.hits) == 4
     assert len({h.t for h in rep.hits}) == 1
     assert stats.ah_calls == stats.user_code_calls == 4
@@ -172,7 +166,7 @@ def test_while_while_trace_count_identity():
     ):
         built = build_scene(scene)
         orc = oracle_all_hits(built, ray)
-        rep = _exhaust(run_while_while, built, ray)
+        rep = _exhaust("while-while", built, ray)
         assert rep.stats.traces == 2 * len(orc.groups) + 1
         assert rep.stats.ah_calls == len(orc.hits)
 
@@ -180,7 +174,7 @@ def test_while_while_trace_count_identity():
 def test_while_while_abutting_boxes_keeps_every_coplanar_pair():
     built = build_scene(gen_abutting_boxes(3))
     orc = oracle_all_hits(built, AXIS_RAY)
-    rep = _exhaust(run_while_while, built, AXIS_RAY)
+    rep = _exhaust("while-while", built, AXIS_RAY)
     assert sort_hits(rep.hits) == orc.hits
     assert [len(g) for g in _groups(rep.hits)] == [len(g) for g in orc.groups]
 
@@ -194,8 +188,8 @@ def test_while_merged_matches_while_while_per_group():
         (gen_instanced_grid(2), CENTER_RAY),
     ):
         built = build_scene(scene)
-        ww = _exhaust(run_while_while, built, ray)
-        wm = _exhaust(run_while_merged, built, ray)
+        ww = _exhaust("while-while", built, ray)
+        wm = _exhaust("while-merged", built, ray)
         assert sort_hits(wm.hits) == sort_hits(ww.hits)
         a = [(g[0].t, sorted(map(order_key, g))) for g in _groups(wm.hits)]
         b = [(g[0].t, sorted(map(order_key, g))) for g in _groups(ww.hits)]
@@ -205,8 +199,8 @@ def test_while_merged_matches_while_while_per_group():
 def test_while_merged_trace_count_and_ah_cost():
     built = build_scene(gen_coplanar_stack(8, False))
     orc = oracle_all_hits(built, CENTER_RAY)
-    ww = _exhaust(run_while_while, built, CENTER_RAY)
-    wm = _exhaust(run_while_merged, built, CENTER_RAY)
+    ww = _exhaust("while-while", built, CENTER_RAY)
+    wm = _exhaust("while-merged", built, CENTER_RAY)
     assert wm.stats.traces == len(orc.groups) + 1
     assert wm.stats.user_code_calls == len(orc.hits)
     # merged rays run any-hit on every candidate, not just the target distance
@@ -217,7 +211,7 @@ def test_while_merged_rejects_negative_t_min():
     built = build_scene(gen_coplanar_stack(1, True))
     ray = CENTER_RAY._replace(t_min=-1.5)
     with pytest.raises(ValueError):
-        run_while_merged(built, ray, lambda h, c, p: None)
+        run_kernel("while-merged", built, ray, lambda h, c, p: None)
 
 
 # ------------------------------------------------------------- stable multi-hit
@@ -225,10 +219,10 @@ def test_while_merged_rejects_negative_t_min():
 def test_multi_hit_capacity_covers_all_hits_in_two_traces():
     built = build_scene(gen_coplanar_stack(4, True))
     orc = oracle_all_hits(built, CENTER_RAY)
-    rep = _exhaust(run_stable_multi_hit, built, CENTER_RAY, n=16)
+    rep = _exhaust("stable-multi-hit:16", built, CENTER_RAY)
     assert rep.hits == orc.hits
     assert rep.stats.traces == 2  # one gather, one empty confirmation
-    assert rep.batches == [4]
+    assert [len(b) for b in iter_multi_hit_batches(built, CENTER_RAY, 16, TraceStats())] == [4]
 
 
 def test_multi_hit_n1_reduces_to_stable_next():
@@ -237,8 +231,8 @@ def test_multi_hit_n1_reduces_to_stable_next():
         (gen_abutting_boxes(3), AXIS_RAY),
     ):
         built = build_scene(scene)
-        a = _exhaust(run_stable_multi_hit, built, ray, n=1)
-        b = _exhaust(run_stable_next, built, ray)
+        a = _exhaust("stable-multi-hit:1", built, ray)
+        b = _exhaust("stable-next", built, ray)
         assert a.hits == b.hits
 
 
@@ -246,8 +240,8 @@ def test_multi_hit_batch_boundary_inside_tie_group():
     # six hits at one distance, capacity four: 4 then 2, nothing lost
     built = build_scene(gen_coplanar_stack(6, True))
     orc = oracle_all_hits(built, CENTER_RAY)
-    rep = _exhaust(run_stable_multi_hit, built, CENTER_RAY, n=4)
-    assert rep.batches == [4, 2]
+    rep = _exhaust("stable-multi-hit:4", built, CENTER_RAY)
+    assert [len(b) for b in iter_multi_hit_batches(built, CENTER_RAY, 4, TraceStats())] == [4, 2]
     assert rep.hits == orc.hits
 
 
@@ -263,15 +257,17 @@ def test_multi_hit_batches_are_resumable():
 def test_multi_hit_zero_capacity_is_domain_error():
     built = build_scene(gen_coplanar_stack(1, True))
     with pytest.raises(ValueError):
-        _exhaust(run_stable_multi_hit, built, CENTER_RAY, n=0)
+        _exhaust("stable-multi-hit:0", built, CENTER_RAY)
+    with pytest.raises(ValueError):
+        next(iter_multi_hit_batches(built, CENTER_RAY, 0, TraceStats()))
 
 
 def test_multi_hit_permuted_rebuild_same_sequence():
     scene = gen_coplanar_stack(6, True)
-    base = _exhaust(run_stable_multi_hit, build_scene(scene), CENTER_RAY, n=4).hits
+    base = _exhaust("stable-multi-hit:4", build_scene(scene), CENTER_RAY).hits
     for seed in (1, 2, 3):
         built = build_scene(scene, BuildOptions(permute_seed=seed))
-        got = _exhaust(run_stable_multi_hit, built, CENTER_RAY, n=4).hits
+        got = _exhaust("stable-multi-hit:4", built, CENTER_RAY).hits
         assert got == base
 
 
@@ -280,7 +276,7 @@ def test_multi_hit_permuted_rebuild_same_sequence():
 def test_ah_only_full_multiset_single_trace():
     built = build_scene(gen_abutting_boxes(3))
     orc = oracle_all_hits(built, AXIS_RAY)
-    rep = _exhaust(run_ah_only, built, AXIS_RAY)
+    rep = _exhaust("ah-only", built, AXIS_RAY)
     assert sort_hits(rep.hits) == orc.hits
     assert rep.stats.traces == 1
 
@@ -288,7 +284,7 @@ def test_ah_only_full_multiset_single_trace():
 def test_ah_only_out_of_order_on_adversarial_scene():
     built = build_scene(gen_adversarial_order())
     orc = oracle_all_hits(built, REORDER_RAY)
-    rep = _exhaust(run_ah_only, built, REORDER_RAY)
+    rep = _exhaust("ah-only", built, REORDER_RAY)
     assert sort_hits(rep.hits) == orc.hits  # complete ...
     ts = [h.t for h in rep.hits]
     assert any(b < a for a, b in zip(ts, ts[1:]))  # ... but out of order
@@ -296,7 +292,7 @@ def test_ah_only_out_of_order_on_adversarial_scene():
 
 def test_ch_only_skips_coplanar_ties():
     built = build_scene(gen_coplanar_stack(4, True))
-    rep = _exhaust(run_ch_only, built, CENTER_RAY)
+    rep = _exhaust("ch-only", built, CENTER_RAY)
     assert len(rep.hits) == 1  # three coplanar siblings skipped
     assert rep.stats.traces == 2
 
@@ -304,7 +300,7 @@ def test_ch_only_skips_coplanar_ties():
 def test_ch_only_correct_without_ties():
     built = build_scene(gen_coplanar_stack(6, False))
     orc = oracle_all_hits(built, CENTER_RAY)
-    rep = _exhaust(run_ch_only, built, CENTER_RAY)
+    rep = _exhaust("ch-only", built, CENTER_RAY)
     assert rep.hits == orc.hits
     assert rep.stats.traces == len(rep.hits) + 1
 
@@ -407,12 +403,37 @@ def test_counter_identities_across_scenes():
         built = build_scene(scene)
         orc = oracle_all_hits(built, ray)
         H, G = len(orc.hits), len(orc.groups)
-        assert _exhaust(run_stable_next, built, ray).stats.traces == H + 1
-        assert _exhaust(run_reject_repeats, built, ray).stats.traces == H + 1
-        ww = _exhaust(run_while_while, built, ray)
+        assert _exhaust("stable-next", built, ray).stats.traces == H + 1
+        assert _exhaust("reject-repeats", built, ray).stats.traces == H + 1
+        ww = _exhaust("while-while", built, ray)
         assert ww.stats.traces == 2 * G + 1
         assert ww.stats.ah_calls == H
-        assert _exhaust(run_while_merged, built, ray).stats.traces == G + 1
+        assert _exhaust("while-merged", built, ray).stats.traces == G + 1
+
+
+def test_a_custom_kernel_delivers_through_the_report_run_kernel_makes(register_kernel):
+    # a kernel's run(built, ray, rep) hands hits to user code through
+    # rep.deliver and counts into rep.stats, the stats passed to run_kernel
+    hits = [HitDesc(1.0, 0, 0, 0), HitDesc(2.0, 1, 0, 0)]
+
+    def two_hits(built_, ray, rep):
+        for hit in hits:
+            if rep.deliver(hit, None):
+                return
+
+    kernel = register_kernel("two-hits", two_hits)
+    built = build_scene(gen_coplanar_stack(1, True))
+    seen = []
+    stats = TraceStats()
+    rep = run_kernel(kernel, built, CENTER_RAY, lambda h, c, p: seen.append((h, p)),
+                     stats=stats, user_prd="prd")
+    assert seen == [(h, "prd") for h in hits] and rep.hits == hits
+    assert rep.stats is stats and stats.user_code_calls == 2
+    assert not rep.stopped_early
+    stats = TraceStats()
+    rep = run_kernel(kernel, built, CENTER_RAY, lambda h, c, p: Step.STOP, stats=stats)
+    assert rep.stopped_early and rep.hits == hits[:1]
+    assert rep.stats is stats and stats.user_code_calls == 1
 
 
 def test_unknown_kernel_id_rejected():

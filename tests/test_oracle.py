@@ -18,12 +18,10 @@ from ftbtrace import (
     resolve_camera,
     run_kernel,
     run_validation,
-    run_while_while,
     sort_hits,
     validate_kernel,
 )
-from ftbtrace.kernels import CORRECT_KERNELS, KERNELS, FtbReport
-from ftbtrace.pipeline import TraceStats
+from ftbtrace.kernels import CORRECT_KERNELS, KERNELS
 
 from probes import rays_for, stuck_trace
 
@@ -105,11 +103,10 @@ def test_validate_reports_first_failing_ray_with_sequences(register_kernel):
     built = build_scene(scene)
     rays = rays_for(scene, 10, 8)
 
-    def drops_one_tie(built_, ray, user_code, stats=None, user_prd=None):
-        rep = run_while_while(built_, ray, user_code, stats=stats, user_prd=user_prd)
+    def drops_one_tie(built_, ray, rep):
+        KERNELS["while-while"].run(built_, ray, rep)
         if len(rep.hits) > 1:
             rep.hits.pop(1)
-        return rep
 
     v = validate_kernel(register_kernel("drops-one-tie", drops_one_tie), built, rays)
     assert not v.ok
@@ -124,10 +121,9 @@ def test_validate_flags_broken_counters(register_kernel):
     built = build_scene(scene)
     rays = rays_for(scene, 6, 5)
 
-    def extra_trace(built_, ray, user_code, stats=None, user_prd=None):
-        rep = run_while_while(built_, ray, user_code, stats=stats, user_prd=user_prd)
+    def extra_trace(built_, ray, rep):
+        KERNELS["while-while"].run(built_, ray, rep)
         rep.stats.traces += 1
-        return rep
 
     # a custom kernel's counter rule is checked as a built-in one's is
     rule = KERNELS["while-while"].counter_rule
@@ -163,12 +159,11 @@ def test_rebuild_stability_catches_sequence_drift(register_kernel):
 
     flip = {"on": False}
 
-    def unstable(built_, ray, user_code, stats=None, user_prd=None):
-        rep = run_while_while(built_, ray, user_code, stats=stats, user_prd=user_prd)
+    def unstable(built_, ray, rep):
+        KERNELS["while-while"].run(built_, ray, rep)
         if flip["on"] and len(rep.hits) > 1:
             rep.hits.pop()  # lose a hit on rebuilt trees only
         flip["on"] = True
-        return rep
 
     rep = check_rebuild_stability(register_kernel("unstable", unstable), scene, rays, seeds=(1,))
     assert not rep.ok
@@ -242,8 +237,8 @@ def test_validation_reports_are_pinned(gen, seeds):
 def _fixed(hits):
     """The run of a kernel that delivers ``hits`` whatever the tree."""
 
-    def fixed(built_, ray, user_code, stats=None, user_prd=None):
-        return FtbReport(list(hits), False, stats if stats is not None else TraceStats())
+    def fixed(built_, ray, rep):
+        rep.hits.extend(hits)
 
     return fixed
 
@@ -291,9 +286,8 @@ def test_a_kernel_named_twice_is_run_and_reported_once(register_kernel):
     cam = resolve_camera(scene, 4, 3)
     runs = []
 
-    def fixed(built_, ray, user_code, stats=None, user_prd=None):
+    def fixed(built_, ray, rep):
         runs.append(ray)
-        return FtbReport([], False, stats if stats is not None else TraceStats())
 
     kernel = register_kernel("fixed", fixed)
     status, report = run_validation(scene, [kernel, "stable-next", kernel, "stable-next"], cam, seeds=(1,))

@@ -218,3 +218,16 @@ def test_per_ray_data_is_threaded_through():
     trace(built, make_ray((0, 0, 0), (0, 0, 1), 0, 10),
           TraceConfig(any_hit=ah, closest_hit=ch), prd, TraceStats())
     assert prd == {"ah": 1, "ch": 1}
+
+
+def test_trace_stats_add_and_as_dict_cover_every_counter():
+    # add and as_dict are derived from one table: a counter missing from it
+    # would be dropped from sums and reports
+    values = {name: 3 + i for i, name in enumerate(vars(TraceStats()))}
+    total = TraceStats(**values)
+    total.add(TraceStats(**values))
+    assert vars(total) == {name: 2 * v for name, v in values.items()}
+    assert list(total.as_dict()) == [
+        "traces", "nodesVisited", "triTests", "ahCalls", "chCalls", "missCalls", "userCodeCalls",
+    ]
+    assert sorted(total.as_dict().values()) == sorted(vars(total).values())

@@ -1,13 +1,21 @@
-"""The README's "Command line" examples parse with the CLI's own parser."""
+"""The README's examples work: its "Command line" lines parse with the
+CLI's own parser, and each of its Python blocks runs."""
 
 import argparse
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from ftbtrace.cli import build_parser
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+_PYTHON_BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
 
 
 def _command_lines() -> list:
@@ -26,3 +34,16 @@ def test_readme_command_lines_parse():
         parser.parse_args(words[1:])  # argparse exits 2 on a stale option
     [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert {words[1] for words in lines} == set(subparsers.choices)
+
+
+def test_readme_has_python_blocks():
+    assert len(_PYTHON_BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("block", _PYTHON_BLOCKS, ids=lambda b: b.splitlines()[0])
+def test_readme_python_block_runs(block):
+    # a subprocess each, so a block's registry writes stay out of this run
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

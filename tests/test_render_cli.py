@@ -289,12 +289,11 @@ def test_run_validation_nonzero_for_baselines():
     assert checks["order"]["violations"] == 0
 
 
-def _dropping_kernel(built, ray, user_code, stats=None, user_prd=None):
+def _dropping_kernel(built, ray, rep):
     # fails completeness on every ray with a hit, and its delivery order
     # follows the traversal, so a permuted rebuild can change it too
-    rep = run_kernel("ah-only", built, ray, user_code, stats=stats, user_prd=user_prd)
+    KERNELS["ah-only"].run(built, ray, rep)
     del rep.hits[:1]
-    return rep
 
 
 _VALIDATION_KERNELS = list(CORRECT_KERNELS) + ["ah-only", "ch-only", "drops-first-hit"]

@@ -14,18 +14,19 @@ from ftbtrace import (
     Instance,
     Mesh,
     Scene,
+    TraceStats,
     Vec3,
     build_scene,
     gen_abutting_boxes,
     gen_adversarial_order,
     gen_coplanar_stack,
     gen_instanced_grid,
+    iter_multi_hit_batches,
     make_ray,
     make_scene,
     oracle_all_hits,
     resolve_camera,
     run_kernel,
-    run_stable_multi_hit,
     sort_hits,
 )
 from ftbtrace.floatstep import f32_bits
@@ -177,7 +178,7 @@ def test_multi_hit_eviction_under_reversed_arrival():
     ray = make_ray((10, 0, 0), (-1, 0, 0), 0, 100)
     orc = oracle_all_hits(built, ray)
     for n in (1, 2):
-        rep = run_stable_multi_hit(built, ray, lambda h, c, p: None, n=n)
+        rep = run_kernel(f"stable-multi-hit:{n}", built, ray, lambda h, c, p: None)
         assert rep.hits == orc.hits
 
 
@@ -189,9 +190,9 @@ def test_multi_hit_eviction_within_tie_group_under_permutation():
     want = oracle_all_hits(build_scene(scene), ray).hits
     for seed in range(6):
         built = build_scene(scene, BuildOptions(permute_seed=seed))
-        rep = run_stable_multi_hit(built, ray, lambda h, c, p: None, n=3)
+        rep = run_kernel("stable-multi-hit:3", built, ray, lambda h, c, p: None)
         assert rep.hits == want
-        assert rep.batches == [3, 3, 2]
+        assert [len(b) for b in iter_multi_hit_batches(built, ray, 3, TraceStats())] == [3, 3, 2]
 
 
 def test_grid_rays_through_empty_cell():

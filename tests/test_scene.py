@@ -241,10 +241,16 @@ def test_make_scene_parses_spec_strings():
 
 @pytest.mark.parametrize(
     "spec, key_value",
-    [("coplanar:n=x", "n='x'"), ("coplanar:n=2:same_t=yes", "same_t='yes'"), ("grid:m=1e3", "m='1e3'")],
+    [
+        ("coplanar:n=x", "n='x'"), ("coplanar:n=2:same_t=yes", "same_t='yes'"), ("grid:m=1e3", "m='1e3'"),
+        # a key takes the type of its default: true/false for a boolean one,
+        # a whole number for every other
+        ("coplanar:n=true", "n='true'"), ("grid:m=true", "m='true'"), ("coplanar:n=2:same_t=7", "same_t='7'"),
+    ],
 )
 def test_make_scene_names_the_key_of_a_bad_value(spec, key_value):
     name = spec.split(":")[0]
+    want = "true or false" if key_value.startswith("same_t=") else "a whole number"
     with pytest.raises(ValueError) as exc:
         make_scene(spec)
-    assert str(exc.value) == f"generator {name!r}: {key_value} is not a whole number or true/false"
+    assert str(exc.value) == f"generator {name!r}: {key_value} is not {want}"
