@@ -281,15 +281,19 @@ class BuiltScene:
     """Scene with per-mesh trees and a scene-level tree over instances.
 
     ``memo`` is the memo of the ray traced last (see the module docstring).
+    ``oracle_spheres`` is filled by the brute-force reference on its first
+    call for this build (``oracle.oracle_all_hits``); traversal never reads
+    it.
     """
 
-    __slots__ = ("instances", "tlas_nodes", "tlas_order", "memo")
+    __slots__ = ("instances", "tlas_nodes", "tlas_order", "memo", "oracle_spheres")
 
     def __init__(self, instances, tlas_nodes, tlas_order):
         self.instances = instances
         self.tlas_nodes = tlas_nodes
         self.tlas_order = tlas_order
         self.memo = None
+        self.oracle_spheres = None
 
 
 def build_scene(scene, opts: Optional[BuildOptions] = None) -> BuiltScene:

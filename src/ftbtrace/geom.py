@@ -189,10 +189,14 @@ def mt_core(
 ) -> Optional[TriHit]:
     """Moeller-Trumbore ray/triangle test with a pinned evaluation order.
 
-    Edge vectors e1 = v1 - v0 and e2 = v2 - v0 are taken as inputs (their
-    binary64 computation from binary32 vertices is exact).  Boundary tests
-    run on the binary64 barycentrics (edges inclusive), the hit distance is
-    rounded to binary32 and then checked against the exclusive interval.
+    Edge vectors e1 = v1 - v0 and e2 = v2 - v0 are taken as inputs, so the
+    triangle tested is v0 + u·e1 + v·e2 for the given e1 and e2.  Their
+    binary64 computation from binary32 vertices is exact when each pair of
+    coordinates is zero or has binary32 exponents at most 28 apart; beyond
+    that it rounds (``1.0 - f32(1e30)`` is ``-f32(1e30)``), and v0 + e1 is
+    then not exactly v1.  Boundary tests run on the binary64 barycentrics
+    (edges inclusive), the hit distance is rounded to binary32 and then
+    checked against the exclusive interval.
     Nothing before that last check reads the interval, so traversal calls
     this once per ray and triangle with (-inf, inf), keeps each hit in its
     one-ray memo as a finished ``HitContext`` (the ``bvh`` module docstring

@@ -1,18 +1,22 @@
 """Brute-force ground truth and differential validation of the kernels.
 
-The reference enumerates every triangle of every instance directly -- no
-tree, no pipeline -- but runs the very same intersection routine and the
-same instance ray transform as the traversal, so reference-versus-kernel
-distance comparisons are exact with zero tolerance.  It yields hit
-identities (``HitDesc``) and their equal-distance groups.  Validation replays a
-kernel to exhaustion over many rays and checks completeness, ordering,
-distance-group contents, duplicates, stable-sequence equality and the
-kernels' trace-count identities against the reference.  Failures are data
-in the report, not exceptions.
+The reference reads no tree data -- no node, no box, no pipeline -- but runs
+the very same intersection routine and the same instance ray transform as
+the traversal, so reference-versus-kernel distance comparisons are exact
+with zero tolerance.  It tests every triangle of every instance that the
+ray's line can reach: a world-space bounding sphere per instance, computed
+from ``Blas.tris`` and padded by a proven bound, skips the instances whose
+sphere the line misses (``oracle_all_hits`` gives the bound).  It yields hit
+identities (``HitDesc``) and their equal-distance groups.  Validation
+replays a kernel to exhaustion over many rays and checks completeness,
+ordering, distance-group contents, duplicates, stable-sequence equality and
+the kernels' trace-count identities against the reference.  Failures are
+data in the report, not exceptions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,6 +26,13 @@ from .hitorder import HitDesc, sort_hits
 from .kernels import KernelStalled, is_stable, parse_kernel, run_kernel
 from .pipeline import TraceStats
 
+_INF = math.inf
+_U = 2.0 ** -53  # binary64 unit roundoff
+_U32 = 2.0 ** -24  # binary32 unit roundoff
+_REL = 2.0 ** -20  # the pad's budget for mt_core's own rounding, relative
+_UP = 1.0 + 2.0 ** -40  # lifts a value computed in at most 60 roundings above its exact value
+_DIR_FLOOR = 2.0 ** -118  # the cull needs |direction| >= this times the linear part's norm
+
 
 @dataclass
 class OracleResult:
@@ -30,22 +41,231 @@ class OracleResult:
 
 
 def oracle_all_hits(built: BuiltScene, ray) -> OracleResult:
-    """Every hit with t_min < t < t_max, by direct enumeration, sorted."""
+    """Every hit with t_min < t < t_max, by direct enumeration, sorted.
+
+    Each triangle of each instance goes through the instance's
+    ``object_ray_parts`` and ``mt_core`` in primitive order; only instances
+    that provably hold no hit are skipped.  The cull reads no tree data and
+    never reads t_min or t_max.  The first call for a build fills
+    ``built.oracle_spheres`` with one world-space sphere per instance: its
+    centre c and a reach p0 + p1·|o| (o the ray's origin) that is its
+    radius plus a pad.  An instance is skipped when the ray's line misses
+    that sphere: |(c - o) × d|² > (p0 + p1·|o|)²·|d|².  A zero direction
+    hits nothing (``mt_core`` returns None at det == 0), so it skips every
+    instance; a NaN or an infinity in the test keeps the instance.
+
+    The bound.  Write η = 2^-53 and η32 = 2^-24.  An instance maps object to
+    world space by x ↦ M·x + t (its ``transform``); W and w are the linear
+    part and translation of the computed inverse (``inv_rows``).  m bounds
+    M's spectral norm (the square root of the largest absolute row sum of
+    MᵀM); mF and wF are the Frobenius norms of M and W.  The object sphere
+    (C, r) holds every point v0 + u·e1 + v·e2 (u, v >= 0, u + v <= 1) of
+    every triangle ``mt_core`` is given, which need not be the mesh's own
+    triangle: it is the box of the computed corners v0, v0 + e1 and
+    v0 + e2, widened by 2η times its largest coordinate so that it holds
+    the exact corners too.  Say ``mt_core`` reports a hit on (o', d') with
+    barycentrics (û, v̂).  Let L' be the exact line o' + s·d', and P the
+    point v0 + (û·e1 + v̂·e2)/(1 + η) of the triangle: fl(û + v̂) <= 1 gives
+    û + v̂ <= 1 + η, and P is within η(|e1| + |e2|) of v0 + û·e1 + v̂·e2.
+
+    (c) mt_core.  Let T = o' - v0, n = e1 × e2, and let D = e1·(d' × e2),
+        Nu = T·(d' × e2) and Nv = d'·(T × e1) be the exact det and
+        numerators.  In binary64 without underflow, which binary32 inputs
+        guarantee, the computed ones are off by at most δD = 6η|e1||d'||e2|,
+        δu = 8η|T||d'||e2| and δv = 8η|T||d'||e1|.  The inclusive tests
+        0 <= û <= 1, v̂ >= 0 and fl(û + v̂) <= 1 give |û|, |v̂| <= 1 + η, so
+        the residuals r1 = û·D - Nu and r2 = v̂·D - Nv are below about
+        δD + δu + 3η|D̂| and δD + δv + 3η|D̂|.  For every s, r1 and r2 are
+        the dot products of v0 + û·e1 + v̂·e2 - o' - s·d' with d' × e2 and
+        e1 × d'; both vectors are normal to d' and their cross product is
+        -D·d', so that point is within (|r1||e1| + |r2||e2|)/|D| of L'.
+        As det → 0 this grows without limit.  On a line in the triangle's
+        plane D is 0, the computed det is rounding alone, and û and v̂ are
+        ratios of roundings: a line in a tilted triangle's plane, a dozen
+        edge lengths from it, was reported as a hit at t = 256.  No finite
+        pad covers that.  The bound covers
+        every hit with |D| >= 2^-27·|d'||e1||e2|, a det at least 2^23 times
+        its own rounding bound; that is sin α >= 2^-27·|e1||e2|/|n| for the
+        angle α between line and plane.  There, with |e1|, |e2| <= 2r and
+        |T| <= |o'| + |C| + r, dist(P, L') <= E = 2^-20·(|C| + r + |o'|).
+        A hit on a line closer to parallel is rounding noise, which the
+        tree's boxes cull as freely as this sphere does.
+    (a) object_ray_parts.  o' = W·o + w + δo and d' = W·d + δd, where the
+        binary64 sums and the binary32 rounding give |δo| <= (η32 + 10η)·
+        (wF|o| + |w|) + 2^-148 and |δd| <= (η32 + 10η)·wF|d| + 2^-148.
+        Mapped back, M·o' + t - o = (MW - I)·o + (M·w + t) + M·δo.  The
+        direction error grows with the hit's parameter s, and |s||d'| <=
+        |C| + r + |o'| + E; so |s|·|M·d' - d| <= 2ε·m·(|C| + r + |o'| + E)
+        for the relative direction error ε = εR + m(η32 + 10η)wF + 2^-30.
+        That needs ε <= 1/2, or the instance is never skipped, and |d| >=
+        2^-118·m for the build's largest m, or the ray skips no instance.
+        With |o'| <= (1 + 2^-23)(wF|o| + |w|) + 2^-148, one term grows with
+        |o|, and the whole bound scales with the condition number m·wF.
+    (b) The inverse's gap.  εR bounds ||MW - I|| and ρ bounds |M·w + t|:
+        both are computed from the stored floats, plus their own rounding
+        (5η·mF·wF and 5η(mF|w| + |t|)).  The identity transform has no (a)
+        and no (b): o' = o, d' = d and m = 1.
+    (d) The cull.  The computed centre c is within 5η(mF|C| + |t|) of
+        M·C + t.  The cross product is computed as c × d - o × d, with
+        o × d once per ray; its error is at most 5η(|c| + |o|)|d|, a bounded
+        cancellation (the form |c - o|² - ((c - o)·d)²/|d|² would lose all
+        digits of a small distance).  The squares, |o| and the products
+        round by at most 11η relatively.
+
+    So a hit on the instance puts its world point M·P + t within m·r of
+    M·C + t, and within m·E + |M·o' + t - o| + |s|·|M·d' - d| of the line.
+    p0 + p1·|o| is the sum of these bounds and (d)'s, and p0 and p1 are
+    raised by the factor 1 + 2^-40, more than the rounding of the few dozen
+    operations that form them and of the test.
+    """
+    spheres = built.oracle_spheres
+    if spheres is None:
+        spheres = built.oracle_spheres = _instance_spheres(built)
+    guard, spheres = spheres
     found = []
     t_min = ray.t_min
     t_max = ray.t_max
-    for bi in built.instances:
-        ox, oy, oz, dx, dy, dz = bi.object_ray_parts(ray)
+    ox, oy, oz = ray.origin
+    dx, dy, dz = ray.direction
+    if not (dx or dy or dz):
+        return OracleResult([], [])
+    dd = dx * dx + dy * dy + dz * dz
+    # an infinite |o| keeps every instance: too short a direction, or NaN
+    on = math.sqrt(ox * ox + oy * oy + oz * oz) if dd >= guard else _INF
+    kx = oy * dz - oz * dy
+    ky = oz * dx - ox * dz
+    kz = ox * dy - oy * dx
+    for cx, cy, cz, p0, p1, bi in spheres:
+        x = cy * dz - cz * dy - kx
+        y = cz * dx - cx * dz - ky
+        z = cx * dy - cy * dx - kz
+        reach = p0 + p1 * on
+        if reach * reach * dd < x * x + y * y + z * z < _INF:
+            continue  # the line misses the padded sphere
+        rox, roy, roz, rdx, rdy, rdz = bi.object_ray_parts(ray)
         inst = bi.index
         for geom in bi.geoms:
             sbt = geom.sbt_offset
             # original primitive order, independent of the tree
             for prim, tri in enumerate(geom.blas.tris):
-                hit = mt_core(ox, oy, oz, dx, dy, dz, t_min, t_max, *tri)
+                hit = mt_core(rox, roy, roz, rdx, rdy, rdz, t_min, t_max, *tri)
                 if hit is not None:
                     found.append(HitDesc(hit.t, prim, sbt, inst))
     hits = sort_hits(found)
     return OracleResult(hits, [g for _, g in _grouped(hits)])
+
+
+def _corner_box(tris):
+    """Componentwise least and greatest computed corner v0, v0 + e1 and
+    v0 + e2 of packed triangles, streamed."""
+    lox = loy = loz = _INF
+    hix = hiy = hiz = -_INF
+    for v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z in tris:
+        ax, bx = v0x + e1x, v0x + e2x
+        ay, by = v0y + e1y, v0y + e2y
+        az, bz = v0z + e1z, v0z + e2z
+        lox = min(lox, v0x, ax, bx)
+        loy = min(loy, v0y, ay, by)
+        loz = min(loz, v0z, az, bz)
+        hix = max(hix, v0x, ax, bx)
+        hiy = max(hiy, v0y, ay, by)
+        hiz = max(hiz, v0z, az, bz)
+    return (lox, loy, loz), (hix, hiy, hiz)
+
+
+def _norm(*xs):
+    """Euclidean norm, raised above its rounding."""
+    return math.sqrt(sum(x * x for x in xs)) * _UP
+
+
+def _object_sphere(blases, boxes):
+    """(C, r, |C|): a sphere around every exact triangle of the meshes."""
+    lo = [_INF] * 3
+    hi = [-_INF] * 3
+    for blas in blases:
+        box = boxes.get(blas)
+        if box is None:
+            box = boxes[blas] = _corner_box(blas.tris)
+        for a in range(3):
+            lo[a] = min(lo[a], box[0][a])
+            hi[a] = max(hi[a], box[1][a])
+    # the box widened by the corners' rounding holds the exact corners
+    C = tuple((lo[a] + hi[a]) * 0.5 for a in range(3))
+    r = _norm(*(max(C[a] - lo[a], hi[a] - C[a]) + 2 * _U * max(-lo[a], hi[a]) for a in range(3)))
+    return C, r, _norm(*C)
+
+
+def _linear_terms(m, w, r, cn):
+    """(ok, m, mF, q0, q1, p1) of ``oracle_all_hits``'s bound for a linear
+    part ``m`` (rows), the 9 floats ``w`` of its computed inverse and an
+    object sphere of radius ``r`` whose centre has norm ``cn``.  An
+    instance's p0 is q0 + q1·|w| + ρ + 5η(|t| + |c|), from its own
+    translation; ok is False when the direction error ε exceeds 1/2."""
+    mF = _norm(*m[0], *m[1], *m[2])
+    wF = _norm(*w)
+    gram = [[m[0][i] * m[0][j] + m[1][i] * m[1][j] + m[2][i] * m[2][j] for j in range(3)] for i in range(3)]
+    norm = math.sqrt(max(abs(a) + abs(b) + abs(c) for a, b, c in gram) + 8 * _U * mF * mF) * _UP
+    residual = [
+        m[i][0] * w[j] + m[i][1] * w[3 + j] + m[i][2] * w[6 + j] - (1.0 if i == j else 0.0)
+        for i in range(3)
+        for j in range(3)
+    ]
+    eps_r = (_norm(*residual) + 5 * _U * mF * wF) * _UP
+    eps = (eps_r + norm * (_U32 + 10 * _U) * wF + 2.0 ** -30) * _UP
+    # |o'| <= (1 + 2^-23)(wF|o| + |w|) + 2^-148; s0 is |C| + r + |o'| at o = 0
+    grow = norm * _REL + 2.01 * eps * norm
+    q0 = norm * r + grow * (cn + r + 2.0 ** -148) + norm * 2.0 ** -148 + 5 * _U * mF * cn
+    q1 = grow * (1.0 + 2.0 ** -23) + norm * (_U32 + 10 * _U)
+    p1 = grow * (1.0 + 2.0 ** -23) * wF + eps_r + norm * (_U32 + 10 * _U) * wF + 5 * _U
+    return eps <= 0.5, norm, mF, q0, q1, p1 * _UP
+
+
+def _instance_spheres(built: BuiltScene):
+    """(the least |d|² the cull holds for, one (cx, cy, cz, p0, p1,
+    instance) per instance): ``oracle_all_hits``'s cull data, from
+    ``Blas.tris`` and the transforms only."""
+    boxes = {}
+    objects = {}
+    linear = {}
+    guard = 0.0
+    spheres = []
+    for bi in built.instances:
+        blases = tuple(g.blas for g in bi.geoms)
+        sphere = objects.get(blases)
+        if sphere is None:
+            sphere = objects[blases] = _object_sphere(blases, boxes)
+        (Cx, Cy, Cz), r, cn = sphere
+        rows = bi.inv_rows
+        if rows is None:
+            p0 = r + _REL * (cn + r) + 5 * _U * cn
+            spheres.append((Cx, Cy, Cz, p0 * _UP, (_REL + 5 * _U) * _UP, bi))
+            continue
+        m, t = bi.transform
+        key = (m, sphere)
+        terms = linear.get(key)
+        if terms is None:
+            terms = linear[key] = _linear_terms(m, rows[:9], r, cn)
+        ok, norm, mF, q0, q1, p1 = terms
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+        tx, ty, tz = t
+        wx, wy, wz = rows[9:]
+        cx = m00 * Cx + m01 * Cy + m02 * Cz + tx
+        cy = m10 * Cx + m11 * Cy + m12 * Cz + ty
+        cz = m20 * Cx + m21 * Cy + m22 * Cz + tz
+        if not ok:
+            spheres.append((cx, cy, cz, _INF, _INF, bi))
+            continue
+        guard = max(guard, (_DIR_FLOOR * norm) ** 2 * _UP)
+        tn = math.sqrt(tx * tx + ty * ty + tz * tz)
+        wn = math.sqrt(wx * wx + wy * wy + wz * wz)
+        rx = m00 * wx + m01 * wy + m02 * wz + tx
+        ry = m10 * wx + m11 * wy + m12 * wz + ty
+        rz = m20 * wx + m21 * wy + m22 * wz + tz
+        rho = math.sqrt(rx * rx + ry * ry + rz * rz) + 5 * _U * (mF * wn + tn)
+        p0 = q0 + q1 * wn + rho + 5 * _U * (tn + math.sqrt(cx * cx + cy * cy + cz * cz))
+        # every term is a sum of products of norms: one lift covers their rounding
+        spheres.append((cx, cy, cz, p0 * _UP, p1, bi))
+    return guard, spheres
 
 
 def _triple(h: HitDesc):

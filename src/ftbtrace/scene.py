@@ -230,6 +230,21 @@ def load_manifest(path) -> Scene:
 
 _QUAD_XY = ((-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5))
 
+# each sized generator's size key with its least and greatest value; the
+# caps allow 8192 triangles, 12288 triangles in 1024 geometries and 4096
+# instances, and each capped scene builds in well under a second
+SIZE_RANGES = {"coplanar": ("n", 1, 4096), "abutting": ("k", 2, 1024), "grid": ("m", 1, 64)}
+
+
+def _check_size(name: str, value: int) -> None:
+    """ValueError, naming the generator and its key, for a size outside the
+    generator's ``SIZE_RANGES`` entry."""
+    key, least, cap = SIZE_RANGES[name]
+    if value < least:
+        raise ValueError(f"generator {name!r}: {key}={value} is below its minimum {least}")
+    if value > cap:
+        raise ValueError(f"generator {name!r}: {key}={value} is above its cap {cap}")
+
 
 def _camera_hint(position, look_at, fov_y) -> dict:
     """A generator's camera hint; every generator's camera has +y up."""
@@ -244,8 +259,7 @@ def gen_coplanar_stack(n: int, same_t: bool = True) -> Scene:
     exactly the same binary32 distance.  Otherwise quad k sits at z = 5 + k
     and the same ray sees strictly increasing distances.
     """
-    if n < 1:
-        raise ValueError("gen_coplanar_stack: n >= 1")
+    _check_size("coplanar", n)
     vertices = []
     indices = []
     for k in range(n):
@@ -287,8 +301,7 @@ def gen_abutting_boxes(k: int) -> Scene:
     the shared axis crosses two exactly coincident triangles at every
     interior boundary and one at each exterior face.
     """
-    if k < 2:
-        raise ValueError("gen_abutting_boxes: k >= 2")
+    _check_size("abutting", k)
     geometries = [
         Geometry(_box_mesh(float(i), float(i + 1), 0.0, 1.0, 0.0, 1.0), i)
         for i in range(k)
@@ -306,8 +319,7 @@ def gen_instanced_grid(m: int) -> Scene:
     the instance index.  For m = 1 the single instance uses the exact
     identity transform.
     """
-    if m < 1:
-        raise ValueError("gen_instanced_grid: m >= 1")
+    _check_size("grid", m)
     vertices = [Vec3(x, y, 5.0) for (x, y) in _QUAD_XY]
     mesh = Mesh(vertices, [(0, 1, 2), (0, 2, 3)])
     geom = Geometry(mesh, 0)
@@ -383,18 +395,13 @@ GENERATORS = {
     "leaf-reorder": gen_leaf_reorder,
 }
 
-# the largest value of each generator's size key: 8192 triangles, 12288
-# triangles in 1024 geometries, 4096 instances; each builds in well under
-# a second
-SIZE_CAPS = {"coplanar": ("n", 4096), "abutting": ("k", 1024), "grid": ("m", 64)}
-
 
 def make_scene(spec: str) -> Scene:
     """Scene from a generator spec string like ``coplanar:n=8:same_t=true``.
 
     ValueError for an unknown generator, a malformed value, a key the
-    generator does not take or requires and is not given, or a size above
-    its ``SIZE_CAPS`` entry.
+    generator does not take or requires and is not given, or a size outside
+    its ``SIZE_RANGES`` entry (the generator checks that before any work).
     """
     parts = spec.split(":")
     name = parts[0]
@@ -430,8 +437,4 @@ def make_scene(spec: str) -> Scene:
     missing = [k for k in keys[:required] if k not in kwargs]
     if missing:
         raise ValueError(f"generator {name!r}: missing key {missing[0]!r} {valid}")
-    if name in SIZE_CAPS:
-        key, cap = SIZE_CAPS[name]
-        if kwargs[key] > cap:
-            raise ValueError(f"generator {name!r}: {key}={kwargs[key]} is above its cap {cap}")
     return fn(**kwargs)

@@ -1,12 +1,23 @@
 import hashlib
 import json
+import math
+import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ftbtrace import (
+    Affine3,
     BuildOptions,
+    Geometry,
     HitDesc,
+    Instance,
+    Mesh,
+    Scene,
+    Vec3,
     build_scene,
+    camera_rays,
     check_rebuild_stability,
     gen_abutting_boxes,
     gen_adversarial_order,
@@ -21,6 +32,8 @@ from ftbtrace import (
     sort_hits,
     validate_kernel,
 )
+from ftbtrace.bvh import BuiltInstance
+from ftbtrace.geom import IDENTITY, apply_point, mt_core, vec3_32
 from ftbtrace.kernels import CORRECT_KERNELS, KERNELS
 
 from probes import rays_for, stuck_trace
@@ -294,3 +307,174 @@ def test_a_kernel_named_twice_is_run_and_reported_once(register_kernel):
     assert list(report["kernels"]) == list(report["stability"]) == ["fixed", "stable-next"]
     assert report["kernels"]["fixed"]["kernel"] == report["stability"]["fixed"]["kernel"] == "fixed"
     assert len(runs) == 2 * 4 * 3  # the base and one permuted build, 4x3 rays
+
+
+def _brute_force(built, ray):
+    """(hits, groups) of every triangle of every instance through
+    ``object_ray_parts`` and ``mt_core``, with no cull."""
+    found = []
+    for bi in built.instances:
+        parts = bi.object_ray_parts(ray)
+        for geom in bi.geoms:
+            for prim, tri in enumerate(geom.blas.tris):
+                hit = mt_core(*parts, ray.t_min, ray.t_max, *tri)
+                if hit is not None:
+                    found.append(HitDesc(hit.t, prim, geom.sbt_offset, bi.index))
+    hits = sort_hits(found)
+    groups = []
+    for h in hits:
+        if groups and groups[-1][0].t == h.t:
+            groups[-1].append(h)
+        else:
+            groups.append([h])
+    return hits, groups
+
+
+# a unit quad in z = 0 and two tilted triangles, one of them a sliver
+_QUAD = Mesh([Vec3(-0.5, -0.5, 0.0), Vec3(0.5, -0.5, 0.0), Vec3(0.5, 0.5, 0.0), Vec3(-0.5, 0.5, 0.0)],
+             [(0, 1, 2), (0, 2, 3)])
+_TILTED = Mesh([vec3_32(0.1, -0.3, 0.7), vec3_32(0.9, 0.2, -0.4), vec3_32(-0.6, 0.8, 0.3),
+                vec3_32(0.35, 0.3, 0.15), vec3_32(0.37, 0.31, 0.149), vec3_32(-0.2, -0.7, 0.9)],
+               [(0, 1, 2), (3, 4, 5)])
+_MESHES = (_QUAD, _TILTED)
+
+
+def _rotation(a, b, c):
+    ca, sa, cb, sb, cc, sc = math.cos(a), math.sin(a), math.cos(b), math.sin(b), math.cos(c), math.sin(c)
+    rz = ((ca, -sa, 0.0), (sa, ca, 0.0), (0.0, 0.0, 1.0))
+    ry = ((cb, 0.0, sb), (0.0, 1.0, 0.0), (-sb, 0.0, cb))
+    rx = ((1.0, 0.0, 0.0), (0.0, cc, -sc), (0.0, sc, cc))
+
+    def mul(p, q):
+        return tuple(tuple(sum(p[i][k] * q[k][j] for k in range(3)) for j in range(3)) for i in range(3))
+
+    return mul(mul(rz, ry), rx)
+
+
+_ANGLE = st.floats(min_value=-math.pi, max_value=math.pi)
+_SCALE = st.floats(min_value=10.0 ** -1.5, max_value=10.0 ** 1.5)
+_SHIFT = st.sampled_from((0.0, 1.0, 3.0, 1e6))
+
+
+@st.composite
+def _instance_transforms(draw):
+    """Affine transforms: rotated, non-uniformly scaled (condition number up
+    to 1e3) and shifted up to 1e6 from the origin; the identity; a linear
+    part of 1e30 on the diagonal."""
+    kind = draw(st.sampled_from(("general", "general", "general", "identity", "huge")))
+    if kind == "identity":
+        return IDENTITY
+    if kind == "huge":
+        return Affine3(((1e30, 0.0, 0.0), (0.0, 1e30, 0.0), (0.0, 0.0, 1e30)),
+                       vec3_32(draw(_SHIFT) * 1e30, 0.0, 0.0))
+    rot = _rotation(draw(_ANGLE), draw(_ANGLE), draw(_ANGLE))
+    scale = (draw(_SCALE), draw(_SCALE), draw(_SCALE))
+    m = tuple(tuple(rot[i][j] * scale[j] for j in range(3)) for i in range(3))
+    shift = draw(_SHIFT)
+    offset = [draw(st.floats(min_value=-4.0, max_value=4.0)) for _ in range(3)]
+    return Affine3(m, vec3_32(*(shift + x for x in offset)))
+
+
+@st.composite
+def _cull_cases(draw):
+    """A scene built directly from ``Scene`` and rays aimed at it."""
+    geometries = [Geometry(mesh, sbt) for sbt, mesh in enumerate(_MESHES)]
+    instances = []
+    for index in range(draw(st.integers(min_value=1, max_value=4))):
+        geoms = draw(st.sampled_from(([geometries[0]], [geometries[1]], geometries)))
+        instances.append(Instance(geoms, draw(_instance_transforms()), index))
+    scene = Scene(instances)
+    rays = []
+    for _ in range(6):
+        inst = draw(st.sampled_from(instances))
+        mesh = draw(st.sampled_from([g.mesh for g in inst.geometries]))
+        a, b, c = (apply_point(inst.transform, mesh.vertices[i]) for i in draw(st.sampled_from(mesh.indices)))
+        # a vertex, a point on an edge, or the centroid of a triangle
+        s = draw(st.floats(min_value=0.0, max_value=1.0))
+        u, v = draw(st.sampled_from(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (s, 0.0), (s, 1.0 - s), (1 / 3, 1 / 3))))
+        target = a.add(b.sub(a).scale(u)).add(c.sub(a).scale(v))
+        scale = max(abs(x) for x in (*b.sub(a), *c.sub(a)))
+        kind = draw(st.sampled_from(("aimed", "grazing", "far", "zero", "tangent")))
+        if kind == "tangent" and mesh is _QUAD and len(inst.geometries) == 1:
+            # through a quad corner, square to the line from the quad's
+            # centre: on the rim of a uniformly scaled quad's sphere
+            target = apply_point(inst.transform, mesh.vertices[draw(st.integers(0, 3))])
+            rim = target.sub(apply_point(inst.transform, Vec3(0.0, 0.0, 0.0)))
+            w = Vec3(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+            direction = rim.cross(w)
+            assume(direction.length() > 0.0)
+            away = rim.length() * draw(st.sampled_from((4.0, 1e6)))
+            origin = target.sub(direction.scale(away / direction.length()))
+        elif kind == "zero":
+            direction = Vec3(0.0, 0.0, 0.0)
+            origin = target
+        elif kind == "grazing":
+            # nearly in the triangle's plane: an in-plane direction plus a
+            # small part of the normal
+            n = b.sub(a).cross(c.sub(a))
+            along = b.sub(a).scale(draw(st.floats(-1.0, 1.0))).add(c.sub(a).scale(draw(st.floats(-1.0, 1.0))))
+            assume(along.length() > 0.0 and n.length() > 0.0)
+            tilt = draw(st.sampled_from((0.0, 2.0 ** -24, 2.0 ** -16, 2.0 ** -8)))
+            direction = along.scale(1.0 / along.length()).add(n.scale(tilt / n.length()))
+            origin = target.sub(direction.scale(scale * draw(st.sampled_from((0.5, 4.0, 1e3)))))
+        else:
+            w = Vec3(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+            assume(w.length() > 1e-3)
+            reach = scale * 3.0 if kind != "far" else max(scale, 1.0) * draw(st.sampled_from((1e6, 1e7)))
+            origin = target.add(w.scale(reach / w.length()))
+            direction = target.sub(origin)
+        t_min = draw(st.sampled_from((0.0, -math.inf)))
+        rays.append(make_ray(origin, direction, t_min, math.inf))
+    return scene, rays
+
+
+@settings(max_examples=100)
+@given(_cull_cases())
+def test_culled_oracle_equals_brute_force(case):
+    scene, rays = case
+    built = build_scene(scene)
+    for ray in rays:
+        got = oracle_all_hits(built, ray)
+        assert (got.hits, got.groups) == _brute_force(built, ray), ray
+
+
+def test_oracle_cull_tests_few_instances_on_the_grid(monkeypatch):
+    # grid:m=12 at 24x16: the unculled reference maps every ray into all
+    # 144 instances (55,296 calls); the cull leaves about one in three rays
+    # one instance to test
+    scene = make_scene("grid:m=12")
+    built = build_scene(scene)
+    rays = camera_rays(resolve_camera(scene, 24, 16))
+    want = [_brute_force(built, ray) for ray in rays]
+    calls = []
+    parts = BuiltInstance.object_ray_parts
+    monkeypatch.setattr(BuiltInstance, "object_ray_parts", lambda bi, ray: calls.append(bi) or parts(bi, ray))
+    got = [oracle_all_hits(built, ray) for ray in rays]
+    assert len(calls) <= len(rays) == 384
+    assert [(o.hits, o.groups) for o in got] == want
+    assert any(o.hits for o in got)
+
+
+def test_culled_oracle_keeps_tangent_hits_from_far_origins():
+    # lines through a quad's corner, square to the line from its centre and
+    # from 1e4 to 1e7 sizes away: the binary32 rounding of the object-space
+    # origin moves some hits just outside the unpadded sphere, which only the
+    # pad's term in |origin| covers
+    rng = random.Random(7)
+    geom = Geometry(_QUAD, 0)
+    instances = []
+    for index in range(8):
+        rot = _rotation(rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
+        s = rng.choice((0.1, 1.0, 30.0))
+        m = tuple(tuple(x * s for x in row) for row in rot)
+        instances.append(Instance([geom], Affine3(m, vec3_32(*(rng.uniform(-3.0, 3.0) for _ in range(3)))), index))
+    built = build_scene(Scene(instances))
+    for _ in range(500):
+        inst = rng.choice(instances)
+        corner = apply_point(inst.transform, _QUAD.vertices[rng.randrange(4)])
+        rim = corner.sub(apply_point(inst.transform, Vec3(0.0, 0.0, 0.0)))
+        direction = rim.cross(Vec3(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
+        away = rim.length() * rng.choice((1e4, 1e6, 1e7))
+        ray = make_ray(corner.sub(direction.scale(away / direction.length())), direction, -math.inf, math.inf)
+        got = oracle_all_hits(built, ray)
+        assert (got.hits, got.groups) == _brute_force(built, ray), ray

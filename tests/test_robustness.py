@@ -460,16 +460,31 @@ def test_cli_generator_key_it_does_not_take_exits_2(tmp_path, capsys, gen, probl
 
 @pytest.mark.parametrize("gen", ["coplanar:n=4097", "abutting:k=1025", "grid:m=65"])
 def test_cli_generator_size_above_its_cap_exits_2(tmp_path, capsys, gen):
-    from ftbtrace.scene import SIZE_CAPS
+    from ftbtrace.scene import SIZE_RANGES
 
     name, key_value = gen.split(":")
     key, value = key_value.split("=")
     cap = int(value) - 1
-    assert SIZE_CAPS[name] == (key, cap)
+    assert SIZE_RANGES[name][::2] == (key, cap)
     make_scene(f"{name}:{key}={cap}")  # the cap itself is accepted
     for argv in (["render", "--out", str(tmp_path / "x.ppm")], ["validate"]):
         err = _cli_error(capsys, argv + ["--gen", gen, "--size", "4x3"])
         assert err == f"error: generator {name!r}: {key_value} is above its cap {cap}\n"
+    assert not (tmp_path / "x.ppm").exists()
+
+
+@pytest.mark.parametrize("gen, least", [("coplanar:n=0", 1), ("abutting:k=0", 2), ("abutting:k=1", 2),
+                                        ("grid:m=-2", 1), ("grid:m=0", 1)])
+def test_cli_generator_size_below_its_minimum_exits_2(tmp_path, capsys, gen, least):
+    from ftbtrace.scene import SIZE_RANGES
+
+    name, key_value = gen.split(":")
+    key = key_value.split("=")[0]
+    assert SIZE_RANGES[name][:2] == (key, least)
+    make_scene(f"{name}:{key}={least}")  # the minimum itself is accepted
+    for argv in (["render", "--out", str(tmp_path / "x.ppm")], ["validate"]):
+        err = _cli_error(capsys, argv + ["--gen", gen, "--size", "4x3"])
+        assert err == f"error: generator {name!r}: {key_value} is below its minimum {least}\n"
     assert not (tmp_path / "x.ppm").exists()
 
 
