@@ -53,10 +53,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 from .floatstep import f32x6
-from .geom import IDENTITY, HitContext, Ray, Vec3, affine_inverse, apply_point, mt_core, slab_entry
+from .geom import IDENTITY, HitContext, Ray, Vec3, affine_inverse, apply_point, box_of, mt_core, slab_entry
 
 # node tuple layout: (lox, loy, loz, hix, hiy, hiz, left, right, first, count)
 # leaf <=> left < 0; first/count index into the element permutation
@@ -105,15 +106,7 @@ def _build_nodes(bounds, centroids, order, leaf_size):
         if hi - lo <= leaf_size:
             nodes[idx] = (blox, bloy, bloz, bhix, bhiy, bhiz, _LEAF, _LEAF, lo, hi - lo)
             return idx
-        clo = [float("inf")] * 3
-        chi = [float("-inf")] * 3
-        for e in order[lo:hi]:
-            c = centroids[e]
-            for a in range(3):
-                if c[a] < clo[a]:
-                    clo[a] = c[a]
-                if c[a] > chi[a]:
-                    chi[a] = c[a]
+        clo, chi = box_of(centroids[e] for e in order[lo:hi])
         axis = 0
         best = chi[0] - clo[0]
         for a in (1, 2):
@@ -207,30 +200,13 @@ class BuiltInstance:
             inv = self.world_to_object = affine_inverse(transform)
             self.inv_rows = (*inv.m[0], *inv.m[1], *inv.m[2], *inv.t)
         self.geoms = geoms
-        lo = [float("inf")] * 3
-        hi = [float("-inf")] * 3
-        for g in geoms:
-            blox, bloy, bloz, bhix, bhiy, bhiz = g.blas.root_bounds()
-            for cx in (blox, bhix):
-                for cy in (bloy, bhiy):
-                    for cz in (bloz, bhiz):
-                        if identity:
-                            wx, wy, wz = cx, cy, cz
-                        else:
-                            wx, wy, wz = apply_point(transform, Vec3(cx, cy, cz))
-                        if wx < lo[0]:
-                            lo[0] = wx
-                        if wy < lo[1]:
-                            lo[1] = wy
-                        if wz < lo[2]:
-                            lo[2] = wz
-                        if wx > hi[0]:
-                            hi[0] = wx
-                        if wy > hi[1]:
-                            hi[1] = wy
-                        if wz > hi[2]:
-                            hi[2] = wz
-        self.bounds = (lo[0], lo[1], lo[2], hi[0], hi[1], hi[2])
+        # the eight corners of each geometry's root box, z varying fastest
+        boxes = (g.blas.root_bounds() for g in geoms)
+        corners = (c for b in boxes for c in product(*zip(b[:3], b[3:])))
+        if not identity:
+            corners = (apply_point(transform, Vec3(*c)) for c in corners)
+        lo, hi = box_of(corners)
+        self.bounds = (*lo, *hi)
 
     def object_ray_parts(self, ray: Ray):
         """Object-space origin/direction (binary32 components) for this

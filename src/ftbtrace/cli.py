@@ -86,7 +86,7 @@ def _setup(args) -> argparse.Namespace:
             setattr(run, name, None if text is None else parse(text))
         except ValueError as exc:
             raise ValueError(f"--{name.replace('_', '-')}: {exc}") from None
-    if args.gen:
+    if args.gen is not None:
         scene = make_scene(args.gen)
     elif args.scene.endswith(".json"):
         scene = load_manifest(args.scene)

@@ -142,6 +142,32 @@ def apply_point(xf: Affine3, p: Vec3) -> Vec3:
     )
 
 
+def box_of(points):
+    """Componentwise least and greatest of an iterable of 3-points, as
+    ``((lox, loy, loz), (hix, hiy, hiz))``.
+
+    The comparisons are strict, so of equal values (0.0 and -0.0 among
+    them) the first wins and a NaN never does.  No points give
+    ``((inf, inf, inf), (-inf, -inf, -inf))``, a box with lo > hi.
+    """
+    lox = loy = loz = _INF
+    hix = hiy = hiz = -_INF
+    for x, y, z in points:
+        if x < lox:
+            lox = x
+        if x > hix:
+            hix = x
+        if y < loy:
+            loy = y
+        if y > hiy:
+            hiy = y
+        if z < loz:
+            loz = z
+        if z > hiz:
+            hiz = z
+    return (lox, loy, loz), (hix, hiy, hiz)
+
+
 def det3(m) -> float:
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])

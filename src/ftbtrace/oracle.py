@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bvh import BuiltScene, build_scene, BuildOptions
-from .geom import mt_core
+from .geom import box_of, mt_core
 from .hitorder import HitDesc, sort_hits
 from .kernels import KernelStalled, is_stable, parse_kernel, run_kernel
 from .pipeline import TraceStats
@@ -155,22 +155,13 @@ def oracle_all_hits(built: BuiltScene, ray) -> OracleResult:
     return OracleResult(hits, [g for _, g in _grouped(hits)])
 
 
-def _corner_box(tris):
-    """Componentwise least and greatest computed corner v0, v0 + e1 and
-    v0 + e2 of packed triangles, streamed."""
-    lox = loy = loz = _INF
-    hix = hiy = hiz = -_INF
+def _corners(tris):
+    """The computed corners v0, v0 + e1 and v0 + e2 of packed triangles,
+    streamed."""
     for v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z in tris:
-        ax, bx = v0x + e1x, v0x + e2x
-        ay, by = v0y + e1y, v0y + e2y
-        az, bz = v0z + e1z, v0z + e2z
-        lox = min(lox, v0x, ax, bx)
-        loy = min(loy, v0y, ay, by)
-        loz = min(loz, v0z, az, bz)
-        hix = max(hix, v0x, ax, bx)
-        hiy = max(hiy, v0y, ay, by)
-        hiz = max(hiz, v0z, az, bz)
-    return (lox, loy, loz), (hix, hiy, hiz)
+        yield v0x, v0y, v0z
+        yield v0x + e1x, v0y + e1y, v0z + e1z
+        yield v0x + e2x, v0y + e2y, v0z + e2z
 
 
 def _norm(*xs):
@@ -180,16 +171,12 @@ def _norm(*xs):
 
 def _object_sphere(blases, boxes):
     """(C, r, |C|): a sphere around every exact triangle of the meshes."""
-    lo = [_INF] * 3
-    hi = [-_INF] * 3
     for blas in blases:
-        box = boxes.get(blas)
-        if box is None:
-            box = boxes[blas] = _corner_box(blas.tris)
-        for a in range(3):
-            lo[a] = min(lo[a], box[0][a])
-            hi[a] = max(hi[a], box[1][a])
-    # the box widened by the corners' rounding holds the exact corners
+        if blas not in boxes:
+            boxes[blas] = box_of(_corners(blas.tris))
+    # the union of the meshes' boxes, widened by the corners' rounding,
+    # holds the exact corners
+    lo, hi = box_of(corner for blas in blases for corner in boxes[blas])
     C = tuple((lo[a] + hi[a]) * 0.5 for a in range(3))
     r = _norm(*(max(C[a] - lo[a], hi[a] - C[a]) + 2 * _U * max(-lo[a], hi[a]) for a in range(3)))
     return C, r, _norm(*C)
@@ -249,6 +236,8 @@ def _instance_spheres(built: BuiltScene):
         (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
         tx, ty, tz = t
         wx, wy, wz = rows[9:]
+        # geom.apply_point's operation order, written out: a call per
+        # instance would cost a fifth of this loop
         cx = m00 * Cx + m01 * Cy + m02 * Cz + tx
         cy = m10 * Cx + m11 * Cy + m12 * Cz + ty
         cz = m20 * Cx + m21 * Cy + m22 * Cz + tz

@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 from .bvh import BuiltScene, build_scene
 from .floatstep import f32_bits
-from .geom import Ray, apply_point, camera_basis, make_ray
+from .geom import Ray, apply_point, box_of, camera_basis, make_ray
 from .hitorder import HitDesc
 from . import oracle
 from .kernels import Step, run_kernel
@@ -100,17 +100,12 @@ def resolve_camera(scene, width: int, height: int) -> Camera:
             width=width,
             height=height,
         )
-    lo = [math.inf] * 3
-    hi = [-math.inf] * 3
-    for inst in scene.instances:
-        for g in inst.geometries:
-            for v in g.mesh.vertices:
-                w = apply_point(inst.transform, v)
-                for a in range(3):
-                    if w[a] < lo[a]:
-                        lo[a] = w[a]
-                    if w[a] > hi[a]:
-                        hi[a] = w[a]
+    lo, hi = box_of(
+        apply_point(inst.transform, v)
+        for inst in scene.instances
+        for g in inst.geometries
+        for v in g.mesh.vertices
+    )
     if lo[0] > hi[0]:  # empty scene
         return Camera((0.0, 0.0, -5.0), (0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 45.0, width, height)
     center = tuple((lo[a] + hi[a]) * 0.5 for a in range(3))

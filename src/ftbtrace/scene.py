@@ -66,10 +66,11 @@ class Scene:
                 if g.sbt_offset < 0:
                     raise ValueError("sbt_offset must be non-negative")
                 prev = seen_sbt.get(g.sbt_offset)
-                if prev is not None and prev is not g:
+                if prev is g:
+                    continue  # a shared geometry's mesh was checked where first seen
+                if prev is not None:
                     raise ValueError(f"duplicate sbt_offset {g.sbt_offset}")
-                if prev is None:
-                    seen_sbt[g.sbt_offset] = g
+                seen_sbt[g.sbt_offset] = g
                 n = len(g.mesh.vertices)
                 for v in g.mesh.vertices:
                     if not (math.isfinite(v.x) and math.isfinite(v.y) and math.isfinite(v.z)):

@@ -141,6 +141,32 @@ def test_scene_validation_rejects_duplicate_sbt():
         scene.validate()
 
 
+class _CountedList(list):
+    """A list that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_scene_validation_checks_a_shared_geometry_once():
+    verts = _CountedList([Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0)])
+    tris = _CountedList([(0, 1, 2)])
+    geom = Geometry(Mesh(verts, tris), 0)
+    scene = Scene([Instance([geom], translation(2.0 * i, 0, 0), i) for i in range(5)])
+    scene.validate()
+    assert (verts.iterations, tris.iterations) == (1, 1)
+    # the shared mesh is still checked, after the first instance's own checks
+    verts.append(Vec3(float("nan"), 0, 0))
+    with pytest.raises(ValueError, match="mesh vertices must be finite"):
+        scene.validate()
+    scene.instances[0].index = 9
+    with pytest.raises(ValueError, match="instance index 9"):
+        scene.validate()
+
+
 def _center_ray():
     # through one triangle half of every stacked quad, avoiding shared edges
     return make_ray((0.1, -0.2, -1.0), (0, 0, 1), 0, 100)
