@@ -32,8 +32,9 @@ cached hit when t_min < t < live t_max, so the results are bitwise those of
 testing afresh, and ``nodes_visited``/``tri_tests`` still count every
 emulated test of every trace.  The memo is keyed by the identity of
 ``ray.origin`` and ``ray.direction`` (it holds both, so neither id can be
-reused while it lives): a kernel's ``ray._replace(t_min=..., t_max=...)``
-keeps them and hits it, and any other ray replaces it.  Origin and
+reused while it lives): a kernel rebuilds each retrace's ``Ray`` around the
+same origin and direction objects and hits it, and any other ray replaces
+it.  Origin and
 direction are immutable tuples.  Each trace reads ``built.memo`` once, so
 traces on several threads (or one nested in a ``visit``) never mix two rays'
 results; a race only costs a recompute.  Every entry is stored whole, so

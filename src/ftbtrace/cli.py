@@ -92,6 +92,7 @@ def _setup(args) -> argparse.Namespace:
         scene = load_manifest(args.scene)
     else:
         scene = single_mesh_scene(load_obj(args.scene), name=args.scene)
+        scene.validate()  # before the framing, which a bad vertex would break
     leaf = run.leaf_size or scene.build_options.leaf_size
     scene.build_options = BuildOptions(leaf_size=leaf, permute_seed=run.prim_order)
     run.scene, run.cam = scene, resolve_camera(scene, *run.size)

@@ -39,7 +39,8 @@ def less(a: HitDesc, b: HitDesc) -> bool:
 
 
 def order_key(h: HitDesc):
-    """Sort key that agrees with ``less``."""
+    """Sort key that agrees with ``less``; a ``HitContext``, which has the
+    same fields, gives the same key."""
     return (h.t, h.inst, h.geom, h.prim)
 
 

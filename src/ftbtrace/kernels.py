@@ -41,7 +41,7 @@ from typing import Callable, Optional
 
 from .bvh import BuiltScene
 from .floatstep import just_above, just_below
-from .geom import HitContext
+from .geom import HitContext, Ray
 from .hitorder import HitDesc, less, order_key
 from .pipeline import AhVerdict, TraceConfig, TraceFlags, TraceStats, trace
 
@@ -116,7 +116,8 @@ def _rr_any_hit(ctx, prd):
     if ctx.t > prd.skip_hit.t:
         return AhVerdict.ACCEPT  # first hit at a farther distance
     # now at the skip distance (the interval excludes anything nearer)
-    if _desc(ctx) == prd.skip_hit:
+    skip = prd.skip_hit
+    if ctx.prim == skip.prim and ctx.geom == skip.geom and ctx.inst == skip.inst:
         # the anchor hit is skipped by identity, never by count: a t_min
         # change may have reordered the traversal since it was delivered
         return AhVerdict.IGNORE
@@ -145,7 +146,7 @@ def iter_reject_repeats(built: BuiltScene, ray, stats: TraceStats):
     while True:
         prd.found = None
         prd.skip_left = next_skip
-        trace(built, ray._replace(t_min=next_tmin), _RR_CFG, prd, stats)
+        trace(built, Ray(ray.origin, ray.direction, next_tmin, ray.t_max), _RR_CFG, prd, stats)
         ctx = prd.found
         if ctx is None:
             return
@@ -187,7 +188,7 @@ def _feeler_hits(built: BuiltScene, ray, rep: FtbReport):
     t_lo = ray.t_min
     while True:
         rep.found = None
-        trace(built, ray._replace(t_min=t_lo), _FEELER_CFG, rep, rep.stats)
+        trace(built, Ray(ray.origin, ray.direction, t_lo, ray.t_max), _FEELER_CFG, rep, rep.stats)
         ctx = rep.found
         if ctx is None:
             return
@@ -208,7 +209,7 @@ def _while_while(built, ray, rep: FtbReport) -> None:
     """
     for ctx in _feeler_hits(built, ray, rep):
         t = ctx.t
-        trace(built, ray._replace(t_min=just_below(t), t_max=just_above(t)), _DELIVER_CFG, rep, rep.stats)
+        trace(built, Ray(ray.origin, ray.direction, just_below(t), just_above(t)), _DELIVER_CFG, rep, rep.stats)
         if rep.stopped_early:
             return
 
@@ -270,7 +271,7 @@ def _while_merged(built, ray, rep: FtbReport) -> None:
     cur_tmin = ray.t_min
     while True:
         prd.found = None
-        trace(built, ray._replace(t_min=cur_tmin), _WM_CFG, prd, rep.stats)
+        trace(built, Ray(ray.origin, ray.direction, cur_tmin, ray.t_max), _WM_CFG, prd, rep.stats)
         if rep.stopped_early or prd.found is None:
             return  # user code stopped, or no next distance
         # cur_tmin advances with the promoted distance; it may stay put once,
@@ -294,17 +295,20 @@ class _MultiHitPrd:
 
 
 def _mh_any_hit(ctx, prd):
-    curr = _desc(ctx)
-    if not less(prd.hit_min, curr):
+    # the buffer holds order keys, not HitDescs: most candidates never reach
+    # a batch, and tuple < on keys is ``less`` (t is never NaN), so a desc
+    # is built only for a delivered hit
+    curr = order_key(ctx)
+    if not prd.hit_min < curr:
         return AhVerdict.IGNORE  # already delivered in an earlier batch
     buf = prd.buffer
     if len(buf) < prd.capacity:
-        insort(buf, curr, key=order_key)
+        insort(buf, curr)
         return AhVerdict.IGNORE
-    if less(curr, buf[-1]):
+    if curr < buf[-1]:
         buf.pop()
-        insort(buf, curr, key=order_key)
-    if ctx.t > buf[-1].t:
+        insort(buf, curr)
+    if ctx.t > buf[-1][0]:
         # strictly beyond a full buffer's worst distance: can never enter
         # this batch, so let the pipeline shrink
         return AhVerdict.ACCEPT
@@ -332,11 +336,12 @@ def iter_multi_hit_batches(built: BuiltScene, ray, n: int, stats: TraceStats):
     hit_min = HitDesc(ray.t_min, -1, -1, -1)
     cur_tmin = ray.t_min
     while True:
-        prd = _MultiHitPrd(hit_min, n)
-        trace(built, ray._replace(t_min=cur_tmin), _MH_CFG, prd, stats)
+        prd = _MultiHitPrd(order_key(hit_min), n)
+        trace(built, Ray(ray.origin, ray.direction, cur_tmin, ray.t_max), _MH_CFG, prd, stats)
         if not prd.buffer:
             return
-        batch = prd.buffer
+        # back from order_key's (t, inst, geom, prim) layout to HitDesc's
+        batch = [HitDesc(t, prim, geom, inst) for t, inst, geom, prim in prd.buffer]
         if not less(hit_min, batch[-1]):
             raise KernelStalled(f"multi-hit stalled: batch ends at {batch[-1]} after {hit_min}")
         yield batch

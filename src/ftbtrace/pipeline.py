@@ -37,6 +37,10 @@ class TraceFlags(IntFlag):
     DISABLE_CLOSESTHIT = 2
 
 
+_INF = math.inf
+_DISABLE_ANYHIT = int(TraceFlags.DISABLE_ANYHIT)
+_DISABLE_CLOSESTHIT = int(TraceFlags.DISABLE_CLOSESTHIT)
+
 # each TraceStats counter's attribute and its name in reports, in report order
 _COUNTERS = (
     ("traces", "traces"),
@@ -91,14 +95,15 @@ def trace(built: BuiltScene, ray: Ray, cfg: TraceConfig, prd=None,
     and shrinks t_max, so committed distances strictly decrease within a
     trace and the final committed hit is the closest accepted one.
     """
-    if math.isnan(ray.t_min) or math.isnan(ray.t_max):
-        raise ValueError("trace: NaN in ray interval")
-    if math.isinf(ray.t_min) or math.isinf(ray.t_max):
+    if not (-_INF < ray.t_min < _INF and -_INF < ray.t_max < _INF):
+        if math.isnan(ray.t_min) or math.isnan(ray.t_max):
+            raise ValueError("trace: NaN in ray interval")
         raise ValueError("trace: ray interval must be finite")
     if stats is None:
         stats = TraceStats()
     stats.traces += 1
-    any_hit = None if cfg.flags & TraceFlags.DISABLE_ANYHIT else cfg.any_hit
+    flags = int(cfg.flags)  # plain-int bit tests: IntFlag's & runs in Python
+    any_hit = None if flags & _DISABLE_ANYHIT else cfg.any_hit
     committed = [None]
 
     def visit(ctx):
@@ -119,7 +124,7 @@ def trace(built: BuiltScene, ray: Ray, cfg: TraceConfig, prd=None,
 
     hit = committed[0]
     if hit is not None:
-        if cfg.closest_hit is not None and not cfg.flags & TraceFlags.DISABLE_CLOSESTHIT:
+        if cfg.closest_hit is not None and not flags & _DISABLE_CLOSESTHIT:
             stats.ch_calls += 1
             cfg.closest_hit(hit, prd)
     else:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bvh import BuildOptions
-from .geom import Affine3, IDENTITY, Vec3, camera_basis, det3, translation, vec3_32
+from .geom import Affine3, IDENTITY, Vec3, affine_inverse, camera_basis, det3, translation, vec3_32
 
 
 @dataclass
@@ -58,10 +58,15 @@ class Scene:
                     f"instance index {inst.index} does not match list position {pos}"
                 )
             xf = inst.transform
-            if not all(math.isfinite(c) for c in (*xf.m[0], *xf.m[1], *xf.m[2], *xf.t)):
+            if not _all_finite(xf):
                 raise ValueError(f"instance {pos}: transform entries must be finite")
-            if det3(xf.m) == 0.0:
+            d = det3(xf.m)
+            if d == 0.0:
                 raise ValueError(f"instance {pos}: singular transform")
+            # finite entries can still overflow: the determinant to inf or
+            # NaN, or the inverse (ray-to-object map) to inf
+            if not (math.isfinite(d) and _all_finite(affine_inverse(xf))):
+                raise ValueError(f"instance {pos}: transform overflows (determinant or inverse not finite)")
             for g in inst.geometries:
                 if g.sbt_offset < 0:
                     raise ValueError("sbt_offset must be non-negative")
@@ -79,6 +84,10 @@ class Scene:
                     for ix in tri:
                         if not 0 <= ix < n:
                             raise ValueError(f"mesh index {ix} out of range")
+
+
+def _all_finite(xf: Affine3) -> bool:
+    return all(math.isfinite(c) for c in (*xf.m[0], *xf.m[1], *xf.m[2], *xf.t))
 
 
 def single_mesh_scene(mesh: Mesh, name: str = "", **kw) -> Scene:

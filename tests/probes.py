@@ -2,6 +2,7 @@
 
 import ftbtrace.kernels as kernels_mod
 from ftbtrace import HitContext, camera_rays, resolve_camera
+from ftbtrace.hitorder import order_key
 
 
 def rays_for(scene, width=12, height=10):
@@ -16,7 +17,7 @@ def stuck_trace(built, ray, cfg, prd=None, stats=None):
     ctx = HitContext(2.0, 0.25, 0.25, True, 0, 0, 0, None, None)
     stats.traces += 1
     if cfg is kernels_mod._MH_CFG:
-        prd.buffer = [kernels_mod._desc(ctx)]
+        prd.buffer = [order_key(ctx)]
     elif cfg.closest_hit is not None:
         cfg.closest_hit(ctx, prd)
     return ctx

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ftbtrace.hitorder import HitDesc, less, sort_hits
+from ftbtrace.hitorder import HitDesc, less, order_key, sort_hits
 
 
 def test_distance_dominates():
@@ -82,3 +82,18 @@ def test_strict_total_order_laws(a, b, c):
         assert less(a, b) != less(b, a)  # total
     if less(a, b) and less(b, c):
         assert less(a, c)  # transitive
+
+
+_edge_descs = st.builds(
+    HitDesc,
+    t=st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1.0, 1.0, -2.5]),
+    prim=st.integers(-1, 2),
+    geom=st.integers(-1, 2),
+    inst=st.integers(-1, 2),
+)
+
+
+@given(_edge_descs, _edge_descs)
+def test_order_key_tuple_comparison_is_less(a, b):
+    # the multi-hit any-hit program compares and sorts plain key tuples
+    assert less(a, b) == (order_key(a) < order_key(b))

@@ -4,6 +4,8 @@ import re
 
 import pytest
 
+import ftbtrace.bvh as bvh
+import ftbtrace.kernels as kernels
 from ftbtrace import (
     BuildOptions,
     HitContext,
@@ -19,6 +21,7 @@ from ftbtrace import (
     gen_leaf_reorder,
     iter_multi_hit_batches,
     make_ray,
+    make_scene,
     oracle_all_hits,
     run_kernel,
     single_mesh_scene,
@@ -29,6 +32,7 @@ from ftbtrace.floatstep import just_below
 from ftbtrace.hitorder import order_key
 from ftbtrace.kernels import CORRECT_KERNELS, KernelStalled, is_stable, parse_kernel
 from ftbtrace.pipeline import TraceStats
+from ftbtrace.render import CountAll, make_user_code
 
 from probes import rays_for, stuck_trace
 
@@ -447,6 +451,56 @@ def test_unknown_kernel_id_rejected():
         with pytest.raises(ValueError, match=re.escape(repr(kernel_id))):
             parse_kernel(kernel_id)
     assert parse_kernel("stable-multi-hit:04")[1] == 4
+
+
+# ------------------------------------------------ per-candidate and retrace cost
+
+def _count_calls(monkeypatch, owner, attr):
+    """Wrap ``owner.attr`` with a call counter; returns the one-item count."""
+    calls = [0]
+    original = getattr(owner, attr)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kernel_id", ["stable-next", "stable-multi-hit:4", "stable-multi-hit:16", "reject-repeats"])
+def test_hit_descs_are_built_only_for_delivered_hits(monkeypatch, kernel_id):
+    # ties make the any-hit program run far more often than hits are
+    # delivered; none of those extra calls may build a HitDesc or call less
+    built = build_scene(make_scene("coplanar:n=8:same_t=true"))
+    descs = _count_calls(monkeypatch, kernels, "HitDesc")
+    lesses = _count_calls(monkeypatch, kernels, "less")
+    rep = run_kernel(kernel_id, built, CENTER_RAY, make_user_code(CountAll()))
+    hits = len(rep.hits)
+    assert hits == 8 and rep.stats.ah_calls > hits
+    assert descs[0] == hits + 1  # the start sentinel, then one per delivered hit
+    assert lesses[0] <= rep.stats.traces
+
+
+@pytest.mark.parametrize("kernel_id", CORRECT_KERNELS)
+def test_retraces_are_served_by_the_ray_memo(monkeypatch, kernel_id):
+    # every retrace keeps the ray's origin and direction objects, so only
+    # the first trace runs triangle tests; a lost memo would still pass
+    # every delivery and counter pin
+    built = build_scene(make_scene("coplanar:n=8:same_t=true"))
+    tests = _count_calls(monkeypatch, bvh, "mt_core")
+    after_first = []
+    trace = kernels.trace
+
+    def trace_noting_the_first(*args):
+        trace(*args)
+        if not after_first:
+            after_first.append(tests[0])
+
+    monkeypatch.setattr(kernels, "trace", trace_noting_the_first)
+    rep = run_kernel(kernel_id, built, CENTER_RAY, make_user_code(CountAll()))
+    assert len(rep.hits) == 8 and rep.stats.traces > 1
+    assert tests[0] == after_first[0] > 0
 
 
 # ------------------------------------------------------------------- pinning

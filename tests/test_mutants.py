@@ -31,18 +31,19 @@ _MUTANTS = {
     "wm-retrace-from-t": (
         "_while_merged", "cur_tmin = just_below(prd.t_exec)", "cur_tmin = prd.t_exec", ("while-merged",)),
     "mh-skip-by-distance": (
-        "_mh_any_hit", "if not less(prd.hit_min, curr):", "if not prd.hit_min.t < curr.t:", _MULTI_HIT),
+        "_mh_any_hit", "if not prd.hit_min < curr:", "if not prd.hit_min[0] < curr[0]:", _MULTI_HIT),
     "rr-no-identity-guard": (
-        "_rr_any_hit", "if _desc(ctx) == prd.skip_hit:", "if False:", ("reject-repeats",)),
+        "_rr_any_hit", "if ctx.prim == skip.prim and ctx.geom == skip.geom and ctx.inst == skip.inst:", "if False:",
+        ("reject-repeats",)),
     "executor-accepts": (
         "_deliver_any_hit", "return AhVerdict.IGNORE", "return AhVerdict.ACCEPT", ("while-while", "while-merged")),
     "mh-accept-at-worst": (
         "_mh_any_hit", "evict into it\n    return AhVerdict.IGNORE", "evict into it\n    return AhVerdict.ACCEPT",
         _MULTI_HIT),
     "mh-accept-at-worst-ge": (
-        "_mh_any_hit", "if ctx.t > buf[-1].t:", "if ctx.t >= buf[-1].t:", _MULTI_HIT),
+        "_mh_any_hit", "if ctx.t > buf[-1][0]:", "if ctx.t >= buf[-1][0]:", _MULTI_HIT),
     "mh-evict-by-distance": (
-        "_mh_any_hit", "if less(curr, buf[-1]):", "if curr.t < buf[-1].t:", _MULTI_HIT),
+        "_mh_any_hit", "if curr < buf[-1]:", "if curr[0] < buf[-1][0]:", _MULTI_HIT),
 }
 
 # name: (generator spec, permute seed of the base build); "permuted" is

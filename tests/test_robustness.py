@@ -237,8 +237,13 @@ def _shifted(x):
     return [[1, 0, 0, x], [0, 1, 0, 0], [0, 0, 1, 0]]
 
 
-# world bounds stay finite, but the framing camera's view distance overflows
-_UNFRAMEABLE = _one_instance([[1e300, 0, 0, 0], [0, 1e300, 0, 0], [0, 0, 1e300, 0]])
+# world bounds and the inverse stay finite, but the framing camera's view
+# distance overflows
+_UNFRAMEABLE = _one_instance([[1e200, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+
+# finite entries whose determinant overflows (inf - inf: NaN), so the
+# inverse is all NaN
+_OVERFLOWING = [[1e300, 0, 0, 0], [0, 1e300, 0, 0], [0, 0, 1e300, 0]]
 
 
 def _cli_error(capsys, argv):
@@ -403,6 +408,7 @@ def test_cli_manifest_negative_index_exits_2(tmp_path, capsys, field):
         _one_instance(camera={"position": [0, 0, -2], "look_at": [0, 0, 5], "up": [0, 0, 3],
                               "fov_y": 30}),
         _UNFRAMEABLE,
+        _one_instance(_OVERFLOWING),
         _with_triangle([0.5, 1, 2]),
         _with_triangle([True, 1, 2]),
         _with_triangle([0, 1]),
@@ -425,7 +431,7 @@ def test_cli_manifest_negative_index_exits_2(tmp_path, capsys, field):
          "translation-nan",
          "translation-infinite", "translation-overflows-binary32", "linear-part-infinite",
          "vertex-index-not-number", "camera-looks-at-itself", "camera-up-along-view",
-         "framing-overflows", "vertex-index-float", "vertex-index-bool",
+         "framing-overflows", "linear-part-overflows", "vertex-index-float", "vertex-index-bool",
          "triangle-of-two-indices", "triangle-of-four-indices", "sbt-offset-float",
          "vertex-coordinate-bool", "vertex-coordinate-string", "translation-string",
          "linear-part-true", "translation-false", "linear-part-string",
@@ -439,6 +445,24 @@ def test_cli_manifest_missing_key_or_wrong_type_exits_2(tmp_path, capsys, doc):
     for argv in (["render", "--out", str(tmp_path / "x.ppm")], ["validate"]):
         err = _cli_error(capsys, argv + ["--scene", path, "--size", "4x3"])
         assert err.startswith(want)
+
+
+def test_cli_overflowing_transform_with_a_camera_hint_exits_2(tmp_path, capsys):
+    # with a hint nothing frames the scene, so only validation refuses it
+    hint = {"position": [0, 0, -2], "look_at": [0, 0, 5], "fov_y": 30}
+    path = _manifest(tmp_path, _one_instance(_OVERFLOWING, camera=hint))
+    err = _cli_error(capsys, ["validate", "--scene", path, "--size", "4x3"])
+    assert err == "error: manifest: instance 0: transform overflows (determinant or inverse not finite)\n"
+
+
+@pytest.mark.parametrize("x", ["1e39", "inf", "nan"])
+def test_cli_obj_vertex_that_is_not_finite_exits_2(tmp_path, capsys, x):
+    # 1e39 overflows binary32; the scene is refused before the camera framing
+    path = tmp_path / "mesh.obj"
+    path.write_text(f"v {x} 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\n", encoding="utf-8")
+    for argv in (["render", "--out", str(tmp_path / "x.ppm")], ["validate"]):
+        err = _cli_error(capsys, argv + ["--scene", str(path), "--size", "4x3"])
+        assert err == "error: mesh vertices must be finite\n"
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from ftbtrace import (
     single_mesh_scene,
     sort_hits,
 )
-from ftbtrace.geom import IDENTITY, translation
+from ftbtrace.geom import IDENTITY, Affine3, translation
 
 
 def _write(tmp_path, name, text):
@@ -129,6 +129,18 @@ def test_scene_validation_rejects_non_finite_vertices():
     mesh = Mesh([Vec3(0, 0, 0), Vec3(float("inf"), 0, 0), Vec3(0, 1, 0)], [(0, 1, 2)])
     scene = single_mesh_scene(mesh)
     with pytest.raises(ValueError):
+        scene.validate()
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-107], ids=["determinant-overflows", "inverse-overflows"])
+def test_scene_validation_rejects_an_overflowing_transform(scale):
+    # finite entries, but the determinant is NaN (inf - inf), or it is
+    # subnormal and its reciprocal, hence the inverse, is inf
+    mesh = Mesh([Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0)], [(0, 1, 2)])
+    linear = ((scale, 0.0, 0.0), (0.0, scale, 0.0), (0.0, 0.0, scale))
+    scene = Scene([Instance([Geometry(mesh, 0)], IDENTITY, 0),
+                   Instance([Geometry(mesh, 1)], Affine3(linear, Vec3(0.0, 0.0, 0.0)), 1)])
+    with pytest.raises(ValueError, match="^instance 1: transform overflows"):
         scene.validate()
 
 
