@@ -258,9 +258,10 @@ class BuiltScene:
     """Scene with per-mesh trees and a scene-level tree over instances.
 
     ``memo`` is the memo of the ray traced last (see the module docstring).
-    ``oracle_spheres`` is filled by the brute-force reference on its first
-    call for this build (``oracle.oracle_all_hits``); traversal never reads
-    it.
+    ``oracle_spheres`` holds the brute-force reference's cull data (instance
+    spheres, their clusters and per-mesh triangle spheres), filled on its
+    first call for this build (``oracle.oracle_all_hits``); traversal never
+    reads it.
     """
 
     __slots__ = ("instances", "tlas_nodes", "tlas_order", "memo", "oracle_spheres")
@@ -278,6 +279,12 @@ def build_scene(scene, opts: Optional[BuildOptions] = None) -> BuiltScene:
     if opts is None:
         opts = scene.build_options
     scene.validate()
+    return build_trees(scene, opts)
+
+
+def build_trees(scene, opts: BuildOptions) -> BuiltScene:
+    """``build_scene`` without ``Scene.validate``, for a scene that has
+    already passed it (e.g. another build of the same scene)."""
     blas_cache = {}
     instances = []
     for inst in scene.instances:

@@ -3,10 +3,11 @@
 The reference reads no tree data -- no node, no box, no pipeline -- but runs
 the very same intersection routine and the same instance ray transform as
 the traversal, so reference-versus-kernel distance comparisons are exact
-with zero tolerance.  It tests every triangle of every instance that the
-ray's line can reach: a world-space bounding sphere per instance, computed
-from ``Blas.tris`` and padded by a proven bound, skips the instances whose
-sphere the line misses (``oracle_all_hits`` gives the bound).  It yields hit
+with zero tolerance.  It tests every triangle that the ray's line can
+reach: bounding spheres computed from ``Blas.tris`` and the transforms and
+padded by proven bounds skip, level by level, the clusters of instances,
+the instances and the triangles whose sphere the line misses
+(``oracle_all_hits`` gives the bounds).  It yields hit
 identities (``HitDesc``) and their equal-distance groups.  Validation
 replays a kernel to exhaustion over many rays and checks completeness,
 ordering, distance-group contents, duplicates, stable-sequence equality and
@@ -17,6 +18,7 @@ data in the report, not exceptions.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,6 +34,7 @@ _U32 = 2.0 ** -24  # binary32 unit roundoff
 _REL = 2.0 ** -20  # the pad's budget for mt_core's own rounding, relative
 _UP = 1.0 + 2.0 ** -40  # lifts a value computed in at most 60 roundings above its exact value
 _DIR_FLOOR = 2.0 ** -118  # the cull needs |direction| >= this times the linear part's norm
+_TRI_P1 = (_REL + 5 * _U) * _UP  # p1 of every object-space sphere: (c)'s and (d)'s terms in |o'|
 
 
 @dataclass
@@ -45,22 +48,27 @@ def oracle_all_hits(built: BuiltScene, ray) -> OracleResult:
 
     Each triangle of each instance goes through the instance's
     ``object_ray_parts`` and ``mt_core`` in primitive order; only instances
-    that provably hold no hit are skipped.  The cull reads no tree data and
-    never reads t_min or t_max.  The first call for a build fills
-    ``built.oracle_spheres`` with one world-space sphere per instance: its
-    centre c and a reach p0 + p1·|o| (o the ray's origin) that is its
-    radius plus a pad.  An instance is skipped when the ray's line misses
-    that sphere: |(c - o) × d|² > (p0 + p1·|o|)²·|d|².  A zero direction
-    hits nothing (``mt_core`` returns None at det == 0), so it skips every
-    instance; a NaN or an infinity in the test keeps the instance.
+    and triangles that provably hold no hit are skipped.  The cull reads no
+    tree data and never reads t_min or t_max.  The first call for a build
+    fills ``built.oracle_spheres`` with (guard, spheres, clusters,
+    tri_spheres): one world-space sphere per instance (``spheres``), about
+    √n clusters of those spheres (``clusters``) and, per mesh, one
+    object-space sphere per triangle (``tri_spheres``).  The cull runs by
+    level: a cluster's sphere, then each member instance's, then, in the
+    ray's object space, each triangle's.  Each sphere has a centre c and a reach p0 + p1·|o| (o the
+    origin of the ray the level sees) that is its radius plus a pad, and
+    what it covers is skipped when the ray's line misses it:
+    |(c - o) × d|² > (p0 + p1·|o|)²·|d|².  A zero direction hits nothing
+    (``mt_core`` returns None at det == 0), so it skips every instance; a
+    NaN or an infinity in a test keeps what it covers.
 
-    The bound.  Write η = 2^-53 and η32 = 2^-24.  An instance maps object to
-    world space by x ↦ M·x + t (its ``transform``); W and w are the linear
-    part and translation of the computed inverse (``inv_rows``).  m bounds
-    M's spectral norm (the square root of the largest absolute row sum of
-    MᵀM); mF and wF are the Frobenius norms of M and W.  The object sphere
-    (C, r) holds every point v0 + u·e1 + v·e2 (u, v >= 0, u + v <= 1) of
-    every triangle ``mt_core`` is given, which need not be the mesh's own
+    The instance bound.  Write η = 2^-53 and η32 = 2^-24.  An instance maps
+    object to world space by x ↦ M·x + t (its ``transform``); W and w are the
+    linear part and translation of the computed inverse (``inv_rows``).  m
+    bounds M's spectral norm (the square root of the largest absolute row
+    sum of MᵀM); mF and wF are the Frobenius norms of M and W.  The object
+    sphere (C, r) holds every point v0 + u·e1 + v·e2 (u, v >= 0, u + v <= 1)
+    of every triangle ``mt_core`` is given, which need not be the mesh's own
     triangle: it is the box of the computed corners v0, v0 + e1 and
     v0 + e2, widened by 2η times its largest coordinate so that it holds
     the exact corners too.  Say ``mt_core`` reports a hit on (o', d') with
@@ -89,7 +97,7 @@ def oracle_all_hits(built: BuiltScene, ray) -> OracleResult:
         angle α between line and plane.  There, with |e1|, |e2| <= 2r and
         |T| <= |o'| + |C| + r, dist(P, L') <= E = 2^-20·(|C| + r + |o'|).
         A hit on a line closer to parallel is rounding noise, which the
-        tree's boxes cull as freely as this sphere does.
+        tree's boxes cull as freely as these spheres do.
     (a) object_ray_parts.  o' = W·o + w + δo and d' = W·d + δd, where the
         binary64 sums and the binary32 rounding give |δo| <= (η32 + 10η)·
         (wF|o| + |w|) + 2^-148 and |δd| <= (η32 + 10η)·wF|d| + 2^-148.
@@ -117,11 +125,36 @@ def oracle_all_hits(built: BuiltScene, ray) -> OracleResult:
     p0 + p1·|o| is the sum of these bounds and (d)'s, and p0 and p1 are
     raised by the factor 1 + 2^-40, more than the rounding of the few dozen
     operations that form them and of the test.
+
+    The cluster bound.  By the instance bound, a hit on member i puts the
+    exact line within p0ᵢ + p1ᵢ·|o| of its computed centre cᵢ (that reach
+    also holds (d)'s rounding of the member's own test, which only adds
+    room), so within |cᵢ - C| + p0ᵢ + p1ᵢ·|o| of the cluster's centre C.
+    The cluster's reach is R0 + R1·|o| with R0 = max(|cᵢ - C| + p0ᵢ) + 5η|C|
+    and R1 = max p1ᵢ + 5η: (d) with C in place of c gives the 5η terms, and
+    R0 and R1 are raised by 1 + 2^-40 as above.  A member with an infinite
+    or NaN centre or reach makes R0 infinite, so its cluster is always
+    tested.
+
+    The triangle bound.  In an instance that is not skipped, each triangle's
+    sphere (s, ρ) is tested against the very binary32 object-space line
+    (o', d') that ``mt_core`` receives, so (a) and (b) do not arise.  s is the
+    midpoint of the box of the computed corners and ρ the greatest distance
+    from s to an exact corner, so the triangle lies within ρ of s, and
+    |e1|, |e2| <= 2ρ and |T| <= |o'| + |s| + ρ hold as in (c).  So a hit puts
+    L' within ρ + E of s, with E = 2^-20·(|s| + ρ + |o'|), and (d) with s in
+    place of c adds 5η(|s| + |o'|): the reach is
+    ρ + 2^-20·(|s| + ρ) + 5η|s| + (2^-20 + 5η)·|o'|, raised by 1 + 2^-40.
+
+    Every level inherits (c)'s one gap: a hit on a line so close to a
+    tilted triangle's plane that det is rounding alone can lie anywhere on
+    the line, so a cluster, an instance or a triangle whose sphere the line
+    misses may still hold such a hit, and the cull skips it.
     """
-    spheres = built.oracle_spheres
-    if spheres is None:
-        spheres = built.oracle_spheres = _instance_spheres(built)
-    guard, spheres = spheres
+    data = built.oracle_spheres
+    if data is None:
+        data = built.oracle_spheres = _cull_data(built)
+    guard, _, clusters, tri_spheres = data
     found = []
     t_min = ray.t_min
     t_max = ray.t_max
@@ -135,22 +168,42 @@ def oracle_all_hits(built: BuiltScene, ray) -> OracleResult:
     kx = oy * dz - oz * dy
     ky = oz * dx - ox * dz
     kz = ox * dy - oy * dx
-    for cx, cy, cz, p0, p1, bi in spheres:
+    for cx, cy, cz, p0, p1, members in clusters:
         x = cy * dz - cz * dy - kx
         y = cz * dx - cx * dz - ky
         z = cx * dy - cy * dx - kz
         reach = p0 + p1 * on
         if reach * reach * dd < x * x + y * y + z * z < _INF:
-            continue  # the line misses the padded sphere
-        rox, roy, roz, rdx, rdy, rdz = bi.object_ray_parts(ray)
-        inst = bi.index
-        for geom in bi.geoms:
-            sbt = geom.sbt_offset
-            # original primitive order, independent of the tree
-            for prim, tri in enumerate(geom.blas.tris):
-                hit = mt_core(rox, roy, roz, rdx, rdy, rdz, t_min, t_max, *tri)
-                if hit is not None:
-                    found.append(HitDesc(hit.t, prim, sbt, inst))
+            continue  # the line misses the cluster's padded sphere
+        for cx, cy, cz, p0, p1, bi in members:
+            x = cy * dz - cz * dy - kx
+            y = cz * dx - cx * dz - ky
+            z = cx * dy - cy * dx - kz
+            reach = p0 + p1 * on
+            if reach * reach * dd < x * x + y * y + z * z < _INF:
+                continue  # the line misses the instance's padded sphere
+            rox, roy, roz, rdx, rdy, rdz = bi.object_ray_parts(ray)
+            rdd = rdx * rdx + rdy * rdy + rdz * rdz
+            q = _TRI_P1 * math.sqrt(rox * rox + roy * roy + roz * roz)
+            qx = roy * rdz - roz * rdy
+            qy = roz * rdx - rox * rdz
+            qz = rox * rdy - roy * rdx
+            inst = bi.index
+            for geom in bi.geoms:
+                sbt = geom.sbt_offset
+                tris = geom.blas.tris
+                it = iter(tri_spheres[geom.blas])
+                # original primitive order, independent of the tree
+                for prim, (sx, sy, sz, p0) in enumerate(zip(it, it, it, it)):
+                    x = sy * rdz - sz * rdy - qx
+                    y = sz * rdx - sx * rdz - qy
+                    z = sx * rdy - sy * rdx - qz
+                    reach = p0 + q
+                    if reach * reach * rdd < x * x + y * y + z * z < _INF:
+                        continue  # the line misses the triangle's padded sphere
+                    hit = mt_core(rox, roy, roz, rdx, rdy, rdz, t_min, t_max, *tris[prim])
+                    if hit is not None:
+                        found.append(HitDesc(hit.t, prim, sbt, inst))
     hits = sort_hits(found)
     return OracleResult(hits, [g for _, g in _grouped(hits)])
 
@@ -225,7 +278,7 @@ def _instance_spheres(built: BuiltScene):
         rows = bi.inv_rows
         if rows is None:
             p0 = r + _REL * (cn + r) + 5 * _U * cn
-            spheres.append((Cx, Cy, Cz, p0 * _UP, (_REL + 5 * _U) * _UP, bi))
+            spheres.append((Cx, Cy, Cz, p0 * _UP, _TRI_P1, bi))
             continue
         m, t = bi.transform
         key = (m, sphere)
@@ -255,6 +308,74 @@ def _instance_spheres(built: BuiltScene):
         # every term is a sum of products of norms: one lift covers their rounding
         spheres.append((cx, cy, cz, p0 * _UP, p1, bi))
     return guard, spheres
+
+
+def _cull_data(built: BuiltScene):
+    """``built.oracle_spheres``: (guard, spheres, clusters, tri_spheres), from
+    ``Blas.tris`` and the transforms only."""
+    guard, spheres = _instance_spheres(built)
+    tri_spheres = {}
+    for bi in built.instances:
+        for geom in bi.geoms:
+            if geom.blas not in tri_spheres:
+                tri_spheres[geom.blas] = _triangle_spheres(geom.blas.tris)
+    return guard, spheres, _clusters(spheres), tri_spheres
+
+
+def _clusters(spheres):
+    """``oracle_all_hits``'s instance clusters: about √n groups of the
+    instance spheres, each (Cx, Cy, Cz, R0, R1, member spheres).
+
+    Sort-tile-recursive packing of the centres: sorted by x into about
+    √(cluster count) slabs, each slab sorted by y and cut into chunks of
+    ⌈√n⌉.  Both sorts are stable, so the packing depends on the spheres in
+    instance order alone.  The reach R0 + R1·|o| covers every member's
+    (the cluster bound); like every level, it does not cover a hit on a
+    line so close to a tilted triangle's plane that det is rounding alone.
+    """
+    n = len(spheres)
+    if n == 0:
+        return []
+    size = math.isqrt(n - 1) + 1  # ⌈√n⌉ members per cluster
+    count = -(-n // size)
+    slab = size * -(-count // (math.isqrt(count - 1) + 1))  # ⌈√count⌉ slabs
+    by_x = sorted(spheres, key=lambda s: s[0])
+    clusters = []
+    for i in range(0, n, slab):
+        by_y = sorted(by_x[i : i + slab], key=lambda s: s[1])
+        for j in range(0, len(by_y), size):
+            members = tuple(by_y[j : j + size])
+            lo, hi = box_of(s[:3] for s in members)
+            C = tuple((lo[a] + hi[a]) * 0.5 for a in range(3))
+            r0 = [_norm(cx - C[0], cy - C[1], cz - C[2]) + p0 for cx, cy, cz, p0, _, _ in members]
+            r1 = [s[4] for s in members]
+            # NaN fails every comparison, so it too gives an infinite R0
+            finite = all(x < _INF for x in r0 + r1)
+            R0 = (max(r0) + 5 * _U * _norm(*C)) * _UP if finite else _INF
+            clusters.append((*C, R0, (max(r1) + 5 * _U) * _UP, members))
+    return clusters
+
+
+def _triangle_spheres(tris):
+    """``oracle_all_hits``'s object-space triangle spheres of packed
+    triangles: (sx, sy, sz, p0) per triangle in primitive order, flat in an
+    ``array('d')``; every one has p1 = ``_TRI_P1``.
+
+    s is the midpoint of the box of the computed corners, and ρ bounds the
+    distance from s to each exact corner, each within 2η times its
+    coordinates of the computed one (the triangle bound).  Like every level,
+    the pad does not cover a hit on a line so close to the triangle's plane
+    that det is rounding alone.
+    """
+    out = array("d")
+    for tri in tris:
+        corners = tuple(_corners((tri,)))
+        lo, hi = box_of(corners)
+        s = tuple((lo[a] + hi[a]) * 0.5 for a in range(3))
+        rho = max(_norm(*(abs(k[a] - s[a]) + 2 * _U * abs(k[a]) for a in range(3))) for k in corners)
+        sn = _norm(*s)
+        out.extend((*s, (rho + _REL * (sn + rho) + 5 * _U * sn) * _UP))
+    return out
 
 
 def _triple(h: HitDesc):

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .bvh import BuiltScene, build_scene
+from .bvh import BuiltScene, build_scene, build_trees
 from .floatstep import f32_bits
 from .geom import Ray, apply_point, box_of, camera_basis, make_ray
 from .hitorder import HitDesc
@@ -301,17 +301,18 @@ def run_validation(scene, kernel_ids, cam: Camera, seeds=()):
     Each kernel id names a ``KERNELS`` entry, a custom one too, and is
     validated and reported once however often it is named.  Runs each kernel
     once per build: the base tree (``scene.build_options``) and each seed's
-    permuted tree are built once, and per kernel the sequences
-    ``validate_kernel`` delivers on the base tree are the baseline of its
-    ``check_rebuild_stability``.  Only one kernel's sequences are held at a
-    time.
+    permuted tree are built once, the scene is validated once, and per
+    kernel the sequences ``validate_kernel`` delivers on the base tree are
+    the baseline of its ``check_rebuild_stability``.  Only one kernel's
+    sequences are held at a time.
 
     Returns (status, report dict); status is 0 only when every check of
     every kernel (and, with seeds, every rebuild-stability check) passed.
     Both maps are keyed by kernel id.
     """
     built = build_scene(scene)
-    permuted = [build_scene(scene, oracle.rebuild_options(scene.build_options, s)) for s in seeds]
+    # the same scene, so Scene.validate need not run again
+    permuted = [build_trees(scene, oracle.rebuild_options(scene.build_options, s)) for s in seeds]
     rays = camera_rays(cam)
     # looked up on the oracle module at each call, so a wrapper installed
     # there (as the benchmark's tracer does) also sees these calls

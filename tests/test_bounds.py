@@ -106,6 +106,8 @@ _BOUNDS_PINS = {
     "instance bounds": "19da6c88e7166460",
     "tree nodes": "d0dff41cb351de0d",
     "oracle spheres": "7b9ce63ba7edf497",
+    "oracle clusters": "a7d0fc68daf1294f",
+    "triangle spheres": "12e73e649becb4c2",
     "framed cameras": "dfeb2dde023a8ac3",
 }
 
@@ -114,7 +116,7 @@ def test_boxes_spheres_and_framings_are_pinned(tmp_path):
     scene = scene_from_manifest(_manifest())
     built = build_scene(scene)
     oracle_all_hits(built, make_ray((0.0, 0.5, -10.0), (0.05, 0.0, 1.0), 0.0, 1.0e30))
-    guard, spheres = built.oracle_spheres
+    guard, spheres, clusters, tri_spheres = built.oracle_spheres
     obj = tmp_path / "quad.obj"
     obj.write_text(_OBJ)
     cameras = [
@@ -130,6 +132,10 @@ def test_boxes_spheres_and_framings_are_pinned(tmp_path):
             for x in node
         ),
         "oracle spheres": _digest([guard] + [x for sphere in spheres for x in sphere[:5]]),
+        "oracle clusters": _digest(
+            x for c in clusters for x in (*c[:5], *(float(member[5].index) for member in c[5]))
+        ),
+        "triangle spheres": _digest(x for blas in tri_spheres for x in tri_spheres[blas]),
         "framed cameras": _digest(x for cam in cameras for x in _camera_floats(cam)),
     }
     assert got == _BOUNDS_PINS

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -278,6 +279,26 @@ def test_oracle_does_not_depend_on_tree_build(scene):
                 got = oracle_all_hits(built, ray)
                 assert got.hits == w.hits
                 assert got.groups == w.groups
+
+
+def _oracle_cull_bits(built):
+    """The bits of the oracle's cluster data (centre, R0, R1 and member
+    instance indices) and of its triangle spheres, per instance geometry."""
+    oracle_all_hits(built, make_ray((0, 0, -1), (0, 0, 1), 0, 1))  # fills the data
+    _, _, clusters, tri_spheres = built.oracle_spheres
+    return (
+        [(_bits(c[:5]), [m[5].index for m in c[5]]) for c in clusters],
+        [_bits(tri_spheres[g.blas]) for bi in built.instances for g in bi.geoms],
+    )
+
+
+@pytest.mark.parametrize("gen", ["coplanar:n=8:same_t=true", "grid:m=3", "grid:m=12", "abutting:k=4"])
+def test_oracle_cull_data_does_not_depend_on_tree_build(gen):
+    scene = make_scene(gen)
+    want = _oracle_cull_bits(build_scene(scene))
+    assert len(want[0]) == math.isqrt(len(scene.instances))  # √n clusters: n is 1, 9 or 144
+    for seed in (1, 7):
+        assert _oracle_cull_bits(build_scene(scene, BuildOptions(permute_seed=seed))) == want
 
 
 

@@ -66,6 +66,25 @@ def test_degenerate_triangles_report_no_hit():
     assert _hit(make_ray((0, 0, -1), (1, 1, 1), 0, 10), collinear) is None
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect (CHANGES.md FOUND line on in-plane lines): on a line in a tilted "
+    "triangle's plane det is rounding alone, and mt_core reports a hit far outside the triangle",
+)
+def test_a_line_in_a_tilted_plane_far_from_the_triangle_is_missed():
+    # the line through v0 + 11·e1 - 12·e2 with direction e1 + e2, in binary64
+    # as a hand-built Ray may carry it: it lies in the triangle's plane a
+    # dozen edge lengths away, yet mt_core reports t = 256 with u = v = 0;
+    # the oracle's cull states the same gap at each of its levels
+    tri = _tri((-0.33553305, 0.011776966, -0.48941755),
+               (-0.32229683, -0.77217418, -0.52962101),
+               (0.88798982, 0.55907971, 0.43021727))
+    v0, e1, e2 = tri[:3], tri[3:6], tri[6:]
+    origin = [v0[a] + 11 * e1[a] - 12 * e2[a] for a in range(3)]
+    direction = [e1[a] + e2[a] for a in range(3)]
+    assert mt_core(*origin, *direction, -math.inf, math.inf, *tri) is None
+
+
 def test_golden_intersection_bits():
     # frozen via the independent plane/barycentric intersector below
     ray = make_ray((0.2, -0.3, -1.7), (0.11, 0.23, 0.97), 0.0, 100.0)

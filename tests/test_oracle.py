@@ -357,11 +357,11 @@ _SHIFT = st.sampled_from((0.0, 1.0, 3.0, 1e6))
 
 
 @st.composite
-def _instance_transforms(draw):
-    """Affine transforms: rotated, non-uniformly scaled (condition number up
-    to 1e3) and shifted up to 1e6 from the origin; the identity; a linear
-    part of 1e30 on the diagonal."""
-    kind = draw(st.sampled_from(("general", "general", "general", "identity", "huge")))
+def _instance_transforms(draw, kinds=("general", "general", "general", "identity", "huge")):
+    """Affine transforms of the kinds: rotated, non-uniformly scaled
+    (condition number up to 1e3) and shifted up to 1e6 from the origin; the
+    identity; a linear part of 1e30 on the diagonal."""
+    kind = draw(st.sampled_from(kinds))
     if kind == "identity":
         return IDENTITY
     if kind == "huge":
@@ -375,6 +375,51 @@ def _instance_transforms(draw):
     return Affine3(m, vec3_32(*(shift + x for x in offset)))
 
 
+def _aimed_ray(draw, instances, kinds=("aimed", "grazing", "far", "zero", "tangent")):
+    """A ray at a vertex, a point on an edge or the centroid of a triangle
+    of one of the instances, of one of the kinds: from nearby, grazing the
+    triangle's plane, from a far origin, with a zero direction, or (on a
+    quad) square to the line from the quad's centre."""
+    inst = draw(st.sampled_from(instances))
+    mesh = draw(st.sampled_from([g.mesh for g in inst.geometries]))
+    a, b, c = (apply_point(inst.transform, mesh.vertices[i]) for i in draw(st.sampled_from(mesh.indices)))
+    s = draw(st.floats(min_value=0.0, max_value=1.0))
+    u, v = draw(st.sampled_from(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (s, 0.0), (s, 1.0 - s), (1 / 3, 1 / 3))))
+    target = a.add(b.sub(a).scale(u)).add(c.sub(a).scale(v))
+    scale = max(abs(x) for x in (*b.sub(a), *c.sub(a)))
+    kind = draw(st.sampled_from(kinds))
+    if kind == "tangent" and mesh is _QUAD and len(inst.geometries) == 1:
+        # through a quad corner, square to the line from the quad's
+        # centre: on the rim of a uniformly scaled quad's sphere
+        target = apply_point(inst.transform, mesh.vertices[draw(st.integers(0, 3))])
+        rim = target.sub(apply_point(inst.transform, Vec3(0.0, 0.0, 0.0)))
+        w = Vec3(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+        direction = rim.cross(w)
+        assume(direction.length() > 0.0)
+        away = rim.length() * draw(st.sampled_from((4.0, 1e6)))
+        origin = target.sub(direction.scale(away / direction.length()))
+    elif kind == "zero":
+        direction = Vec3(0.0, 0.0, 0.0)
+        origin = target
+    elif kind == "grazing":
+        # nearly in the triangle's plane: an in-plane direction plus a
+        # small part of the normal
+        n = b.sub(a).cross(c.sub(a))
+        along = b.sub(a).scale(draw(st.floats(-1.0, 1.0))).add(c.sub(a).scale(draw(st.floats(-1.0, 1.0))))
+        assume(along.length() > 0.0 and n.length() > 0.0)
+        tilt = draw(st.sampled_from((0.0, 2.0 ** -24, 2.0 ** -16, 2.0 ** -8)))
+        direction = along.scale(1.0 / along.length()).add(n.scale(tilt / n.length()))
+        origin = target.sub(direction.scale(scale * draw(st.sampled_from((0.5, 4.0, 1e3)))))
+    else:
+        w = Vec3(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+        assume(w.length() > 1e-3)
+        reach = scale * 3.0 if kind != "far" else max(scale, 1.0) * draw(st.sampled_from((1e6, 1e7)))
+        origin = target.add(w.scale(reach / w.length()))
+        direction = target.sub(origin)
+    t_min = draw(st.sampled_from((0.0, -math.inf)))
+    return make_ray(origin, direction, t_min, math.inf)
+
+
 @st.composite
 def _cull_cases(draw):
     """A scene built directly from ``Scene`` and rays aimed at it."""
@@ -384,53 +429,46 @@ def _cull_cases(draw):
         geoms = draw(st.sampled_from(([geometries[0]], [geometries[1]], geometries)))
         instances.append(Instance(geoms, draw(_instance_transforms()), index))
     scene = Scene(instances)
-    rays = []
-    for _ in range(6):
-        inst = draw(st.sampled_from(instances))
-        mesh = draw(st.sampled_from([g.mesh for g in inst.geometries]))
-        a, b, c = (apply_point(inst.transform, mesh.vertices[i]) for i in draw(st.sampled_from(mesh.indices)))
-        # a vertex, a point on an edge, or the centroid of a triangle
-        s = draw(st.floats(min_value=0.0, max_value=1.0))
-        u, v = draw(st.sampled_from(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (s, 0.0), (s, 1.0 - s), (1 / 3, 1 / 3))))
-        target = a.add(b.sub(a).scale(u)).add(c.sub(a).scale(v))
-        scale = max(abs(x) for x in (*b.sub(a), *c.sub(a)))
-        kind = draw(st.sampled_from(("aimed", "grazing", "far", "zero", "tangent")))
-        if kind == "tangent" and mesh is _QUAD and len(inst.geometries) == 1:
-            # through a quad corner, square to the line from the quad's
-            # centre: on the rim of a uniformly scaled quad's sphere
-            target = apply_point(inst.transform, mesh.vertices[draw(st.integers(0, 3))])
-            rim = target.sub(apply_point(inst.transform, Vec3(0.0, 0.0, 0.0)))
-            w = Vec3(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
-            direction = rim.cross(w)
-            assume(direction.length() > 0.0)
-            away = rim.length() * draw(st.sampled_from((4.0, 1e6)))
-            origin = target.sub(direction.scale(away / direction.length()))
-        elif kind == "zero":
-            direction = Vec3(0.0, 0.0, 0.0)
-            origin = target
-        elif kind == "grazing":
-            # nearly in the triangle's plane: an in-plane direction plus a
-            # small part of the normal
-            n = b.sub(a).cross(c.sub(a))
-            along = b.sub(a).scale(draw(st.floats(-1.0, 1.0))).add(c.sub(a).scale(draw(st.floats(-1.0, 1.0))))
-            assume(along.length() > 0.0 and n.length() > 0.0)
-            tilt = draw(st.sampled_from((0.0, 2.0 ** -24, 2.0 ** -16, 2.0 ** -8)))
-            direction = along.scale(1.0 / along.length()).add(n.scale(tilt / n.length()))
-            origin = target.sub(direction.scale(scale * draw(st.sampled_from((0.5, 4.0, 1e3)))))
-        else:
-            w = Vec3(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
-            assume(w.length() > 1e-3)
-            reach = scale * 3.0 if kind != "far" else max(scale, 1.0) * draw(st.sampled_from((1e6, 1e7)))
-            origin = target.add(w.scale(reach / w.length()))
-            direction = target.sub(origin)
-        t_min = draw(st.sampled_from((0.0, -math.inf)))
-        rays.append(make_ray(origin, direction, t_min, math.inf))
-    return scene, rays
+    return scene, [_aimed_ray(draw, instances) for _ in range(6)]
 
 
 @settings(max_examples=100)
 @given(_cull_cases())
 def test_culled_oracle_equals_brute_force(case):
+    scene, rays = case
+    built = build_scene(scene)
+    for ray in rays:
+        got = oracle_all_hits(built, ray)
+        assert (got.hits, got.groups) == _brute_force(built, ray), ray
+
+
+# a tilted fan: a wide triangle, a sliver whose third corner lies 1e-4 from
+# the second, and a needle from those two corners to a far one
+_SLIVERS = Mesh([vec3_32(-0.4, 0.1, 0.2), vec3_32(0.6, -0.2, 0.5), vec3_32(0.1, 0.7, -0.3),
+                 vec3_32(0.6001, -0.19995, 0.50004), vec3_32(-1.2, 1.3, 0.9)],
+                [(0, 1, 2), (0, 1, 3), (1, 3, 4)])
+
+
+@st.composite
+def _cluster_cases(draw):
+    """10 to 40 instances of the quad, the tilted pair and the sliver fan,
+    with identity, general and a few huge transforms, so that the oracle's
+    clusters hold several members, one member (13, 21 and 31 instances
+    leave one in the last cluster), or a member that is never skipped; and
+    grazing, far-origin, nearby and tangent rays at them."""
+    geometries = [Geometry(mesh, sbt) for sbt, mesh in enumerate((*_MESHES, _SLIVERS))]
+    transforms = _instance_transforms(("general",) * 6 + ("identity", "identity", "huge"))
+    instances = []
+    for index in range(draw(st.one_of(st.sampled_from((13, 21, 31)), st.integers(min_value=10, max_value=40)))):
+        geoms = draw(st.sampled_from(([geometries[0]], [geometries[1]], [geometries[2]], geometries[1:])))
+        instances.append(Instance(geoms, draw(transforms), index))
+    kinds = ("grazing", "grazing", "far", "far", "aimed", "tangent")
+    return Scene(instances), [_aimed_ray(draw, instances, kinds) for _ in range(6)]
+
+
+@settings(max_examples=40)
+@given(_cluster_cases())
+def test_clustered_oracle_equals_brute_force(case):
     scene, rays = case
     built = build_scene(scene)
     for ray in rays:

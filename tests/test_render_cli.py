@@ -345,7 +345,7 @@ def test_run_validation_builds_each_tree_and_runs_each_kernel_once(monkeypatch, 
     import ftbtrace.oracle as oracle_mod
     import ftbtrace.render as render_mod
 
-    calls = {"build": 0, "run": 0}
+    calls = {"build": 0, "run": 0, "validate": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -359,12 +359,15 @@ def test_run_validation_builds_each_tree_and_runs_each_kernel_once(monkeypatch, 
     for mod in (render_mod, oracle_mod):
         monkeypatch.setattr(mod, "build_scene", build)
         monkeypatch.setattr(mod, "run_kernel", run)
+    # the permuted trees skip Scene.validate, which the base build ran
+    monkeypatch.setattr(render_mod, "build_trees", counted("build", render_mod.build_trees))
     scene = gen_abutting_boxes(3)
     cam = resolve_camera(scene, 6, 4)
+    monkeypatch.setattr(type(scene), "validate", counted("validate", type(scene).validate))
     kernels = list(CORRECT_KERNELS) + ["ch-only"]
     status, report = run_validation(scene, kernels, cam, seeds=seeds)
     assert report["rays"] == 24
-    assert calls == {"build": 1 + len(seeds), "run": 24 * len(kernels) * (1 + len(seeds))}
+    assert calls == {"build": 1 + len(seeds), "run": 24 * len(kernels) * (1 + len(seeds)), "validate": 1}
 
 
 # ----------------------------------------------------------------------- CLI
