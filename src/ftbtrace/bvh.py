@@ -258,10 +258,11 @@ class BuiltScene:
     """Scene with per-mesh trees and a scene-level tree over instances.
 
     ``memo`` is the memo of the ray traced last (see the module docstring).
-    ``oracle_spheres`` holds the brute-force reference's cull data (instance
-    spheres, their clusters and per-mesh triangle spheres), filled on its
-    first call for this build (``oracle.oracle_all_hits``); traversal never
-    reads it.
+    ``oracle_spheres`` holds the brute-force reference's cull data, filled
+    on its first call for this build (``oracle.oracle_all_hits``): the
+    least |d|² its bounds hold for, the clusters of the instance spheres,
+    and a dict from each mesh to the clusters of its triangle spheres.
+    Traversal never reads it.
     """
 
     __slots__ = ("instances", "tlas_nodes", "tlas_order", "memo", "oracle_spheres")

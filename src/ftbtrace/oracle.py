@@ -4,11 +4,11 @@ The reference reads no tree data -- no node, no box, no pipeline -- but runs
 the very same intersection routine and the same instance ray transform as
 the traversal, so reference-versus-kernel distance comparisons are exact
 with zero tolerance.  It tests every triangle that the ray's line can
-reach: bounding spheres computed from ``Blas.tris`` and the transforms and
-padded by proven bounds skip, level by level, the clusters of instances,
-the instances and the triangles whose sphere the line misses
-(``oracle_all_hits`` gives the bounds).  It yields hit
-identities (``HitDesc``) and their equal-distance groups.  Validation
+reach: spheres computed from ``Blas.tris`` and the transforms and padded by
+proven bounds (``oracle_all_hits`` gives them) are walked cluster, then
+instance, then, per geometry, cluster, then triangle, and what a sphere the
+line misses covers is skipped.  It yields hit identities (``HitDesc``) and
+their equal-distance groups.  Validation
 replays a kernel to exhaustion over many rays and checks completeness,
 ordering, distance-group contents, duplicates, stable-sequence equality and
 the kernels' trace-count identities against the reference.  Failures are
@@ -46,18 +46,18 @@ class OracleResult:
 def oracle_all_hits(built: BuiltScene, ray) -> OracleResult:
     """Every hit with t_min < t < t_max, by direct enumeration, sorted.
 
-    Each triangle of each instance goes through the instance's
-    ``object_ray_parts`` and ``mt_core`` in primitive order; only instances
-    and triangles that provably hold no hit are skipped.  The cull reads no
-    tree data and never reads t_min or t_max.  The first call for a build
-    fills ``built.oracle_spheres`` with (guard, spheres, clusters,
-    tri_spheres): one world-space sphere per instance (``spheres``), about
-    √n clusters of those spheres (``clusters``) and, per mesh, one
-    object-space sphere per triangle (``tri_spheres``).  The cull runs by
-    level: a cluster's sphere, then each member instance's, then, in the
-    ray's object space, each triangle's.  Each sphere has a centre c and a reach p0 + p1·|o| (o the
-    origin of the ray the level sees) that is its radius plus a pad, and
-    what it covers is skipped when the ray's line misses it:
+    Each triangle of each instance that may hold a hit goes through the
+    instance's ``object_ray_parts`` and ``mt_core``.  The cull reads no tree
+    data and never reads t_min or t_max.  The first call for a build fills
+    ``built.oracle_spheres`` with (guard, clusters, mesh_clusters): ``_clusters``
+    of the n world-space instance spheres, and per mesh of its m
+    object-space triangle spheres.  A sphere is six doubles (cx, cy, cz, p0,
+    p1, index): a centre c, a reach p0 + p1·|o| (o the origin of the ray the
+    level sees) that is its radius plus a pad, and the instance's position
+    or the primitive.  One walk, ``_reached``, serves two levels: cluster,
+    then instance, in the world ray; then, per geometry, cluster, then
+    triangle, in the binary32 object-space ray (o', d') that ``mt_core``
+    receives.  What a sphere covers is skipped when the line misses it:
     |(c - o) × d|² > (p0 + p1·|o|)²·|d|².  A zero direction hits nothing
     (``mt_core`` returns None at det == 0), so it skips every instance; a
     NaN or an infinity in a test keeps what it covers.
@@ -91,13 +91,15 @@ def oracle_all_hits(built: BuiltScene, ray) -> OracleResult:
         plane D is 0, the computed det is rounding alone, and û and v̂ are
         ratios of roundings: a line in a tilted triangle's plane, a dozen
         edge lengths from it, was reported as a hit at t = 256.  No finite
-        pad covers that.  The bound covers
-        every hit with |D| >= 2^-27·|d'||e1||e2|, a det at least 2^23 times
-        its own rounding bound; that is sin α >= 2^-27·|e1||e2|/|n| for the
-        angle α between line and plane.  There, with |e1|, |e2| <= 2r and
-        |T| <= |o'| + |C| + r, dist(P, L') <= E = 2^-20·(|C| + r + |o'|).
-        A hit on a line closer to parallel is rounding noise, which the
-        tree's boxes cull as freely as these spheres do.
+        pad covers that, so this is the cull's one gap, at every level: a
+        sphere the line misses may still hold such a hit, and it is
+        skipped.  The bound covers every hit with |D| >= 2^-27·|d'||e1||e2|,
+        a det at least 2^23 times its own rounding bound; that is
+        sin α >= 2^-27·|e1||e2|/|n| for the angle α between line and plane.
+        There, with |e1|, |e2| <= 2r and |T| <= |o'| + |C| + r,
+        dist(P, L') <= E = 2^-20·(|C| + r + |o'|).  A hit on a line closer
+        to parallel is rounding noise, which the tree's boxes cull as freely
+        as these spheres do.
     (a) object_ray_parts.  o' = W·o + w + δo and d' = W·d + δd, where the
         binary64 sums and the binary32 rounding give |δo| <= (η32 + 10η)·
         (wF|o| + |w|) + 2^-148 and |δd| <= (η32 + 10η)·wF|d| + 2^-148.
@@ -126,35 +128,30 @@ def oracle_all_hits(built: BuiltScene, ray) -> OracleResult:
     raised by the factor 1 + 2^-40, more than the rounding of the few dozen
     operations that form them and of the test.
 
-    The cluster bound.  By the instance bound, a hit on member i puts the
-    exact line within p0ᵢ + p1ᵢ·|o| of its computed centre cᵢ (that reach
-    also holds (d)'s rounding of the member's own test, which only adds
-    room), so within |cᵢ - C| + p0ᵢ + p1ᵢ·|o| of the cluster's centre C.
-    The cluster's reach is R0 + R1·|o| with R0 = max(|cᵢ - C| + p0ᵢ) + 5η|C|
-    and R1 = max p1ᵢ + 5η: (d) with C in place of c gives the 5η terms, and
-    R0 and R1 are raised by 1 + 2^-40 as above.  A member with an infinite
-    or NaN centre or reach makes R0 infinite, so its cluster is always
-    tested.
-
     The triangle bound.  In an instance that is not skipped, each triangle's
-    sphere (s, ρ) is tested against the very binary32 object-space line
-    (o', d') that ``mt_core`` receives, so (a) and (b) do not arise.  s is the
-    midpoint of the box of the computed corners and ρ the greatest distance
-    from s to an exact corner, so the triangle lies within ρ of s, and
-    |e1|, |e2| <= 2ρ and |T| <= |o'| + |s| + ρ hold as in (c).  So a hit puts
-    L' within ρ + E of s, with E = 2^-20·(|s| + ρ + |o'|), and (d) with s in
-    place of c adds 5η(|s| + |o'|): the reach is
-    ρ + 2^-20·(|s| + ρ) + 5η|s| + (2^-20 + 5η)·|o'|, raised by 1 + 2^-40.
+    sphere (s, ρ) is tested against the very line (o', d') that ``mt_core``
+    receives, so (a) and (b) do not arise.  s is the midpoint of the box of
+    the computed corners and ρ the greatest distance from s to an exact
+    corner, so the triangle lies within ρ of s, and |e1|, |e2| <= 2ρ and
+    |T| <= |o'| + |s| + ρ hold as in (c).  So a hit puts L' within ρ + E of
+    s, with E = 2^-20·(|s| + ρ + |o'|), and (d) with s in place of c adds
+    5η(|s| + |o'|): p0 = ρ + 2^-20·(|s| + ρ) + 5η|s| and
+    p1 = ``_TRI_P1`` = 2^-20 + 5η, each raised by 1 + 2^-40.
 
-    Every level inherits (c)'s one gap: a hit on a line so close to a
-    tilted triangle's plane that det is rounding alone can lie anywhere on
-    the line, so a cluster, an instance or a triangle whose sphere the line
-    misses may still hold such a hit, and the cull skips it.
+    The cluster bound, at both levels (o' in place of o for triangles).  A
+    hit on member i puts the exact line within p0ᵢ + p1ᵢ·|o| of its centre
+    cᵢ (a reach that also holds (d)'s rounding of cᵢ's own test), so within
+    |cᵢ - C| + p0ᵢ + p1ᵢ·|o| of the cluster's centre C.  The cluster's reach
+    is R0 + R1·|o|, with R0 = max(|cᵢ - C| + p0ᵢ) + 5η|C| and
+    R1 = max p1ᵢ + 5η (``_TRI_P1`` + 5η for triangles), both raised by
+    1 + 2^-40: (d) with C in place of c gives the 5η terms.  A member with
+    an infinite or NaN centre or reach makes R0 infinite, so its cluster is
+    always tested.
     """
     data = built.oracle_spheres
     if data is None:
         data = built.oracle_spheres = _cull_data(built)
-    guard, _, clusters, tri_spheres = data
+    guard, clusters, mesh_clusters = data
     found = []
     t_min = ray.t_min
     t_max = ray.t_max
@@ -165,6 +162,27 @@ def oracle_all_hits(built: BuiltScene, ray) -> OracleResult:
     dd = dx * dx + dy * dy + dz * dz
     # an infinite |o| keeps every instance: too short a direction, or NaN
     on = math.sqrt(ox * ox + oy * oy + oz * oz) if dd >= guard else _INF
+    instances = built.instances
+    for i in _reached(clusters, ox, oy, oz, dx, dy, dz, dd, on):
+        bi = instances[i]
+        parts = rox, roy, roz, rdx, rdy, rdz = bi.object_ray_parts(ray)
+        rdd = rdx * rdx + rdy * rdy + rdz * rdz
+        ron = math.sqrt(rox * rox + roy * roy + roz * roz)
+        for geom in bi.geoms:
+            sbt = geom.sbt_offset
+            tris = geom.blas.tris
+            for prim in _reached(mesh_clusters[geom.blas], *parts, rdd, ron):
+                hit = mt_core(*parts, t_min, t_max, *tris[prim])
+                if hit is not None:
+                    found.append(HitDesc(hit.t, prim, sbt, bi.index))
+    hits = sort_hits(found)
+    return OracleResult(hits, [g for _, g in _grouped(hits)])
+
+
+def _reached(clusters, ox, oy, oz, dx, dy, dz, dd, on):
+    """The index of each member whose cluster's and own sphere the line
+    o + s·d reaches (``oracle_all_hits``' test), given dd = |d|² and on = |o|
+    (infinite to keep every sphere)."""
     kx = oy * dz - oz * dy
     ky = oz * dx - ox * dz
     kz = ox * dy - oy * dx
@@ -174,38 +192,16 @@ def oracle_all_hits(built: BuiltScene, ray) -> OracleResult:
         z = cx * dy - cy * dx - kz
         reach = p0 + p1 * on
         if reach * reach * dd < x * x + y * y + z * z < _INF:
-            continue  # the line misses the cluster's padded sphere
-        for cx, cy, cz, p0, p1, bi in members:
+            continue  # the line misses the cluster's sphere
+        it = iter(members)
+        for cx, cy, cz, p0, p1, i in zip(it, it, it, it, it, it):
             x = cy * dz - cz * dy - kx
             y = cz * dx - cx * dz - ky
             z = cx * dy - cy * dx - kz
             reach = p0 + p1 * on
             if reach * reach * dd < x * x + y * y + z * z < _INF:
-                continue  # the line misses the instance's padded sphere
-            rox, roy, roz, rdx, rdy, rdz = bi.object_ray_parts(ray)
-            rdd = rdx * rdx + rdy * rdy + rdz * rdz
-            q = _TRI_P1 * math.sqrt(rox * rox + roy * roy + roz * roz)
-            qx = roy * rdz - roz * rdy
-            qy = roz * rdx - rox * rdz
-            qz = rox * rdy - roy * rdx
-            inst = bi.index
-            for geom in bi.geoms:
-                sbt = geom.sbt_offset
-                tris = geom.blas.tris
-                it = iter(tri_spheres[geom.blas])
-                # original primitive order, independent of the tree
-                for prim, (sx, sy, sz, p0) in enumerate(zip(it, it, it, it)):
-                    x = sy * rdz - sz * rdy - qx
-                    y = sz * rdx - sx * rdz - qy
-                    z = sx * rdy - sy * rdx - qz
-                    reach = p0 + q
-                    if reach * reach * rdd < x * x + y * y + z * z < _INF:
-                        continue  # the line misses the triangle's padded sphere
-                    hit = mt_core(rox, roy, roz, rdx, rdy, rdz, t_min, t_max, *tris[prim])
-                    if hit is not None:
-                        found.append(HitDesc(hit.t, prim, sbt, inst))
-    hits = sort_hits(found)
-    return OracleResult(hits, [g for _, g in _grouped(hits)])
+                continue  # the line misses the member's sphere
+            yield int(i)
 
 
 def _corners(tris):
@@ -261,15 +257,15 @@ def _linear_terms(m, w, r, cn):
 
 
 def _instance_spheres(built: BuiltScene):
-    """(the least |d|² the cull holds for, one (cx, cy, cz, p0, p1,
-    instance) per instance): ``oracle_all_hits``'s cull data, from
-    ``Blas.tris`` and the transforms only."""
+    """(the least |d|² the cull holds for, one (cx, cy, cz, p0, p1, position)
+    per instance): ``oracle_all_hits``'s instance spheres, from ``Blas.tris``
+    and the transforms only."""
     boxes = {}
     objects = {}
     linear = {}
     guard = 0.0
     spheres = []
-    for bi in built.instances:
+    for i, bi in enumerate(built.instances):
         blases = tuple(g.blas for g in bi.geoms)
         sphere = objects.get(blases)
         if sphere is None:
@@ -278,7 +274,7 @@ def _instance_spheres(built: BuiltScene):
         rows = bi.inv_rows
         if rows is None:
             p0 = r + _REL * (cn + r) + 5 * _U * cn
-            spheres.append((Cx, Cy, Cz, p0 * _UP, _TRI_P1, bi))
+            spheres.append((Cx, Cy, Cz, p0 * _UP, _TRI_P1, i))
             continue
         m, t = bi.transform
         key = (m, sphere)
@@ -295,7 +291,7 @@ def _instance_spheres(built: BuiltScene):
         cy = m10 * Cx + m11 * Cy + m12 * Cz + ty
         cz = m20 * Cx + m21 * Cy + m22 * Cz + tz
         if not ok:
-            spheres.append((cx, cy, cz, _INF, _INF, bi))
+            spheres.append((cx, cy, cz, _INF, _INF, i))
             continue
         guard = max(guard, (_DIR_FLOOR * norm) ** 2 * _UP)
         tn = math.sqrt(tx * tx + ty * ty + tz * tz)
@@ -306,32 +302,32 @@ def _instance_spheres(built: BuiltScene):
         rho = math.sqrt(rx * rx + ry * ry + rz * rz) + 5 * _U * (mF * wn + tn)
         p0 = q0 + q1 * wn + rho + 5 * _U * (tn + math.sqrt(cx * cx + cy * cy + cz * cz))
         # every term is a sum of products of norms: one lift covers their rounding
-        spheres.append((cx, cy, cz, p0 * _UP, p1, bi))
+        spheres.append((cx, cy, cz, p0 * _UP, p1, i))
     return guard, spheres
 
 
 def _cull_data(built: BuiltScene):
-    """``built.oracle_spheres``: (guard, spheres, clusters, tri_spheres), from
+    """``built.oracle_spheres``: (guard, clusters, mesh_clusters), from
     ``Blas.tris`` and the transforms only."""
     guard, spheres = _instance_spheres(built)
-    tri_spheres = {}
+    mesh_clusters = {}
     for bi in built.instances:
         for geom in bi.geoms:
-            if geom.blas not in tri_spheres:
-                tri_spheres[geom.blas] = _triangle_spheres(geom.blas.tris)
-    return guard, spheres, _clusters(spheres), tri_spheres
+            if geom.blas not in mesh_clusters:
+                mesh_clusters[geom.blas] = _clusters(_triangle_spheres(geom.blas.tris))
+    return guard, _clusters(spheres), mesh_clusters
 
 
 def _clusters(spheres):
-    """``oracle_all_hits``'s instance clusters: about √n groups of the
-    instance spheres, each (Cx, Cy, Cz, R0, R1, member spheres).
+    """About √n groups of n sphere records (cx, cy, cz, p0, p1, index), each
+    (Cx, Cy, Cz, R0, R1, members): the members' records, flat in an
+    ``array('d')``, and a reach R0 + R1·|o| that covers every member's
+    (``oracle_all_hits``'s cluster bound).
 
     Sort-tile-recursive packing of the centres: sorted by x into about
     √(cluster count) slabs, each slab sorted by y and cut into chunks of
-    ⌈√n⌉.  Both sorts are stable, so the packing depends on the spheres in
-    instance order alone.  The reach R0 + R1·|o| covers every member's
-    (the cluster bound); like every level, it does not cover a hit on a
-    line so close to a tilted triangle's plane that det is rounding alone.
+    ⌈√n⌉.  Both sorts are stable, so the packing depends on the records in
+    index order alone.
     """
     n = len(spheres)
     if n == 0:
@@ -344,7 +340,7 @@ def _clusters(spheres):
     for i in range(0, n, slab):
         by_y = sorted(by_x[i : i + slab], key=lambda s: s[1])
         for j in range(0, len(by_y), size):
-            members = tuple(by_y[j : j + size])
+            members = by_y[j : j + size]
             lo, hi = box_of(s[:3] for s in members)
             C = tuple((lo[a] + hi[a]) * 0.5 for a in range(3))
             r0 = [_norm(cx - C[0], cy - C[1], cz - C[2]) + p0 for cx, cy, cz, p0, _, _ in members]
@@ -352,30 +348,25 @@ def _clusters(spheres):
             # NaN fails every comparison, so it too gives an infinite R0
             finite = all(x < _INF for x in r0 + r1)
             R0 = (max(r0) + 5 * _U * _norm(*C)) * _UP if finite else _INF
-            clusters.append((*C, R0, (max(r1) + 5 * _U) * _UP, members))
+            clusters.append((*C, R0, (max(r1) + 5 * _U) * _UP, array("d", [x for s in members for x in s])))
     return clusters
 
 
 def _triangle_spheres(tris):
-    """``oracle_all_hits``'s object-space triangle spheres of packed
-    triangles: (sx, sy, sz, p0) per triangle in primitive order, flat in an
-    ``array('d')``; every one has p1 = ``_TRI_P1``.
-
-    s is the midpoint of the box of the computed corners, and ρ bounds the
-    distance from s to each exact corner, each within 2η times its
-    coordinates of the computed one (the triangle bound).  Like every level,
-    the pad does not cover a hit on a line so close to the triangle's plane
-    that det is rounding alone.
+    """One object-space sphere (sx, sy, sz, p0, ``_TRI_P1``, prim) per packed
+    triangle (``oracle_all_hits``' triangle bound): s is the midpoint of the
+    box of the computed corners, and ρ bounds the distance from s to each
+    exact corner, each within 2η times its coordinates of the computed one.
     """
-    out = array("d")
-    for tri in tris:
+    spheres = []
+    for prim, tri in enumerate(tris):
         corners = tuple(_corners((tri,)))
         lo, hi = box_of(corners)
         s = tuple((lo[a] + hi[a]) * 0.5 for a in range(3))
         rho = max(_norm(*(abs(k[a] - s[a]) + 2 * _U * abs(k[a]) for a in range(3))) for k in corners)
         sn = _norm(*s)
-        out.extend((*s, (rho + _REL * (sn + rho) + 5 * _U * sn) * _UP))
-    return out
+        spheres.append((*s, (rho + _REL * (sn + rho) + 5 * _U * sn) * _UP, _TRI_P1, prim))
+    return spheres
 
 
 def _triple(h: HitDesc):

@@ -108,15 +108,23 @@ _BOUNDS_PINS = {
     "oracle spheres": "7b9ce63ba7edf497",
     "oracle clusters": "a7d0fc68daf1294f",
     "triangle spheres": "12e73e649becb4c2",
+    "triangle clusters": "e006364cef362d3e",
     "framed cameras": "dfeb2dde023a8ac3",
 }
+
+
+def _records(clusters):
+    """The member records (cx, cy, cz, p0, p1, index) of the oracle's
+    clusters, in index order."""
+    flat = [x for c in clusters for x in c[5]]
+    return sorted((tuple(flat[k : k + 6]) for k in range(0, len(flat), 6)), key=lambda r: r[5])
 
 
 def test_boxes_spheres_and_framings_are_pinned(tmp_path):
     scene = scene_from_manifest(_manifest())
     built = build_scene(scene)
     oracle_all_hits(built, make_ray((0.0, 0.5, -10.0), (0.05, 0.0, 1.0), 0.0, 1.0e30))
-    guard, spheres, clusters, tri_spheres = built.oracle_spheres
+    guard, clusters, mesh_clusters = built.oracle_spheres
     obj = tmp_path / "quad.obj"
     obj.write_text(_OBJ)
     cameras = [
@@ -131,11 +139,14 @@ def test_boxes_spheres_and_framings_are_pinned(tmp_path):
             for node in nodes
             for x in node
         ),
-        "oracle spheres": _digest([guard] + [x for sphere in spheres for x in sphere[:5]]),
-        "oracle clusters": _digest(
-            x for c in clusters for x in (*c[:5], *(float(member[5].index) for member in c[5]))
+        "oracle spheres": _digest([guard] + [x for sphere in _records(clusters) for x in sphere[:5]]),
+        "oracle clusters": _digest(x for c in clusters for x in (*c[:5], *c[5][5::6])),
+        "triangle spheres": _digest(
+            x for blas in mesh_clusters for sphere in _records(mesh_clusters[blas]) for x in sphere[:4]
         ),
-        "triangle spheres": _digest(x for blas in tri_spheres for x in tri_spheres[blas]),
+        "triangle clusters": _digest(
+            x for blas in mesh_clusters for c in mesh_clusters[blas] for x in (*c[:5], *c[5][5::6])
+        ),
         "framed cameras": _digest(x for cam in cameras for x in _camera_floats(cam)),
     }
     assert got == _BOUNDS_PINS

@@ -282,24 +282,31 @@ def test_oracle_does_not_depend_on_tree_build(scene):
 
 
 def _oracle_cull_bits(built):
-    """The bits of the oracle's cluster data (centre, R0, R1 and member
-    instance indices) and of its triangle spheres, per instance geometry."""
+    """The bits of the oracle's instance clusters and of each instance
+    geometry's triangle clusters: centre, R0, R1 and the member records
+    (centre, p0, p1 and instance position or primitive)."""
     oracle_all_hits(built, make_ray((0, 0, -1), (0, 0, 1), 0, 1))  # fills the data
-    _, _, clusters, tri_spheres = built.oracle_spheres
-    return (
-        [(_bits(c[:5]), [m[5].index for m in c[5]]) for c in clusters],
-        [_bits(tri_spheres[g.blas]) for bi in built.instances for g in bi.geoms],
-    )
+    _, clusters, mesh_clusters = built.oracle_spheres
+
+    def bits(cs):
+        return [(_bits(c[:5]), _bits(c[5])) for c in cs]
+
+    return bits(clusters), [bits(mesh_clusters[g.blas]) for bi in built.instances for g in bi.geoms]
 
 
 @pytest.mark.parametrize("gen", ["coplanar:n=8:same_t=true", "grid:m=3", "grid:m=12", "abutting:k=4"])
 def test_oracle_cull_data_does_not_depend_on_tree_build(gen):
     scene = make_scene(gen)
-    want = _oracle_cull_bits(build_scene(scene))
+    built = build_scene(scene)
+    want = _oracle_cull_bits(built)
     assert len(want[0]) == math.isqrt(len(scene.instances))  # √n clusters: n is 1, 9 or 144
+    for mesh, clusters in built.oracle_spheres[2].items():
+        # ⌈√m⌉ members in every cluster of m triangles but at most one
+        m = len(mesh.tris)
+        sizes = sorted(len(c[5]) // 6 for c in clusters)
+        assert sum(sizes) == m and set(sizes[1:]) <= {math.isqrt(m - 1) + 1}
     for seed in (1, 7):
         assert _oracle_cull_bits(build_scene(scene, BuildOptions(permute_seed=seed))) == want
-
 
 
 _WALK_SCENES = ("coplanar:n=8:same_t=true", "abutting:k=4", "grid:m=3", "adversarial", "leaf-reorder")

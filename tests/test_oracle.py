@@ -30,10 +30,11 @@ from ftbtrace import (
     run_kernel,
     run_validation,
     sort_hits,
+    translation,
     validate_kernel,
 )
 from ftbtrace.bvh import BuiltInstance
-from ftbtrace.geom import IDENTITY, apply_point, mt_core, vec3_32
+from ftbtrace.geom import IDENTITY, apply_point, box_of, mt_core, vec3_32
 from ftbtrace.kernels import CORRECT_KERNELS, KERNELS
 
 from probes import rays_for, stuck_trace
@@ -388,7 +389,20 @@ def _aimed_ray(draw, instances, kinds=("aimed", "grazing", "far", "zero", "tange
     target = a.add(b.sub(a).scale(u)).add(c.sub(a).scale(v))
     scale = max(abs(x) for x in (*b.sub(a), *c.sub(a)))
     kind = draw(st.sampled_from(kinds))
-    if kind == "tangent" and mesh is _QUAD and len(inst.geometries) == 1:
+    if kind == "rim":
+        # through the triangle's corner farthest from its box centre,
+        # square to the line from that centre: on the rim of the
+        # triangle's sphere when the transform scales uniformly
+        lo, hi = box_of((a, b, c))
+        centre = Vec3(*((lo[k] + hi[k]) * 0.5 for k in range(3)))
+        target = max((a, b, c), key=lambda k: k.sub(centre).length())
+        rim = target.sub(centre)
+        w = Vec3(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+        direction = rim.cross(w)
+        assume(direction.length() > 0.0)
+        away = rim.length() * draw(st.sampled_from((4.0, 1e6)))
+        origin = target.sub(direction.scale(away / direction.length()))
+    elif kind == "tangent" and mesh is _QUAD and len(inst.geometries) == 1:
         # through a quad corner, square to the line from the quad's
         # centre: on the rim of a uniformly scaled quad's sphere
         target = apply_point(inst.transform, mesh.vertices[draw(st.integers(0, 3))])
@@ -449,20 +463,49 @@ _SLIVERS = Mesh([vec3_32(-0.4, 0.1, 0.2), vec3_32(0.6, -0.2, 0.5), vec3_32(0.1, 
                 [(0, 1, 2), (0, 1, 3), (1, 3, 4)])
 
 
+def _tilted_fan(m):
+    """A tilted, slightly bent mesh of m triangles: a fan of m - m // 3
+    triangles of uneven radii about one vertex, and m // 3 needle slivers
+    pointing outward from its rim, each with a third corner 1e-4 from its
+    tip."""
+    fan, needles = m - m // 3, m // 3
+    c, u, v, n = Vec3(0.1, -0.2, 0.3), Vec3(0.8, 0.1, -0.6), Vec3(0.2, 0.9, 0.4), Vec3(0.5, -0.4, 0.7)
+    rim = []
+    for j in range(fan):
+        a = 2.0 * math.pi * j / fan
+        r = 0.5 + 0.15 * (j * 7 % 5)
+        bend = n.scale(0.05 * math.sin(3 * a))
+        rim.append(c.add(u.scale(r * math.cos(a))).add(v.scale(r * math.sin(a))).add(bend))
+    vertices = [vec3_32(*c)] + [vec3_32(*p) for p in rim]
+    indices = [(0, 1 + j, 1 + (j + 1) % fan) for j in range(fan)]
+    for k in range(needles):
+        j = k * fan // needles
+        p, q = vertices[1 + j], vertices[1 + (j + 1) % fan]
+        tip = c.add(p.sub(c).scale(1.6))
+        side = q.sub(p).scale(1e-4 / q.sub(p).length())
+        vertices += [vec3_32(*tip), vec3_32(*tip.add(side))]
+        indices.append((1 + j, len(vertices) - 2, len(vertices) - 1))
+    return Mesh(vertices, indices)
+
+
 @st.composite
 def _cluster_cases(draw):
-    """10 to 40 instances of the quad, the tilted pair and the sliver fan,
-    with identity, general and a few huge transforms, so that the oracle's
-    clusters hold several members, one member (13, 21 and 31 instances
-    leave one in the last cluster), or a member that is never skipped; and
+    """10 to 40 instances of the quad, the tilted pair, the sliver fan and a
+    tilted fan of 10 to 40 triangles, with identity, general and a few huge
+    transforms, so that the oracle's clusters, of instances and of the
+    fan's triangles, hold several members, one member (13, 21 and 31 leave
+    one in the last cluster), or a member that is never skipped; and
     grazing, far-origin, nearby and tangent rays at them."""
-    geometries = [Geometry(mesh, sbt) for sbt, mesh in enumerate((*_MESHES, _SLIVERS))]
+    sizes = st.one_of(st.sampled_from((13, 21, 31)), st.integers(min_value=10, max_value=40))
+    fan = _tilted_fan(draw(sizes))
+    geometries = [Geometry(mesh, sbt) for sbt, mesh in enumerate((*_MESHES, _SLIVERS, fan))]
     transforms = _instance_transforms(("general",) * 6 + ("identity", "identity", "huge"))
     instances = []
-    for index in range(draw(st.one_of(st.sampled_from((13, 21, 31)), st.integers(min_value=10, max_value=40)))):
-        geoms = draw(st.sampled_from(([geometries[0]], [geometries[1]], [geometries[2]], geometries[1:])))
+    for index in range(draw(sizes)):
+        geoms = draw(st.sampled_from(([geometries[0]], [geometries[1]], [geometries[2]], geometries[1:3],
+                                      [geometries[3]], [geometries[3]])))
         instances.append(Instance(geoms, draw(transforms), index))
-    kinds = ("grazing", "grazing", "far", "far", "aimed", "tangent")
+    kinds = ("grazing", "grazing", "far", "far", "aimed", "tangent", "rim")
     return Scene(instances), [_aimed_ray(draw, instances, kinds) for _ in range(6)]
 
 
@@ -516,3 +559,57 @@ def test_culled_oracle_keeps_tangent_hits_from_far_origins():
         ray = make_ray(corner.sub(direction.scale(away / direction.length())), direction, -math.inf, math.inf)
         got = oracle_all_hits(built, ray)
         assert (got.hits, got.groups) == _brute_force(built, ray), ray
+
+
+_ROT90_Z = Affine3(((0.0, -1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)), Vec3(0.0, 0.0, 0.0))
+
+
+@st.composite
+def _quad_soups(draw):
+    """A splat soup: two geometries of 4 to 20 axis-aligned quads each,
+    snapped to a 0.5 grid on 2 or 3 z-planes that both share, so that hits
+    tie within and across geometries; instanced as is, with an exact
+    coincident copy and an exact 90° rotation about z; built with leaf
+    size 1, 2 or 4, as given or permuted."""
+    planes = draw(st.lists(st.integers(8, 14), min_size=2, max_size=3, unique=True))
+    geometries = []
+    for sbt in range(2):
+        vertices, indices = [], []
+        for _ in range(draw(st.integers(4, 20))):
+            cx, cy = draw(st.integers(-6, 6)) * 0.5, draw(st.integers(-6, 6)) * 0.5
+            hx, hy = draw(st.sampled_from((0.5, 1.0))), draw(st.sampled_from((0.5, 1.0)))
+            z = draw(st.sampled_from(planes)) * 0.5
+            b = len(vertices)
+            vertices += [Vec3(cx - hx, cy - hy, z), Vec3(cx + hx, cy - hy, z), Vec3(cx + hx, cy + hy, z),
+                         Vec3(cx - hx, cy + hy, z)]
+            indices += [(b, b + 1, b + 2), (b, b + 2, b + 3)]
+        geometries.append(Geometry(Mesh(vertices, indices), sbt))
+    instances = [
+        Instance([geometries[0]], IDENTITY, 0),
+        Instance(geometries, IDENTITY, 1),
+        Instance([geometries[1]], _ROT90_Z, 2),
+        Instance([geometries[0]], translation(0.0, 0.0, 0.0), 3),  # coincident with instance 0
+    ]
+    seed = draw(st.one_of(st.none(), st.integers(0, 2**16)))
+    return Scene(instances, BuildOptions(leaf_size=draw(st.sampled_from((1, 2, 4))), permute_seed=seed))
+
+
+@settings(max_examples=30)
+@given(_quad_soups(), st.data())
+def test_kernels_and_oracle_agree_on_quad_soups(scene, data):
+    # the rays of a 6x4 camera, some cut to an exclusive sub-interval whose
+    # ends are hit distances: on each, the oracle must equal the brute
+    # force, and every correct kernel must pass validation against it
+    built = build_scene(scene)
+    rays = camera_rays(resolve_camera(scene, 6, 4))
+    for k, ray in enumerate(rays):
+        ts = sorted({h.t for h in _brute_force(built, ray)[0]})
+        if ts and data.draw(st.booleans()):
+            t_min = data.draw(st.sampled_from([ray.t_min, *ts]))
+            t_max = data.draw(st.sampled_from([*(t for t in ts if t > t_min), ray.t_max]))
+            rays[k] = ray._replace(t_min=t_min, t_max=t_max)
+    oracles = [oracle_all_hits(built, ray) for ray in rays]
+    for ray, orc in zip(rays, oracles):
+        assert (orc.hits, orc.groups) == _brute_force(built, ray), ray
+    for kernel in CORRECT_KERNELS:
+        assert validate_kernel(kernel, built, rays, oracles=oracles).ok, kernel
