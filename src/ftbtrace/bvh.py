@@ -18,7 +18,8 @@ entries are clamped, raising t_min between traces can flip the visit order
 of overlapping leaves -- kernels that lean on traversal order must survive
 exactly that.  Both levels share one live t_max, which an accepted
 candidate shrinks and every later box and triangle test re-reads, so an
-accepted hit culls later subtrees within the same trace.
+accepted hit culls later subtrees within the same trace.  ``traverse``
+runs the any-hit program and applies its verdict itself.
 
 Every kernel traces one ray again and again, changing only (t_min, t_max),
 and no box or triangle test result depends on the interval until it is
@@ -27,18 +28,18 @@ compared with it.  So ``traverse`` keeps a one-ray memo on the
 instance box (``slab_entry``), each entered instance's ``object_ray_parts``
 and each leaf's ``mt_core`` hits as finished ``HitContext``s, all computed
 without an interval, and only for what the ray has touched.  Every trace
-clamps a cached interval to the live (t_min, t_max) and hands ``visit`` a
-cached hit when t_min < t < live t_max, so the results are bitwise those of
-testing afresh, and ``nodes_visited``/``tri_tests`` still count every
-emulated test of every trace.  The memo is keyed by the identity of
-``ray.origin`` and ``ray.direction`` (it holds both, so neither id can be
-reused while it lives): a kernel rebuilds each retrace's ``Ray`` around the
-same origin and direction objects and hits it, and any other ray replaces
-it.  Origin and
-direction are immutable tuples.  Each trace reads ``built.memo`` once, so
-traces on several threads (or one nested in a ``visit``) never mix two rays'
-results; a race only costs a recompute.  Every entry is stored whole, so
-two traces of the same ray never read a half-filled one.
+clamps a cached interval to the live (t_min, t_max) and hands the any-hit
+program a cached hit when t_min < t < live t_max, so the results are
+bitwise those of testing afresh, and ``nodes_visited``/``tri_tests`` still
+count every emulated test of every trace.  The memo is keyed by the
+identity of ``ray.origin`` and ``ray.direction`` (it holds both, so neither
+id can be reused while it lives): a kernel rebuilds each retrace's ``Ray``
+around the same origin and direction objects and hits it, and any other
+ray replaces it.  Origin and direction are immutable tuples.  Each trace
+reads ``built.memo`` once, so traces on several threads (or one nested in
+an any-hit program) never mix two rays' results; a race only costs a
+recompute.  Every entry is stored whole, so two traces of the same ray
+never read a half-filled one.
 
 Everything a ray reads that does not depend on the ray is computed at build
 time.  ``Blas.tris`` keeps each triangle's packed intersection data in
@@ -58,7 +59,8 @@ from itertools import product
 from typing import Optional
 
 from .floatstep import f32x6
-from .geom import IDENTITY, HitContext, Ray, Vec3, affine_inverse, apply_point, box_of, mt_core, slab_entry
+from .geom import (IDENTITY, AhVerdict, HitContext, Ray, Vec3, affine_inverse, apply_point, box_of, mt_core,
+                   slab_entry)
 
 # node tuple layout: (lox, loy, loz, hix, hiy, hiz, left, right, first, count)
 # leaf <=> left < 0; first/count index into the element permutation
@@ -67,6 +69,7 @@ _LEAF = -1
 _INF = float("inf")
 _EMPTY = (_INF, -_INF)  # memo entry of a missed box: empty under any clamp
 _UNBOUNDED = (_INF,)  # box tests' live t_max for a zero direction
+_ACCEPT, _IGNORE, _TERMINATE_ACCEPT = AhVerdict.ACCEPT, AhVerdict.IGNORE, AhVerdict.TERMINATE_ACCEPT
 
 
 @dataclass(frozen=True)
@@ -383,19 +386,23 @@ def _leaves(nodes, boxes, ox, oy, oz, dx, dy, dz, t_min, live, stats):
             stack.append(left)
 
 
-def traverse(built: BuiltScene, ray: Ray, visit, stats) -> None:
-    """Report every candidate with t_min < t < current t_max exactly once.
+def traverse(built: BuiltScene, ray: Ray, any_hit, prd_stats) -> tuple:
+    """Run ``any_hit(ctx, prd)`` once on every candidate with
+    t_min < t < current t_max and apply its verdict; ``prd_stats`` is
+    (prd, stats).  Returns (the committed ``HitContext`` or None, the
+    number of program calls).
 
-    visit(ctx) receives the candidate's ``HitContext`` and returns
-    (new_tmax, stop): a non-None new_tmax shrinks the live interval for
-    everything after it; stop aborts the walk immediately.  A ray that
-    shares its origin and direction objects with the ray traced last reuses
-    that ray's interval-free tests and hit contexts (see the module
-    docstring).
+    IGNORE leaves the interval as it is; ACCEPT, or None, commits the
+    candidate and shrinks the live t_max to its distance; TERMINATE_ACCEPT
+    commits it and ends the walk at once; any other verdict raises
+    TypeError.  A ray that shares its origin and direction objects with the
+    ray traced last reuses that ray's interval-free tests and hit contexts
+    (see the module docstring).
     """
+    prd, stats = prd_stats
     nodes = built.tlas_nodes
     if not nodes:
-        return
+        return None, 0
     origin = ray.origin
     direction = ray.direction
     memo = built.memo  # read once: another thread may replace it
@@ -403,6 +410,7 @@ def traverse(built: BuiltScene, ray: Ray, visit, stats) -> None:
         memo = built.memo = _RayMemo(origin, direction)
     t_min = ray.t_min
     live = [ray.t_max]
+    committed, calls = None, 0
     order = built.tlas_order
     instances = built.instances
     inst_boxes = memo.inst_boxes
@@ -444,15 +452,19 @@ def traverse(built: BuiltScene, ray: Ray, visit, stats) -> None:
                                                  bi.world_to_object)
                                 hits.append((tslot, ctx))
                         leaf_hits[tfirst] = hits  # published whole: another trace may read it
-                    tested = tfirst  # slots before this one are counted
                     for tslot, ctx in hits:
                         if not t_min < ctx[0] < live[0]:
                             continue
-                        stats.tri_tests += tslot + 1 - tested
-                        tested = tslot + 1
-                        new_tmax, stop = visit(ctx)
-                        if new_tmax is not None:
-                            live[0] = new_tmax
-                        if stop:
-                            return
-                    stats.tri_tests += tfirst + tcount - tested
+                        calls += 1
+                        verdict = any_hit(ctx, prd)
+                        if verdict is _IGNORE:
+                            continue
+                        if verdict is _TERMINATE_ACCEPT:
+                            stats.tri_tests += tslot + 1 - tfirst  # the slots tested so far
+                            return ctx, calls
+                        if verdict is not None and verdict is not _ACCEPT:
+                            raise TypeError(f"any_hit returned {verdict!r}")
+                        committed = ctx
+                        live[0] = ctx[0]
+                    stats.tri_tests += tcount
+    return committed, calls

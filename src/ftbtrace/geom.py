@@ -14,11 +14,15 @@ comparisons are exact.
 from __future__ import annotations
 
 import math
+import struct
+from enum import Enum, auto
 from typing import NamedTuple, Optional
 
 from .floatstep import f32
 
 _INF = math.inf
+_pack_3f = struct.Struct("<3f").pack
+_unpack_3f = struct.Struct("<3f").unpack
 
 
 class Vec3(NamedTuple):
@@ -126,6 +130,14 @@ class HitContext(NamedTuple):
     inst: int
     object_to_world: Affine3
     world_to_object: Affine3
+
+
+class AhVerdict(Enum):
+    """An any-hit program's verdict on a candidate ``HitContext``."""
+
+    ACCEPT = auto()
+    IGNORE = auto()
+    TERMINATE_ACCEPT = auto()
 
 
 def translation(x: float, y: float, z: float) -> Affine3:
@@ -248,10 +260,14 @@ def mt_core(
     v = (dx * qx + dy * qy + dz * qz) * inv
     if v < 0.0 or u + v > 1.0:
         return None
-    t = f32((e2x * qx + e2y * qy + e2z * qz) * inv)
+    t = (e2x * qx + e2y * qy + e2z * qz) * inv
+    try:
+        t, u, v = _unpack_3f(_pack_3f(t, u, v))
+    except OverflowError:  # t rounds to +-inf (0 <= u, v <= 1): in no interval
+        return None
     if not t_min < t < t_max:  # NaN fails both comparisons
         return None
-    return TriHit(t, f32(u), f32(v), det > 0.0)
+    return TriHit(t, u, v, det > 0.0)
 
 
 def slab_entry(

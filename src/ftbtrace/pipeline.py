@@ -1,13 +1,13 @@
 """Emulation of the hardware trace call's observable semantics.
 
-One trace walks the scene tree and hands every candidate intersection whose
-distance lies strictly inside the live (t_min, t_max) interval to the
-any-hit callback -- the interval test happens before the callback ever sees
-the hit.  Accepting a candidate (the default when no any-hit program runs)
-commits it and shrinks t_max to its distance; ignoring leaves the interval
-untouched; terminating commits and stops all further traversal, triangle
-tests and any-hit calls at once.  After traversal the closest-hit callback
-runs on the committed hit, or the miss callback when nothing was committed.
+One trace walks the scene tree (``bvh.traverse``), which hands every
+candidate whose distance lies strictly inside the live (t_min, t_max)
+interval to the any-hit program and applies its verdict: accepting (the
+default when no program runs) commits the candidate and shrinks t_max to
+its distance; ignoring leaves the interval untouched; terminating commits
+and stops all further traversal, triangle tests and any-hit calls at once.
+``trace`` checks the interval and keeps the counters, then runs the
+closest-hit callback on the committed hit, or miss when none was.
 
 There is deliberately no way to accept a hit while keeping t_max just above
 it: kernels built on this emulator live under the same rules as on the real
@@ -18,17 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum, IntFlag, auto
+from enum import IntFlag
 from typing import Callable, Optional
 
 from .bvh import BuiltScene, traverse
-from .geom import Ray
-
-
-class AhVerdict(Enum):
-    ACCEPT = auto()
-    IGNORE = auto()
-    TERMINATE_ACCEPT = auto()
+from .geom import AhVerdict, Ray
 
 
 class TraceFlags(IntFlag):
@@ -79,10 +73,14 @@ class TraceConfig:
     a plain return).  closest_hit(ctx, prd) and miss(prd) return nothing.
     """
 
-    any_hit: Optional[Callable] = None
+    any_hit: Optional[Callable[..., Optional[AhVerdict]]] = None
     closest_hit: Optional[Callable] = None
     miss: Optional[Callable] = None
     flags: TraceFlags = TraceFlags.NONE
+
+
+def _accept(ctx, prd):
+    """The any-hit program of a trace that runs none: accept every candidate."""
 
 
 def trace(built: BuiltScene, ray: Ray, cfg: TraceConfig, prd=None,
@@ -103,26 +101,10 @@ def trace(built: BuiltScene, ray: Ray, cfg: TraceConfig, prd=None,
         stats = TraceStats()
     stats.traces += 1
     flags = int(cfg.flags)  # plain-int bit tests: IntFlag's & runs in Python
-    any_hit = None if flags & _DISABLE_ANYHIT else cfg.any_hit
-    committed = [None]
-
-    def visit(ctx):
-        if any_hit is not None:
-            stats.ah_calls += 1
-            verdict = any_hit(ctx, prd)
-            if verdict is AhVerdict.IGNORE:
-                return None, False
-            if verdict is AhVerdict.TERMINATE_ACCEPT:
-                committed[0] = ctx
-                return ctx[0], True
-            if verdict is not None and verdict is not AhVerdict.ACCEPT:
-                raise TypeError(f"any_hit returned {verdict!r}")
-        committed[0] = ctx
-        return ctx[0], False
-
-    traverse(built, ray, visit, stats)
-
-    hit = committed[0]
+    any_hit = _accept if flags & _DISABLE_ANYHIT or cfg.any_hit is None else cfg.any_hit
+    hit, calls = traverse(built, ray, any_hit, (prd, stats))
+    if any_hit is not _accept:  # ah_calls counts the config's program only
+        stats.ah_calls += calls
     if hit is not None:
         if cfg.closest_hit is not None and not flags & _DISABLE_CLOSESTHIT:
             stats.ch_calls += 1

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ftbtrace import (
     CORRECT_KERNELS,
+    AhVerdict,
     Affine3,
     BuildOptions,
     Camera,
@@ -43,11 +44,11 @@ def _collect(built, ray):
     seen = []
     stats = TraceStats()
 
-    def visit(ctx):
+    def any_hit(ctx, prd):
         seen.append((ctx.t, ctx.prim, ctx.geom, ctx.inst))
-        return None, False
+        return AhVerdict.IGNORE
 
-    traverse(built, ray, visit, stats)
+    traverse(built, ray, any_hit, (None, stats))
     return seen, stats
 
 
@@ -99,14 +100,14 @@ def test_accepting_front_hit_culls_farther_leaves():
     ray = make_ray((0.1, -0.2, -1.0), (0, 0, 1), 0, 100)
 
     ignore_stats = TraceStats()
-    traverse(built, ray, lambda ctx: (None, False), ignore_stats)
+    traverse(built, ray, lambda ctx, prd: AhVerdict.IGNORE, (None, ignore_stats))
 
     accept_stats = TraceStats()
 
-    def accept_first(ctx):
-        return ctx.t, False  # shrink the interval to every reported hit
+    def accept_first(ctx, prd):
+        return AhVerdict.ACCEPT  # shrink the interval to every reported hit
 
-    traverse(built, ray, accept_first, accept_stats)
+    traverse(built, ray, accept_first, (None, accept_stats))
     assert accept_stats.tri_tests < ignore_stats.tri_tests
 
 
@@ -156,16 +157,16 @@ def test_traversal_is_deterministic():
 
 
 def test_tmax_shrink_is_respected_mid_trace():
-    # after the visitor accepts, no candidate at or beyond that t may appear
+    # after the program accepts, no candidate at or beyond that t may appear
     built = build_scene(gen_coplanar_stack(6, False))
     ray = make_ray((0.1, -0.2, -1.0), (0, 0, 1), 0, 100)
     seen = []
 
-    def visit(ctx):
+    def any_hit(ctx, prd):
         seen.append(ctx.t)
-        return ctx.t, False
+        return AhVerdict.ACCEPT
 
-    traverse(built, ray, visit, TraceStats())
+    traverse(built, ray, any_hit, (None, TraceStats()))
     assert all(b < a for a, b in zip(seen, seen[1:]))
 
 
@@ -311,11 +312,11 @@ def test_oracle_cull_data_does_not_depend_on_tree_build(gen):
 
 _WALK_SCENES = ("coplanar:n=8:same_t=true", "abutting:k=4", "grid:m=3", "adversarial", "leaf-reorder")
 
-# visitor verdict from (candidates seen so far, this candidate's t)
+# any-hit verdict from the number of candidates seen so far
 _WALK_VERDICTS = {
-    "ignore": lambda n, t: (None, False),
-    "accept": lambda n, t: (t, False),  # every candidate shrinks t_max
-    "stop-at-3": lambda n, t: (None, n == 3),
+    "ignore": lambda n: AhVerdict.IGNORE,
+    "accept": lambda n: AhVerdict.ACCEPT,  # every candidate shrinks t_max
+    "stop-at-3": lambda n: AhVerdict.TERMINATE_ACCEPT if n == 3 else AhVerdict.IGNORE,
 }
 
 _WALK_PINS = {
@@ -342,11 +343,11 @@ def test_traversal_candidates_and_counters_are_pinned():
                     for ray in rays:
                         seen = []
 
-                        def visit(ctx, _seen=seen):
+                        def any_hit(ctx, prd, _seen=seen):
                             _seen.append((f32_bits(ctx.t), ctx.prim, ctx.geom, ctx.inst))
-                            return verdict(len(_seen), ctx.t)
+                            return verdict(len(_seen))
 
-                        traverse(built, ray, visit, totals)
+                        traverse(built, ray, any_hit, (None, totals))
                         digest.update(repr(seen).encode())
         got[name] = (digest.hexdigest()[:16], totals.nodes_visited, totals.tri_tests)
     assert got == _WALK_PINS
@@ -372,12 +373,12 @@ def _trace_all(built, rays, verdict):
     for ray in rays:
         trace_seen = []
 
-        def visit(ctx, _seen=trace_seen):
+        def any_hit(ctx, prd, _seen=trace_seen):
             _seen.append((f32_bits(ctx.t), f32_bits(ctx.u), f32_bits(ctx.v), ctx.front_face,
                           ctx.prim, ctx.geom, ctx.inst))
-            return verdict(len(_seen), ctx.t)
+            return verdict(len(_seen))
 
-        traverse(built, ray, visit, stats)
+        traverse(built, ray, any_hit, (None, stats))
         seen.append(trace_seen)
     return seen, stats.as_dict()
 
@@ -457,7 +458,7 @@ def test_zero_direction_enters_boxes_whatever_the_interval():
 
 
 def test_trace_nested_in_a_visit_keeps_each_rays_results():
-    # a visitor that traces another ray replaces the scene's ray memo in
+    # an any-hit program that traces another ray replaces the ray memo in
     # the middle of the outer walk, as a racing thread would; both rays
     # must still see exactly what they see alone.  The inner ray starts a
     # little behind the outer one, so it enters the same instances with
@@ -472,14 +473,14 @@ def test_trace_nested_in_a_visit_keeps_each_rays_results():
             inner = []
             seen = []
 
-            def visit(ctx):
+            def any_hit(ctx, prd):
                 inner.append(_collect(built, other))
                 seen.append((ctx.t, ctx.prim, ctx.geom, ctx.inst))
-                return None, False
+                return AhVerdict.IGNORE
 
             for _ in range(2):  # the retrace finds the memo replaced
                 seen.clear()
                 stats = TraceStats()
-                traverse(built, ray._replace(t_min=ray.t_min), visit, stats)
+                traverse(built, ray._replace(t_min=ray.t_min), any_hit, (None, stats))
                 assert (seen, stats) == want
             assert all(got == want_inner for got in inner)

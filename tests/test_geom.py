@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import strategies as st
 
 from ftbtrace import Mesh, build_blas
 from ftbtrace.bvh import BuiltInstance, _entry
-from ftbtrace.floatstep import f32, f32_bits, ulp_distance
+from ftbtrace.floatstep import F32_MAX, f32, f32_bits, ulp_distance
 from ftbtrace.geom import (
     IDENTITY,
     Affine3,
     Ray,
+    TriHit,
     Vec3,
     affine_inverse,
     make_ray,
@@ -36,6 +38,9 @@ def _hit(ray, tri):
     """mt_core, the traversal's triangle test, on a Ray and packed data."""
     return mt_core(*ray.origin, *ray.direction, ray.t_min, ray.t_max, *tri)
 
+
+# binary32 rounds values at or beyond this magnitude to infinity
+_F32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103
 
 AXIS_TRI = _tri((-1, -1, 5), (1, -1, 5), (0, 1, 5))
 
@@ -166,6 +171,69 @@ def test_dual_intersector_agreement():
         hits += 1
         assert ulp_distance(a.t, b[0]) <= 4
     assert hits > 500  # the sample must actually exercise the hit path
+
+
+def _reference_mt_core(
+    ox, oy, oz, dx, dy, dz, t_min, t_max,
+    v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z,
+):
+    """mt_core as it was before t, u and v were rounded in one pack: each by
+    its own ``f32`` call, u and v only after the interval check.  Kept as
+    the reference whose results mt_core must reproduce bit for bit."""
+    px = dy * e2z - dz * e2y
+    py = dz * e2x - dx * e2z
+    pz = dx * e2y - dy * e2x
+    det = e1x * px + e1y * py + e1z * pz
+    if det == 0.0:
+        return None
+    inv = 1.0 / det
+    tx = ox - v0x
+    ty = oy - v0y
+    tz = oz - v0z
+    u = (tx * px + ty * py + tz * pz) * inv
+    if u < 0.0 or u > 1.0:
+        return None
+    qx = ty * e1z - tz * e1y
+    qy = tz * e1x - tx * e1z
+    qz = tx * e1y - ty * e1x
+    v = (dx * qx + dy * qy + dz * qz) * inv
+    if v < 0.0 or u + v > 1.0:
+        return None
+    t = f32((e2x * qx + e2y * qy + e2z * qz) * inv)
+    if not t_min < t < t_max:
+        return None
+    return TriHit(t, f32(u), f32(v), det > 0.0)
+
+
+def _hit_bits(hit):
+    return None if hit is None else (struct.pack("<3d", *hit[:3]), hit[3])
+
+
+def test_mt_core_rounds_t_u_v_as_one_f32_call_each():
+    # one pack rounds t, u and v; when t overflows binary32 (only t can:
+    # the edge tests bound u and v) it rounds to +-inf, which no exclusive
+    # interval holds, so mt_core reports no hit
+    cases = [(ray, tri) for ray, tri in _random_pairs(2000, seed=99)]
+    raws = []
+    # a square in the plane z = Z, hit straight on: the raw binary64 t is
+    # about (Z - oz) / dz, up to beyond the binary32 range either way
+    square = (-1.0, -1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 2.0, 0.0)
+    for z in (1.0, 1e30, 3e38, F32_MAX, -F32_MAX):
+        for oz in (0.0, -f32(1e31), f32(1e31), -F32_MAX):
+            for dz in (1.0, -1.0, 0.5, f32(1e-30), 1e-45):
+                tri = (*square[:2], z, *square[3:])
+                cases.append((Ray((f32(0.25), f32(-0.5), oz), (0.0, 0.0, dz), 0.0, 1.0), tri))
+                raws.append((z - oz) / dz)
+    assert any(F32_MAX < abs(t) < _F32_OVERFLOW for t in raws)  # rounds to +-F32_MAX
+    assert any(_F32_OVERFLOW <= abs(t) < math.inf for t in raws)  # overflows the pack
+    hits = 0
+    for ray, tri in cases:
+        for t_min, t_max in ((-math.inf, math.inf), (0.0, F32_MAX), (-F32_MAX, 0.0), (0.0, 50.0)):
+            args = (*ray.origin, *ray.direction, t_min, t_max, *tri)
+            want = _reference_mt_core(*args)
+            assert _hit_bits(mt_core(*args)) == _hit_bits(want)
+            hits += want is not None and abs(want.t) == F32_MAX
+    assert hits
 
 
 def _box_entry(ray, lo, hi):

@@ -1,9 +1,11 @@
 import math
+import sys
 
 import pytest
 
 from ftbtrace import (
     AhVerdict,
+    BuildOptions,
     HitDesc,
     Mesh,
     TraceConfig,
@@ -179,17 +181,21 @@ def test_nan_interval_refused():
 
 
 def test_closest_hit_equals_oracle_minimum_without_anyhit():
+    # with no any-hit program every candidate is accepted, uncounted, so
+    # the nearest one is committed
     scene = gen_coplanar_stack(5, False)
     built = build_scene(scene)
+    hits = 0
     for ray in rays_for(scene, 8, 6):
         orc = oracle_all_hits(built, ray)
         got = []
-        cfg = TraceConfig(closest_hit=lambda ctx, prd: got.append(ctx.t))
-        trace(built, ray, cfg, None, TraceStats())
-        if orc.hits:
-            assert got == [orc.hits[0].t]
-        else:
-            assert got == []
+        cfg = TraceConfig(closest_hit=lambda ctx, prd: got.append(HitDesc(ctx.t, ctx.prim, ctx.geom, ctx.inst)))
+        stats = TraceStats()
+        trace(built, ray, cfg, None, stats)
+        assert stats.ah_calls == 0
+        assert got == orc.hits[:1]
+        hits += len(got)
+    assert hits
 
 
 def test_hit_context_carries_pipeline_state():
@@ -231,3 +237,45 @@ def test_trace_stats_add_and_as_dict_cover_every_counter():
         "traces", "nodesVisited", "triTests", "ahCalls", "chCalls", "missCalls", "userCodeCalls",
     ]
     assert sorted(total.as_dict().values()) == sorted(vars(total).values())
+
+
+def test_a_candidate_costs_one_python_call():
+    # the walk runs the any-hit program and applies its verdict itself: on
+    # a single-leaf build, one more candidate is one more Python call (the
+    # program's), whatever the number of candidates
+    def ignore(ctx, prd):
+        return AhVerdict.IGNORE
+
+    cfg = TraceConfig(any_hit=ignore)
+    counts = []
+    for n in (2, 6):
+        built = build_scene(gen_coplanar_stack(n, True), BuildOptions(leaf_size=2 * n))
+        assert len(built.tlas_nodes) == 1 and len(built.instances[0].geoms[0].blas.nodes) == 1
+        ray = make_ray((0.1, -0.2, -1), (0, 0, 1), 0, 100)
+        trace(built, ray, cfg)  # fill the ray memo first
+        calls = [0]
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[0] += 1
+
+        stats = TraceStats()
+        sys.setprofile(profile)
+        try:
+            trace(built, ray._replace(t_min=ray.t_min), cfg, None, stats)
+        finally:
+            sys.setprofile(None)
+        assert stats.ah_calls == n
+        counts.append((calls[0], stats.ah_calls))
+    (calls_a, cands_a), (calls_b, cands_b) = counts
+    assert calls_b - calls_a == cands_b - cands_a
+
+
+def test_any_hit_returning_a_non_verdict_raises():
+    built = build_scene(gen_coplanar_stack(3, True))
+    ray = make_ray((0.1, -0.2, -1), (0, 0, 1), 0, 100)
+    for bad in (True, 0, "IGNORE", AhVerdict):
+        cfg = TraceConfig(any_hit=lambda ctx, prd, _bad=bad: _bad)
+        with pytest.raises(TypeError, match="any_hit returned"):
+            trace(built, ray, cfg, None, TraceStats())
+
