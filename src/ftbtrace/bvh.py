@@ -36,9 +36,9 @@ identity of ``ray.origin`` and ``ray.direction`` (it holds both, so neither
 id can be reused while it lives): a kernel rebuilds each retrace's ``Ray``
 around the same origin and direction objects and hits it, and any other
 ray replaces it.  Origin and direction are immutable tuples.  Each trace
-reads ``built.memo`` once, so traces on several threads (or one nested in
-an any-hit program) never mix two rays' results; a race only costs a
-recompute.  Every entry is stored whole, so two traces of the same ray
+reads ``built.memo`` once, so a trace nested in an any-hit program, which
+may replace the memo in the middle of the outer walk, never mixes two
+rays' results.  Every entry is stored whole, so two traces of the same ray
 never read a half-filled one.
 
 Everything a ray reads that does not depend on the ray is computed at build
@@ -405,7 +405,7 @@ def traverse(built: BuiltScene, ray: Ray, any_hit, prd_stats) -> tuple:
         return None, 0
     origin = ray.origin
     direction = ray.direction
-    memo = built.memo  # read once: another thread may replace it
+    memo = built.memo  # read once: a nested trace may replace it
     if memo is None or memo.origin is not origin or memo.direction is not direction:
         memo = built.memo = _RayMemo(origin, direction)
     t_min = ray.t_min

@@ -69,7 +69,6 @@ _PARSERS = {
     "prim_order": _prim_order,
     "leaf_size": lambda text: _whole(text, 1),
     "seeds": lambda text: [_whole(s) for s in text.split(",")] if text else [],
-    "threads": lambda text: _whole(text, 1),
     "user_code": parse_user_code,
 }
 
@@ -101,7 +100,7 @@ def _setup(args) -> argparse.Namespace:
 
 def _cmd_render(args) -> int:
     run = _setup(args)
-    img, stats = render_image(build_scene(run.scene), run.cam, run.kernel, run.user_code, threads=run.threads)
+    img, stats = render_image(build_scene(run.scene), run.cam, run.kernel, run.user_code)
     with open(args.out, "wb") as fh:
         fh.write(img)
     if args.stats:
@@ -113,7 +112,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_compare(args) -> int:
     run = _setup(args)
-    rep = compare_kernels(build_scene(run.scene), run.cam, run.kernels, run.user_code, threads=run.threads)
+    rep = compare_kernels(build_scene(run.scene), run.cam, run.kernels, run.user_code)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
         for k in run.kernels:
@@ -150,7 +149,7 @@ def _cmd_bench(args) -> int:
     print(f"{'kernel':<22} {'seconds':>8}  traces")
     for k in run.kernels:
         start = time.perf_counter()
-        _, stats = render_image(built, run.cam, k, run.user_code, threads=run.threads)
+        _, stats = render_image(built, run.cam, k, run.user_code)
         print(f"{k:<22} {time.perf_counter() - start:>8.3f}  {stats.traces}")
     return 0
 
@@ -188,9 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--kernels", default="", help="comma-separated kernel ids")
     b.add_argument("--user-code", default="countall")
     b.set_defaults(fn=_cmd_bench)
-
-    for rendering in (r, c, b):
-        rendering.add_argument("--threads", default="1", help="render worker threads")
     return p
 
 

@@ -4,15 +4,14 @@ per-kernel statistics and end-to-end validation.
 Per-pixel colors avalanche-hash the visit count together with the last
 delivered hit identity, so even one extra, missing, out-of-order or
 double-reported hit flips the whole pixel color.  Per-pixel randomness is
-counter-based (hashed from seed and pixel coordinates), so thread count and
-rendering order can never change a single byte of output.
+counter-based (hashed from seed and pixel coordinates), so rendering order
+can never change a single byte of output.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -217,32 +216,21 @@ def render_image(built: BuiltScene, cam: Camera, kernel_id, spec: UserCodeSpec,
                  threads: int = 1):
     """Render one pseudo-color image; returns (ppm bytes, aggregated stats).
 
-    Rows render independently (optionally on a thread pool) and are merged
-    in row order; per-pixel state is self-contained, so the byte output is
-    identical for any thread count.
+    Pixels render row-major in the calling thread, so consecutive traces of
+    one ray share the scene's one-ray memo.  ``threads`` is kept only because
+    perfbench passes 1 there by position; any other value raises ValueError.
+    ROADMAP item 1 removes it.
     """
+    if threads != 1:
+        raise ValueError(f"render_image renders in the calling thread; threads must be 1, not {threads!r}")
     width, height = cam.width, cam.height
     pixel = _ray_maker(cam)
-
-    def render_row(y: int):
-        row = bytearray()
-        row_stats = TraceStats()
-        for x in range(width):
-            ray = pixel(x, y)
-            hits = run_kernel(kernel_id, built, ray, make_user_code(spec, x, y), stats=row_stats).hits
-            row.extend(pseudo_color(len(hits), hits[-1] if hits else None))
-        return bytes(row), row_stats
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(render_row, range(height)))
-    else:
-        results = [render_row(y) for y in range(height)]
     stats = TraceStats()
     body = bytearray()
-    for row, row_stats in results:
-        body.extend(row)
-        stats.add(row_stats)
+    for y in range(height):
+        for x in range(width):
+            hits = run_kernel(kernel_id, built, pixel(x, y), make_user_code(spec, x, y), stats=stats).hits
+            body.extend(pseudo_color(len(hits), hits[-1] if hits else None))
     return ppm_bytes(width, height, bytes(body)), stats
 
 
@@ -274,14 +262,13 @@ class CompareReport:
         return stats_csv((k, self.stats[k]) for k in self.kernels)
 
 
-def compare_kernels(built: BuiltScene, cam: Camera, kernel_ids, spec: UserCodeSpec,
-                    threads: int = 1) -> CompareReport:
+def compare_kernels(built: BuiltScene, cam: Camera, kernel_ids, spec: UserCodeSpec) -> CompareReport:
     """Render every kernel with identical rays and diff images pixel-exactly."""
     kernel_ids = list(kernel_ids)
     images = {}
     stats = {}
     for k in kernel_ids:
-        img, st = render_image(built, cam, k, spec, threads=threads)
+        img, st = render_image(built, cam, k, spec)
         images[k] = img
         stats[k] = st
     base = kernel_ids[0]

@@ -234,7 +234,10 @@ def scene_from_manifest(doc: dict, base_dir: str = ".") -> Scene:
 
 def load_manifest(path) -> Scene:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("manifest: nested too deeply") from None
     return scene_from_manifest(doc, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -409,9 +412,9 @@ GENERATORS = {
 def make_scene(spec: str) -> Scene:
     """Scene from a generator spec string like ``coplanar:n=8:same_t=true``.
 
-    ValueError for an unknown generator, a malformed value, a key the
-    generator does not take or requires and is not given, or a size outside
-    its ``SIZE_RANGES`` entry (the generator checks that before any work).
+    ValueError for an unknown generator, a malformed value, a key it does
+    not take, a key it requires and is not given, a key given twice, or a
+    size outside its ``SIZE_RANGES`` entry (checked before any work).
     """
     parts = spec.split(":")
     name = parts[0]
@@ -435,6 +438,8 @@ def make_scene(spec: str) -> Scene:
         k, v = p.split("=", 1)
         if k not in keys:
             raise ValueError(f"generator {name!r}: unknown key {k!r} {valid}")
+        if k in kwargs:
+            raise ValueError(f"generator {name!r}: key {k!r} given twice")
         if k in boolean:
             if v.lower() not in ("true", "false"):
                 raise ValueError(f"generator {name!r}: {k}={v!r} is not true or false")

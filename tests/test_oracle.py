@@ -13,6 +13,7 @@ from ftbtrace import (
     Geometry,
     HitDesc,
     Instance,
+    MaxDepth,
     Mesh,
     Scene,
     Vec3,
@@ -25,6 +26,7 @@ from ftbtrace import (
     gen_instanced_grid,
     make_ray,
     make_scene,
+    make_user_code,
     oracle_all_hits,
     resolve_camera,
     run_kernel,
@@ -598,18 +600,33 @@ def _quad_soups(draw):
 @given(_quad_soups(), st.data())
 def test_kernels_and_oracle_agree_on_quad_soups(scene, data):
     # the rays of a 6x4 camera, some cut to an exclusive sub-interval whose
-    # ends are hit distances: on each, the oracle must equal the brute
-    # force, and every correct kernel must pass validation against it
+    # ends are hit distances, some to an empty one (t_min >= t_max, both
+    # hit distances): on each, the oracle must equal the brute force, and
+    # every correct kernel must pass validation against it.  Stopped after
+    # its first 1, 2 or 3 hits, each kernel delivers a prefix of that run
     built = build_scene(scene)
     rays = camera_rays(resolve_camera(scene, 6, 4))
+    empty = []
     for k, ray in enumerate(rays):
         ts = sorted({h.t for h in _brute_force(built, ray)[0]})
-        if ts and data.draw(st.booleans()):
+        cut = data.draw(st.sampled_from(("whole", "sub", "empty"))) if ts else "whole"
+        if cut == "sub":
             t_min = data.draw(st.sampled_from([ray.t_min, *ts]))
             t_max = data.draw(st.sampled_from([*(t for t in ts if t > t_min), ray.t_max]))
             rays[k] = ray._replace(t_min=t_min, t_max=t_max)
+        elif cut == "empty":
+            t_min = data.draw(st.sampled_from(ts))
+            rays[k] = ray._replace(t_min=t_min, t_max=data.draw(st.sampled_from([t for t in ts if t <= t_min])))
+            empty.append(k)
     oracles = [oracle_all_hits(built, ray) for ray in rays]
     for ray, orc in zip(rays, oracles):
         assert (orc.hits, orc.groups) == _brute_force(built, ray), ray
+    assert all(not oracles[k].hits for k in empty)
     for kernel in CORRECT_KERNELS:
-        assert validate_kernel(kernel, built, rays, oracles=oracles).ok, kernel
+        full = validate_kernel(kernel, built, rays, oracles=oracles)
+        assert full.ok, kernel
+        stop = data.draw(st.integers(1, 3))
+        for ray, hits in zip(rays, full.delivered):
+            rep = run_kernel(kernel, built, ray, make_user_code(MaxDepth(stop)))
+            assert rep.hits == hits[:stop], (kernel, stop, ray)
+            assert rep.stopped_early == (len(hits) >= stop), (kernel, stop, ray)

@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import struct
-import sys
 
 import pytest
 
@@ -141,20 +140,18 @@ def test_images_stats_and_scenes_are_pinned(gen):
     assert digest.hexdigest()[:16] == image_pin
 
 
-def test_render_thread_count_does_not_change_bytes():
-    # threads switch every microsecond, so they race on the scene's
-    # one-ray traversal memo in the middle of traces
+def test_render_image_takes_only_threads_1():
+    # perfbench passes the fifth argument by position; 1 is the default,
+    # and no other worker count exists
     built = build_scene(gen_abutting_boxes(3))
     cam = resolve_camera(gen_abutting_boxes(3), 10, 8)
-    a, sa = render_image(built, cam, "reject-repeats", CountAll(), threads=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        b, sb = render_image(built, cam, "reject-repeats", CountAll(), threads=4)
-    finally:
-        sys.setswitchinterval(interval)
+    a, sa = render_image(built, cam, "reject-repeats", CountAll(), 1)
+    b, sb = render_image(built, cam, "reject-repeats", CountAll())
     assert a == b
     assert sa.as_dict() == sb.as_dict()
+    for threads in (2, 0):
+        with pytest.raises(ValueError):
+            render_image(built, cam, "reject-repeats", CountAll(), threads=threads)
 
 
 def test_stats_aggregate_equals_per_pixel_sum():
@@ -404,7 +401,7 @@ def test_cli_render_deterministic_bytes(tmp_path):
     a = tmp_path / "a.ppm"
     b = tmp_path / "b.ppm"
     assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b), "--threads", "4"]) == 0
+    assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 

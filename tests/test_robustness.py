@@ -269,14 +269,6 @@ def test_cli_user_code_without_depth_exits_2(tmp_path, capsys):
                         "--out", str(tmp_path / "x.ppm")])
 
 
-@pytest.mark.parametrize("threads", ["0", "-2"])
-def test_cli_threads_below_one_exits_2(tmp_path, capsys, threads):
-    err = _cli_error(capsys, ["render", "--gen", "coplanar:n=2", "--threads", threads,
-                              "--out", str(tmp_path / "x.ppm")])
-    assert "--threads" in err
-    assert not (tmp_path / "x.ppm").exists()
-
-
 _KERNEL_ARGV = {
     "render": ["--kernel", "{k}", "--out", "{out}/x.ppm", "--stats", "{out}/x.csv"],
     "compare": ["--kernels", "while-while,{k}", "--out-dir", "{out}/images", "--stats", "{out}/x.csv"],
@@ -311,8 +303,6 @@ _BAD_OPTIONS = [
     ("--leaf-size", "0", _SCENE_OPTIONS),
     ("--leaf-size", "x", _SCENE_OPTIONS),
     ("--seeds", "1,z", ("validate",)),
-    ("--threads", "x", _RENDER_OPTIONS),
-    ("--threads", "0", _RENDER_OPTIONS),
     ("--user-code", "maxdepth:0", _RENDER_OPTIONS),
     ("--user-code", "probdepth:0", _RENDER_OPTIONS),
     ("--user-code", "maxdepth:x", _RENDER_OPTIONS),
@@ -344,6 +334,15 @@ def test_cli_bad_option_value_exits_2_before_any_work(tmp_path, capsys, command,
 def test_cli_manifest_top_level_list_exits_2(tmp_path, capsys):
     path = _manifest(tmp_path, [_ONE_TRIANGLE])
     _cli_error(capsys, ["render", "--scene", path, "--out", str(tmp_path / "x.ppm")])
+
+
+def test_cli_manifest_nested_too_deeply_exits_2(tmp_path, capsys):
+    # json.load raises RecursionError on deep nesting; that is bad input
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    err = _cli_error(capsys, ["render", "--scene", str(path), "--out", str(tmp_path / "x.ppm")])
+    assert err == "error: manifest: nested too deeply\n"
+    assert not (tmp_path / "x.ppm").exists()
 
 
 def test_cli_manifest_mesh_index_out_of_range_exits_2(tmp_path, capsys):
@@ -471,8 +470,10 @@ def test_cli_obj_vertex_that_is_not_finite_exits_2(tmp_path, capsys, x):
         ("coplanar:n=8:bogus=1", "unknown key 'bogus' (valid keys: n, same_t)"),
         ("coplanar:same_t=false", "missing key 'n' (valid keys: n, same_t)"),
         ("adversarial:n=2", "unknown key 'n' (valid keys: none)"),
+        # not last-wins: coplanar:n=2 would be built silently
+        ("coplanar:n=8:n=2", "key 'n' given twice"),
     ],
-    ids=["unknown-key", "missing-key", "generator-without-keys"],
+    ids=["unknown-key", "missing-key", "generator-without-keys", "repeated-key"],
 )
 def test_cli_generator_key_it_does_not_take_exits_2(tmp_path, capsys, gen, problem):
     name = gen.split(":")[0]
@@ -512,13 +513,18 @@ def test_cli_generator_size_below_its_minimum_exits_2(tmp_path, capsys, gen, lea
     assert not (tmp_path / "x.ppm").exists()
 
 
-def test_cli_validate_takes_no_threads_option(capsys):
+@pytest.mark.parametrize("command", _SCENE_OPTIONS)
+def test_cli_takes_no_threads_option(tmp_path, capsys, command):
+    # every command renders or validates in the calling thread
     from ftbtrace.cli import main
 
+    argv = [a.format(k="stable-next", out=tmp_path) for a in _KERNEL_ARGV[command]]
     with pytest.raises(SystemExit) as exc:
-        main(["validate", "--gen", "coplanar:n=2", "--threads", "2"])
+        main([command, "--gen", "coplanar:n=2", *argv, "--threads", "2"])
     assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --threads 2" in err and err.startswith("usage: ftbtrace"), err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_unexpected_exception_exits_3(monkeypatch, tmp_path, capsys):

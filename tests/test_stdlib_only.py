@@ -1,5 +1,5 @@
-"""The library in src/ftbtrace imports nothing outside the standard library
-and nothing it does not use."""
+"""The library in src/ftbtrace imports nothing outside the standard library,
+no module that starts workers, and nothing it does not use."""
 
 import ast
 import pathlib
@@ -8,10 +8,11 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ftbtrace"
 
 
-def test_src_imports_only_the_standard_library():
+def _absolute_imports():
+    """(file name, top-level package) of every absolute import in src/,
+    at any depth; relative imports stay inside the package."""
     files = sorted(SRC.glob("*.py"))
     assert files
-    outside = []
     for path in files:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
@@ -19,10 +20,23 @@ def test_src_imports_only_the_standard_library():
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 modules = [node.module]
-            else:  # relative imports stay inside the package
+            else:
                 continue
-            outside += [f"{path.name}: {m}" for m in modules if m.partition(".")[0] not in sys.stdlib_module_names]
+            yield from ((path.name, m.partition(".")[0]) for m in modules)
+
+
+def test_src_imports_only_the_standard_library():
+    outside = [f"{name}: {m}" for name, m in _absolute_imports() if m not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_src_starts_no_workers():
+    # every trace runs in the calling thread: the one-ray memo of a
+    # BuiltScene serves one ray at a time, and rows rendered on two
+    # workers evict each other's entry (importing concurrent.futures alone
+    # also costs about 0.75 MB of peak RSS)
+    workers = {"threading", "_thread", "concurrent", "multiprocessing"}
+    assert [f"{name}: {m}" for name, m in _absolute_imports() if m in workers] == []
 
 
 def _module_imports(tree):
