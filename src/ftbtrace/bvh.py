@@ -59,8 +59,7 @@ from itertools import product
 from typing import Optional
 
 from .floatstep import f32x6
-from .geom import (IDENTITY, AhVerdict, HitContext, Ray, Vec3, affine_inverse, apply_point, box_of, mt_core,
-                   slab_entry)
+from .geom import IDENTITY, AhVerdict, HitContext, Ray, affine_inverse, box_of, mt_core, slab_entry
 
 # node tuple layout: (lox, loy, loz, hix, hiy, hiz, left, right, first, count)
 # leaf <=> left < 0; first/count index into the element permutation
@@ -86,11 +85,19 @@ class BuildOptions:
 
 
 def _build_nodes(bounds, centroids, order, leaf_size):
+    """Nodes, in depth-first pre-order, of the median-split tree over
+    ``order`` (sorted in place, range by range).  One scan of a node's range
+    gives its bounds and, for an inner node, the extents of its centroids,
+    whose longest axis (the first of equal ones) is split.  The scan
+    compares strictly in the range's pre-sort order, so of equal values the
+    first wins, as in ``geom.box_of``."""
+    keys = [[c[axis] for c in centroids] for axis in (0, 1, 2)]
     nodes = []
 
     def build(lo, hi):
-        blox = bloy = bloz = float("inf")
-        bhix = bhiy = bhiz = float("-inf")
+        blox = bloy = bloz = clox = cloy = cloz = _INF
+        bhix = bhiy = bhiz = chix = chiy = chiz = -_INF
+        leaf = hi - lo <= leaf_size
         for e in order[lo:hi]:
             lx, ly, lz, hx, hy, hz = bounds[e]
             if lx < blox:
@@ -105,21 +112,36 @@ def _build_nodes(bounds, centroids, order, leaf_size):
                 bhiy = hy
             if hz > bhiz:
                 bhiz = hz
+            if leaf:
+                continue
+            x, y, z = centroids[e]
+            if x < clox:
+                clox = x
+            if x > chix:
+                chix = x
+            if y < cloy:
+                cloy = y
+            if y > chiy:
+                chiy = y
+            if z < cloz:
+                cloz = z
+            if z > chiz:
+                chiz = z
         idx = len(nodes)
         nodes.append(None)
-        if hi - lo <= leaf_size:
+        if leaf:
             nodes[idx] = (blox, bloy, bloz, bhix, bhiy, bhiz, _LEAF, _LEAF, lo, hi - lo)
             return idx
-        clo, chi = box_of(centroids[e] for e in order[lo:hi])
         axis = 0
-        best = chi[0] - clo[0]
-        for a in (1, 2):
-            ext = chi[a] - clo[a]
-            if ext > best:
-                best = ext
-                axis = a
+        best = chix - clox
+        ext = chiy - cloy
+        if ext > best:
+            best = ext
+            axis = 1
+        if chiz - cloz > best:
+            axis = 2
         part = order[lo:hi]
-        part.sort(key=lambda e: centroids[e][axis])  # stable: ties keep order
+        part.sort(key=keys[axis].__getitem__)  # stable: ties keep order
         order[lo:hi] = part
         mid = (lo + hi) // 2
         left = build(lo, mid)
@@ -128,6 +150,9 @@ def _build_nodes(bounds, centroids, order, leaf_size):
         return idx
 
     build(0, len(order))
+    # ``build`` refers to itself through its closure: unbinding it ends that
+    # cycle, so the inputs are freed with this frame, not by the cyclic GC
+    build = None
     return nodes
 
 
@@ -158,21 +183,13 @@ def build_blas(mesh, opts: BuildOptions = BuildOptions()) -> Blas:
     centroids = []
     tri_data = []
     for (i0, i1, i2) in mesh.indices:
-        a, b, c = verts[i0], verts[i1], verts[i2]
-        bounds.append(
-            (
-                min(a.x, b.x, c.x), min(a.y, b.y, c.y), min(a.z, b.z, c.z),
-                max(a.x, b.x, c.x), max(a.y, b.y, c.y), max(a.z, b.z, c.z),
-            )
-        )
-        centroids.append(((a.x + b.x + c.x) / 3.0, (a.y + b.y + c.y) / 3.0, (a.z + b.z + c.z) / 3.0))
-        tri_data.append(
-            (
-                a.x, a.y, a.z,
-                b.x - a.x, b.y - a.y, b.z - a.z,
-                c.x - a.x, c.y - a.y, c.z - a.z,
-            )
-        )
+        ax, ay, az = verts[i0]
+        bx, by, bz = verts[i1]
+        cx, cy, cz = verts[i2]
+        bounds.append((min(ax, bx, cx), min(ay, by, cy), min(az, bz, cz),
+                       max(ax, bx, cx), max(ay, by, cy), max(az, bz, cz)))
+        centroids.append(((ax + bx + cx) / 3.0, (ay + by + cy) / 3.0, (az + bz + cz) / 3.0))
+        tri_data.append((ax, ay, az, bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az))
     order = list(range(ntris))
     if opts.permute_seed is not None:
         random.Random(opts.permute_seed).shuffle(order)
@@ -208,7 +225,15 @@ class BuiltInstance:
         boxes = (g.blas.root_bounds() for g in geoms)
         corners = (c for b in boxes for c in product(*zip(b[:3], b[3:])))
         if not identity:
-            corners = (apply_point(transform, Vec3(*c)) for c in corners)
+            # geom.apply_point's operation order, written out
+            (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = transform.m
+            tx, ty, tz = transform.t
+            corners = [
+                (m00 * x + m01 * y + m02 * z + tx,
+                 m10 * x + m11 * y + m12 * z + ty,
+                 m20 * x + m21 * y + m22 * z + tz)
+                for x, y, z in corners
+            ]
         lo, hi = box_of(corners)
         self.bounds = (*lo, *hi)
 

@@ -61,6 +61,16 @@ def f32x6(a: float, b: float, c: float, d: float, e: float, f: float) -> tuple:
         return f32(a), f32(b), f32(c), f32(d), f32(e), f32(f)
 
 
+def f32_seq(values) -> tuple:
+    """A sequence of values rounded as ``f32`` rounds each, in one
+    pack/unpack."""
+    fmt = f"<{len(values)}f"
+    try:
+        return struct.unpack(fmt, struct.pack(fmt, *values))
+    except OverflowError:
+        return tuple(map(f32, values))
+
+
 def f32_bits(x: float) -> int:
     """Bit pattern of a binary32-valued float."""
     return _unpack_u(_pack_f(x))[0]

@@ -55,7 +55,10 @@ class Vec3(NamedTuple):
 
 def vec3_32(x: float, y: float, z: float) -> Vec3:
     """Vec3 with every component rounded to binary32."""
-    return Vec3(f32(x), f32(y), f32(z))
+    try:
+        return Vec3(*_unpack_3f(_pack_3f(x, y, z)))
+    except OverflowError:
+        return Vec3(f32(x), f32(y), f32(z))
 
 
 class Ray(NamedTuple):

@@ -15,9 +15,11 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Optional
 
 from .bvh import BuildOptions
+from .floatstep import f32_seq
 from .geom import Affine3, IDENTITY, Vec3, affine_inverse, camera_basis, det3, translation, vec3_32
 
 
@@ -76,14 +78,19 @@ class Scene:
                 if prev is not None:
                     raise ValueError(f"duplicate sbt_offset {g.sbt_offset}")
                 seen_sbt[g.sbt_offset] = g
-                n = len(g.mesh.vertices)
-                for v in g.mesh.vertices:
-                    if not (math.isfinite(v.x) and math.isfinite(v.y) and math.isfinite(v.z)):
-                        raise ValueError("mesh vertices must be finite")
-                for tri in g.mesh.indices:
-                    for ix in tri:
-                        if not 0 <= ix < n:
-                            raise ValueError(f"mesh index {ix} out of range")
+                verts = g.mesh.vertices
+                # a finite sum has finite terms; one that is not may only
+                # have overflowed, so then each value is looked at
+                if not math.isfinite(sum(chain.from_iterable(verts))) and not all(
+                    map(math.isfinite, chain.from_iterable(verts))
+                ):
+                    raise ValueError("mesh vertices must be finite")
+                n = len(verts)
+                for a, b, c in g.mesh.indices:
+                    if not 0 <= a < n > b >= 0 <= c < n:
+                        for ix in (a, b, c):  # name the first bad index
+                            if not 0 <= ix < n:
+                                raise ValueError(f"mesh index {ix} out of range")
 
 
 def _all_finite(xf: Affine3) -> bool:
@@ -100,44 +107,64 @@ def load_obj(path) -> Mesh:
 
     Polygonal faces are fanned around their first vertex, and face order is
     preserved, so primitive indices are stable across reloads.  Normals,
-    texture coordinates, materials and grouping records are ignored.
+    texture coordinates, materials and grouping records are ignored, and a
+    leading UTF-8 byte order mark is skipped.  The numbers a record reads
+    are ASCII without underscores.  Coordinates are rounded to binary32 in
+    one pass over the file's values.
     """
-    vertices = []
+    coords = []
     indices = []
-    with open(path, "r", encoding="utf-8") as fh:
+    nverts = 0
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            parts = raw.split()
+            if not parts:
                 continue
-            parts = line.split()
             tag = parts[0]
             if tag == "v":
                 if len(parts) < 4:
                     raise ValueError(f"{path}:{lineno}: vertex needs 3 coordinates")
                 try:
-                    x, y, z = float(parts[1]), float(parts[2]), float(parts[3])
+                    if not (raw.isascii() and "_" not in raw):
+                        _check_plain(parts[1:4])
+                    coords += (float(parts[1]), float(parts[2]), float(parts[3]))
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: malformed vertex") from None
-                vertices.append(vec3_32(x, y, z))
+                nverts += 1
             elif tag == "f":
                 if len(parts) < 4:
                     raise ValueError(f"{path}:{lineno}: face needs >= 3 vertices")
+                plain = raw.isascii() and "_" not in raw
                 refs = []
                 for tok in parts[1:]:
-                    head = tok.split("/")[0]
+                    head = tok.partition("/")[0]
                     try:
+                        if not plain:
+                            _check_plain((head,))
                         v = int(head)
                     except ValueError:
                         raise ValueError(f"{path}:{lineno}: malformed face index {tok!r}") from None
                     if v == 0:
                         raise ValueError(f"{path}:{lineno}: face index 0 is invalid")
-                    ix = len(vertices) + v if v < 0 else v - 1
-                    if not 0 <= ix < len(vertices):
+                    ix = nverts + v if v < 0 else v - 1
+                    if not 0 <= ix < nverts:
                         raise ValueError(f"{path}:{lineno}: face index {v} out of range")
                     refs.append(ix)
                 for i in range(1, len(refs) - 1):
                     indices.append((refs[0], refs[i], refs[i + 1]))
-    return Mesh(vertices, indices)
+    it = iter(f32_seq(coords))
+    del coords  # the unrounded values go before the Vec3s are made
+    # tuple.__new__ is Vec3(x, y, z) without a Python-level __new__ call
+    return Mesh(list(map(tuple.__new__, repeat(Vec3), zip(it, it, it))), indices)
+
+
+def _check_plain(tokens) -> None:
+    """ValueError unless every token is ASCII without underscores: Python's
+    ``float`` and ``int`` also read digit separators and non-ASCII digits,
+    which OBJ numbers do not have."""
+    for t in tokens:
+        if not t.isascii() or "_" in t:
+            raise ValueError(t)
 
 
 def _ref(items: list, index, what: str):

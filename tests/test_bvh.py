@@ -1,6 +1,9 @@
+import gc
 import hashlib
 import math
+import random
 import struct
+from itertools import product
 
 import numpy as np
 import pytest
@@ -32,9 +35,9 @@ from ftbtrace import (
     validate_kernel,
 )
 import ftbtrace.bvh as bvh_mod
-from ftbtrace.bvh import BuiltInstance
+from ftbtrace.bvh import Blas, BuiltGeometry, BuiltInstance
 from ftbtrace.floatstep import F32_MAX, f32_bits, just_above, just_below
-from ftbtrace.geom import IDENTITY, Ray, apply_point, det3, vec3_32
+from ftbtrace.geom import IDENTITY, Ray, apply_point, box_of, det3, vec3_32
 from ftbtrace.pipeline import TraceStats
 
 from probes import rays_for
@@ -74,6 +77,141 @@ def test_rebuild_is_bitwise_identical():
     assert a.nodes == b.nodes
     assert a.order == b.order
     assert a.tris == b.tris
+
+
+def _reference_build_nodes(bounds, centroids, order, leaf_size):
+    """``bvh._build_nodes`` as it was before one scan per node gave both
+    the node bounds and the centroid extents."""
+    nodes = []
+
+    def build(lo, hi):
+        blox = bloy = bloz = float("inf")
+        bhix = bhiy = bhiz = float("-inf")
+        for e in order[lo:hi]:
+            lx, ly, lz, hx, hy, hz = bounds[e]
+            if lx < blox:
+                blox = lx
+            if ly < bloy:
+                bloy = ly
+            if lz < bloz:
+                bloz = lz
+            if hx > bhix:
+                bhix = hx
+            if hy > bhiy:
+                bhiy = hy
+            if hz > bhiz:
+                bhiz = hz
+        idx = len(nodes)
+        nodes.append(None)
+        if hi - lo <= leaf_size:
+            nodes[idx] = (blox, bloy, bloz, bhix, bhiy, bhiz, -1, -1, lo, hi - lo)
+            return idx
+        clo, chi = box_of(centroids[e] for e in order[lo:hi])
+        axis = 0
+        best = chi[0] - clo[0]
+        for a in (1, 2):
+            ext = chi[a] - clo[a]
+            if ext > best:
+                best = ext
+                axis = a
+        part = order[lo:hi]
+        part.sort(key=lambda e: centroids[e][axis])
+        order[lo:hi] = part
+        mid = (lo + hi) // 2
+        left = build(lo, mid)
+        right = build(mid, hi)
+        nodes[idx] = (blox, bloy, bloz, bhix, bhiy, bhiz, left, right, -1, 0)
+        return idx
+
+    build(0, len(order))
+    return nodes
+
+
+def _reference_build_blas(mesh, opts):
+    """``build_blas`` as it was before it unpacked each vertex once, over
+    ``_reference_build_nodes``: (nodes, order, tris)."""
+    verts = mesh.vertices
+    bounds = []
+    centroids = []
+    tri_data = []
+    for (i0, i1, i2) in mesh.indices:
+        a, b, c = verts[i0], verts[i1], verts[i2]
+        bounds.append((min(a.x, b.x, c.x), min(a.y, b.y, c.y), min(a.z, b.z, c.z),
+                       max(a.x, b.x, c.x), max(a.y, b.y, c.y), max(a.z, b.z, c.z)))
+        centroids.append(((a.x + b.x + c.x) / 3.0, (a.y + b.y + c.y) / 3.0, (a.z + b.z + c.z) / 3.0))
+        tri_data.append((a.x, a.y, a.z, b.x - a.x, b.y - a.y, b.z - a.z, c.x - a.x, c.y - a.y, c.z - a.z))
+    order = list(range(len(mesh.indices)))
+    if opts.permute_seed is not None:
+        random.Random(opts.permute_seed).shuffle(order)
+    return _reference_build_nodes(bounds, centroids, order, opts.leaf_size), order, tri_data
+
+
+def _float_bits(rows):
+    """Rows of floats and ints with every float as its binary64 bytes, so
+    that 0.0 and -0.0 differ."""
+    return [tuple(struct.pack("<d", v) if type(v) is float else v for v in row) for row in rows]
+
+
+# a 0.5 grid with both zeros: quads share centroids, edges and planes
+_SNAP = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+
+
+@st.composite
+def _quad_soups(draw):
+    """Axis-aligned quads on the snapped grid, two triangles each, plus
+    exact duplicates of some of the triangles."""
+    verts, tris = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        x0, x1, y0, y1, z = (draw(_SNAP) for _ in range(5))
+        b = len(verts)
+        verts += [Vec3(x0, y0, z), Vec3(x1, y0, z), Vec3(x1, y1, z), Vec3(x0, y1, z)]
+        tris += [(b, b + 1, b + 2), (b, b + 2, b + 3)]
+    tris += draw(st.lists(st.sampled_from(tris), max_size=6))
+    return Mesh(verts, tris)
+
+
+@given(_quad_soups(), st.integers(1, 4), st.one_of(st.none(), st.integers(0, 2 ** 16)))
+def test_build_blas_matches_the_reference_builder_bitwise(mesh, leaf_size, permute_seed):
+    opts = BuildOptions(leaf_size, permute_seed)
+    blas = build_blas(mesh, opts)
+    nodes, order, tris = _reference_build_blas(mesh, opts)
+    assert _float_bits(blas.nodes) == _float_bits(nodes)
+    assert blas.order == order
+    assert _float_bits(blas.tris) == _float_bits(tris)
+
+
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
+                   st.floats(min_value=-64.0, max_value=64.0, width=32))
+
+
+@given(st.lists(st.tuples(*[st.floats(-1e3, 1e3, width=32)] * 6), min_size=1, max_size=3),
+       st.tuples(*[_ENTRY] * 9), st.tuples(*[_ENTRY] * 3))
+@example([(-0.0, 0.0, -1.0, 0.0, -0.0, 1.0)], (1.0, -0.0, 0.0, -0.0, 1.0, 0.0, 0.0, 0.0, -1.0), (-0.0, 0.0, -0.0))
+# row 0 of a corner: (1 + 2**53) - 2**53 is 0.0 left to right, 1.0 otherwise
+@example([(1.0, 2.0 ** 53, 2.0 ** 53) * 2], (1.0, 1.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0))
+def test_instance_bounds_match_box_of_apply_point(boxes, entries, t):
+    m = (entries[0:3], entries[3:6], entries[6:9])
+    assume(det3(m) != 0.0)
+    xf = Affine3(m, Vec3(*t))
+    geoms = [BuiltGeometry(g, Blas([(*box, -1, -1, 0, 1)], [0], [])) for g, box in enumerate(boxes)]
+    corners = (c for box in boxes for c in product(*zip(box[:3], box[3:])))
+    lo, hi = box_of(apply_point(xf, Vec3(*c)) for c in corners) if xf != IDENTITY else box_of(corners)
+    assert _float_bits([BuiltInstance(0, xf, geoms).bounds]) == _float_bits([(*lo, *hi)])
+
+
+@pytest.mark.parametrize("spec", ["grid:m=3", "abutting:k=3", "coplanar:n=8:same_t=true", "leaf-reorder"])
+def test_build_leaves_no_cyclic_garbage(spec):
+    # the builder's temporaries are freed when it returns, not at the next
+    # cyclic collection
+    scene = make_scene(spec)
+    gc.collect()
+    gc.disable()
+    try:
+        built = build_scene(scene, BuildOptions(leaf_size=1, permute_seed=3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert built.tlas_nodes
 
 
 def test_permuted_build_changes_same_distance_visit_order():

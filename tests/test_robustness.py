@@ -465,6 +465,20 @@ def test_cli_obj_vertex_that_is_not_finite_exits_2(tmp_path, capsys, x):
 
 
 @pytest.mark.parametrize(
+    "body, line, what",
+    [("v 1_0 0 5\nv 0 1 5\nv 0 0 5\nf 1 2 3\n", 1, "malformed vertex"),
+     ("v 1 0 5\nv 0 1 5\nv 0 0 5\nf 1 2 \u0663\n", 4, "malformed face index '\u0663'")],
+    ids=["digit-separator", "arabic-indic-digit"],
+)
+def test_cli_obj_number_only_python_reads_exits_2(tmp_path, capsys, body, line, what):
+    path = tmp_path / "mesh.obj"
+    path.write_text(body, encoding="utf-8")
+    for argv in (["render", "--out", str(tmp_path / "x.ppm")], ["validate"]):
+        err = _cli_error(capsys, argv + ["--scene", str(path), "--size", "4x3"])
+        assert err == f"error: {path}:{line}: {what}\n"
+
+
+@pytest.mark.parametrize(
     "gen, problem",
     [
         ("coplanar:n=8:bogus=1", "unknown key 'bogus' (valid keys: n, same_t)"),

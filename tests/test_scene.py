@@ -1,6 +1,9 @@
 import json
+import struct
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ftbtrace import (
     BuildOptions,
@@ -21,12 +24,13 @@ from ftbtrace import (
     single_mesh_scene,
     sort_hits,
 )
+from ftbtrace.floatstep import F32_MAX, F32_MIN_SUBNORMAL, f32
 from ftbtrace.geom import IDENTITY, Affine3, translation
 
 
 def _write(tmp_path, name, text):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     return p
 
 
@@ -75,6 +79,10 @@ def test_load_obj_reload_is_identical(tmp_path):
         ("v 0 0 0\nf 1 2 9\n", ":2:"),
         ("v 0 0 0\nf 0 1 1\n", ":2:"),
         ("v a b c\n", ":1:"),
+        # Python's float reads "1_0" as 10.0 and int reads an Arabic-Indic
+        # three as 3; neither is an OBJ number
+        ("v 1_0 0 5\n", ":1:"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 \u0663\n", ":4:"),
     ],
 )
 def test_load_obj_malformed_reports_line(tmp_path, body, needle):
@@ -82,6 +90,111 @@ def test_load_obj_malformed_reports_line(tmp_path, body, needle):
     with pytest.raises(ValueError) as err:
         load_obj(p)
     assert needle in str(err.value)
+
+
+def test_load_obj_reads_any_text_outside_its_numbers(tmp_path):
+    # comments, extra coordinates and texture/normal references are not read
+    body = "# caf\u00e9 n_1\nv 0 0 0 # \u0663_\nv 1 0 0\nv 0 1 0\nf 1/\u0663 2 3/x_y\n"
+    mesh = load_obj(_write(tmp_path, "t.obj", body))
+    assert mesh.vertices == [Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0)]
+    assert mesh.indices == [(0, 1, 2)]
+
+
+@pytest.mark.parametrize("faces", ["f 1 2 3\n", "f 2 3 4\n"])
+def test_load_obj_skips_a_byte_order_mark(tmp_path, faces):
+    body = "v 0 0 5\nv 1 0 5\nv 0 1 5\nv 1 1 5\n" + faces
+    plain = load_obj(_write(tmp_path, "plain.obj", body))
+    marked = load_obj(_write(tmp_path, "bom.obj", "\ufeff" + body))
+    assert (marked.vertices, marked.indices) == (plain.vertices, plain.indices)
+    assert len(marked.vertices) == 4
+
+
+def _reference_load_obj(path) -> Mesh:
+    """``load_obj`` as it was before it rounded a file's coordinates in one
+    pass, with each coordinate rounded by ``f32`` on its own."""
+    vertices = []
+    indices = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            tag = parts[0]
+            if tag == "v":
+                if len(parts) < 4:
+                    raise ValueError(f"{path}:{lineno}: vertex needs 3 coordinates")
+                try:
+                    x, y, z = float(parts[1]), float(parts[2]), float(parts[3])
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: malformed vertex") from None
+                vertices.append(Vec3(f32(x), f32(y), f32(z)))
+            elif tag == "f":
+                if len(parts) < 4:
+                    raise ValueError(f"{path}:{lineno}: face needs >= 3 vertices")
+                refs = []
+                for tok in parts[1:]:
+                    head = tok.split("/")[0]
+                    try:
+                        v = int(head)
+                    except ValueError:
+                        raise ValueError(f"{path}:{lineno}: malformed face index {tok!r}") from None
+                    if v == 0:
+                        raise ValueError(f"{path}:{lineno}: face index 0 is invalid")
+                    ix = len(vertices) + v if v < 0 else v - 1
+                    if not 0 <= ix < len(vertices):
+                        raise ValueError(f"{path}:{lineno}: face index {v} out of range")
+                    refs.append(ix)
+                for i in range(1, len(refs) - 1):
+                    indices.append((refs[0], refs[i], refs[i + 1]))
+    return Mesh(vertices, indices)
+
+
+# values at the edges of binary32: just below and at the midpoint above
+# F32_MAX (the first rounds to F32_MAX, the second overflows to inf), the
+# least subnormal and half of it (which rounds to 0.0), and -0.0
+_F32_EDGES = [F32_MAX, F32_MAX + 2.0 ** 102, 2.0 ** 128 - 2.0 ** 103, 3e38, 1e39,
+              F32_MIN_SUBNORMAL, F32_MIN_SUBNORMAL / 2, 1e-40, 0.0]
+_OBJ_VALUES = st.one_of(st.sampled_from(_F32_EDGES + [-x for x in _F32_EDGES]), st.floats())
+
+
+@st.composite
+def _obj_texts(draw):
+    """OBJ text of v and f records with blank and comment lines between
+    them; every face index is in range."""
+    lines = []
+    nverts = 0
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["v", "v", "f", "blank", "comment"]))
+        if kind == "v":
+            xyz = " ".join(repr(draw(_OBJ_VALUES)) for _ in range(3))
+            lines.append(f"v {xyz}")
+            nverts += 1
+        elif kind == "f" and nverts:
+            refs = [draw(st.integers(1, nverts)) for _ in range(draw(st.integers(3, 5)))]
+            refs = [r - nverts - 1 if draw(st.booleans()) else r for r in refs]  # negative form
+            lines.append("f " + " ".join(f"{r}/{r}" if draw(st.booleans()) else str(r) for r in refs))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        elif kind == "comment":
+            lines.append("# v 1 2 3")
+    return "\n".join(lines) + "\n"
+
+
+def _bits(vertices):
+    return [struct.pack("<3d", *v) for v in vertices]
+
+
+@given(_obj_texts())
+@example("v 3e38 -1e39 1e-50\nv -0.0 1e-45 -1e-50\n\n# c\nv 1 2 3\nf 1 -2 3\n")
+def test_load_obj_rounds_as_f32_rounds_each_coordinate(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("obj") / "h.obj"
+    path.write_text(text, encoding="utf-8")
+    got = load_obj(path)
+    want = _reference_load_obj(path)
+    assert _bits(got.vertices) == _bits(want.vertices)
+    assert got.indices == want.indices
+    assert all(type(v) is Vec3 for v in got.vertices)
 
 
 def test_load_obj_missing_file(tmp_path):
@@ -130,6 +243,19 @@ def test_scene_validation_rejects_non_finite_vertices():
     scene = single_mesh_scene(mesh)
     with pytest.raises(ValueError):
         scene.validate()
+
+
+def test_scene_validation_accepts_finite_vertices_whose_sum_overflows():
+    big = Vec3(1e308, 1e308, 1e308)
+    mesh = Mesh([big, Vec3(-1e308, 0, 0), big], [(0, 1, 2)])
+    single_mesh_scene(mesh).validate()
+
+
+@pytest.mark.parametrize("tri, bad", [((0, 1, 3), 3), ((-1, 1, 2), -1), ((0, 7, -2), 7), ((2, 1, 3), 3)])
+def test_scene_validation_names_the_first_index_out_of_range(tri, bad):
+    mesh = Mesh([Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0)], [(0, 1, 2), tri])
+    with pytest.raises(ValueError, match=f"^mesh index {bad} out of range$"):
+        single_mesh_scene(mesh).validate()
 
 
 @pytest.mark.parametrize("scale", [1e300, 1e-107], ids=["determinant-overflows", "inverse-overflows"])
