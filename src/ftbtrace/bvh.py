@@ -59,7 +59,7 @@ from itertools import product
 from typing import Optional
 
 from .floatstep import f32x6
-from .geom import IDENTITY, AhVerdict, HitContext, Ray, affine_inverse, box_of, mt_core, slab_entry
+from .geom import IDENTITY, AhVerdict, HitContext, Ray, affine_inverse, apply_points, box_of, mt_core, slab_entry
 
 # node tuple layout: (lox, loy, loz, hix, hiy, hiz, left, right, first, count)
 # leaf <=> left < 0; first/count index into the element permutation
@@ -224,23 +224,13 @@ class BuiltInstance:
         # the eight corners of each geometry's root box, z varying fastest
         boxes = (g.blas.root_bounds() for g in geoms)
         corners = (c for b in boxes for c in product(*zip(b[:3], b[3:])))
-        if not identity:
-            # geom.apply_point's operation order, written out
-            (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = transform.m
-            tx, ty, tz = transform.t
-            corners = [
-                (m00 * x + m01 * y + m02 * z + tx,
-                 m10 * x + m11 * y + m12 * z + ty,
-                 m20 * x + m21 * y + m22 * z + tz)
-                for x, y, z in corners
-            ]
-        lo, hi = box_of(corners)
+        lo, hi = box_of(corners if identity else apply_points(transform, corners))
         self.bounds = (*lo, *hi)
 
     def object_ray_parts(self, ray: Ray):
         """Object-space origin/direction (binary32 components) for this
         instance: the ray's origin and direction through ``world_to_object`` in
-        binary64, with ``geom.apply_point``'s operation order (the direction
+        binary64, with ``geom.apply_points``' operation order (the direction
         without the translation), then rounded to binary32.  The direction is
         not renormalised, so object-space hit distances equal world-space
         ones.  The identity returns the ray's own components."""

@@ -22,7 +22,7 @@ from .render import (
     run_validation,
     stats_csv,
 )
-from .scene import load_manifest, load_obj, make_scene, single_mesh_scene
+from .scene import load_manifest, load_obj, make_scene, single_mesh_scene, whole_number
 
 
 def _add_scene_args(p: argparse.ArgumentParser) -> None:
@@ -38,22 +38,12 @@ def _add_scene_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--leaf-size", help="tree leaf size override")
 
 
-def _whole(text: str, least=None) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise ValueError(f"{text!r} is not a whole number") from None
-    if least is not None and n < least:
-        raise ValueError(f"must be at least {least}, not {n}")
-    return n
-
-
 def _prim_order(text: str):
     """The build's permute seed; None for asgiven."""
     order = text.lower()
     if order != "asgiven" and not order.startswith("permuted:"):
         raise ValueError("must be asgiven or permuted:SEED")
-    return None if order == "asgiven" else _whole(order[len("permuted:"):])
+    return None if order == "asgiven" else whole_number(order[len("permuted:"):])
 
 
 def _kernel_id(text: str) -> str:
@@ -65,10 +55,10 @@ def _kernel_id(text: str) -> str:
 _PARSERS = {
     "kernel": _kernel_id,
     "kernels": lambda text: [_kernel_id(k) for k in text.split(",")] if text else list(CORRECT_KERNELS),
-    "size": lambda text: tuple(_whole(n, 1) for n in text.lower().partition("x")[::2]),
+    "size": lambda text: tuple(whole_number(n, 1) for n in text.lower().partition("x")[::2]),
     "prim_order": _prim_order,
-    "leaf_size": lambda text: _whole(text, 1),
-    "seeds": lambda text: [_whole(s) for s in text.split(",")] if text else [],
+    "leaf_size": lambda text: whole_number(text, 1),
+    "seeds": lambda text: [whole_number(s) for s in text.split(",")] if text else [],
     "user_code": parse_user_code,
 }
 

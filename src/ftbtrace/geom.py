@@ -147,14 +147,18 @@ def translation(x: float, y: float, z: float) -> Affine3:
     return Affine3(IDENTITY.m, vec3_32(x, y, z))
 
 
-def apply_point(xf: Affine3, p: Vec3) -> Vec3:
-    m = xf.m
-    t = xf.t
-    return Vec3(
-        m[0][0] * p.x + m[0][1] * p.y + m[0][2] * p.z + t.x,
-        m[1][0] * p.x + m[1][1] * p.y + m[1][2] * p.z + t.y,
-        m[2][0] * p.x + m[2][1] * p.y + m[2][2] * p.z + t.z,
-    )
+def apply_points(xf: Affine3, points) -> list:
+    """``M·p + t`` for each 3-point of ``points``, in order, as tuples: the
+    one forward affine map.  Each row sums left to right in binary64, the
+    translation last, so every caller gets the same bits."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = xf.m
+    tx, ty, tz = xf.t
+    return [
+        (m00 * x + m01 * y + m02 * z + tx,
+         m10 * x + m11 * y + m12 * z + ty,
+         m20 * x + m21 * y + m22 * z + tz)
+        for x, y, z in points
+    ]
 
 
 def box_of(points):

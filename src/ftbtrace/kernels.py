@@ -44,6 +44,7 @@ from .floatstep import just_above, just_below
 from .geom import HitContext, Ray
 from .hitorder import HitDesc, less, order_key
 from .pipeline import AhVerdict, TraceConfig, TraceFlags, TraceStats, trace
+from .scene import whole_number
 
 
 class Step(Enum):
@@ -412,8 +413,9 @@ CORRECT_KERNELS = (
 
 
 def parse_kernel(kernel_id: str):
-    """Split 'name[:N]' into (Kernel, N); N, ASCII digits worth at least 1,
-    is the multi-hit capacity, None for kernels that take no parameter."""
+    """Split 'name[:N]' into (Kernel, N); N, a whole number at least 1
+    (``scene.whole_number``), is the multi-hit capacity, None for kernels
+    that take no parameter."""
     name, sep, arg = kernel_id.partition(":")
     kernel = KERNELS.get(name)
     if kernel is None:
@@ -422,9 +424,10 @@ def parse_kernel(kernel_id: str):
         return kernel, kernel.n
     if kernel.n is None:
         raise ValueError(f"kernel {kernel_id!r}: {name} takes no parameter")
-    if not (arg.isascii() and arg.isdigit()) or int(arg) < 1:
-        raise ValueError(f"kernel {kernel_id!r}: N must be a whole number >= 1")
-    return kernel, int(arg)
+    try:
+        return kernel, whole_number(arg, 1)
+    except ValueError:
+        raise ValueError(f"kernel {kernel_id!r}: N must be a whole number >= 1") from None
 
 
 def run_kernel(kernel_id: str, built, ray, user_code, stats=None, user_prd=None) -> FtbReport:

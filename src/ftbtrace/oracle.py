@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bvh import BuiltScene, build_scene, BuildOptions
-from .geom import box_of, mt_core
+from .geom import apply_points, box_of, mt_core
 from .hitorder import HitDesc, sort_hits
 from .kernels import KernelStalled, is_stable, parse_kernel, run_kernel
 from .pipeline import TraceStats
@@ -282,23 +282,15 @@ def _instance_spheres(built: BuiltScene):
         if terms is None:
             terms = linear[key] = _linear_terms(m, rows[:9], r, cn)
         ok, norm, mF, q0, q1, p1 = terms
-        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
-        tx, ty, tz = t
-        wx, wy, wz = rows[9:]
-        # geom.apply_point's operation order, written out: a call per
-        # instance would cost a fifth of this loop
-        cx = m00 * Cx + m01 * Cy + m02 * Cz + tx
-        cy = m10 * Cx + m11 * Cy + m12 * Cz + ty
-        cz = m20 * Cx + m21 * Cy + m22 * Cz + tz
+        (cx, cy, cz), (rx, ry, rz) = apply_points(bi.transform, ((Cx, Cy, Cz), rows[9:]))
         if not ok:
             spheres.append((cx, cy, cz, _INF, _INF, i))
             continue
         guard = max(guard, (_DIR_FLOOR * norm) ** 2 * _UP)
+        tx, ty, tz = t
+        wx, wy, wz = rows[9:]
         tn = math.sqrt(tx * tx + ty * ty + tz * tz)
         wn = math.sqrt(wx * wx + wy * wy + wz * wz)
-        rx = m00 * wx + m01 * wy + m02 * wz + tx
-        ry = m10 * wx + m11 * wy + m12 * wz + ty
-        rz = m20 * wx + m21 * wy + m22 * wz + tz
         rho = math.sqrt(rx * rx + ry * ry + rz * rz) + 5 * _U * (mF * wn + tn)
         p0 = q0 + q1 * wn + rho + 5 * _U * (tn + math.sqrt(cx * cx + cy * cy + cz * cz))
         # every term is a sum of products of norms: one lift covers their rounding

@@ -17,12 +17,13 @@ from typing import Optional, Union
 
 from .bvh import BuiltScene, build_scene, build_trees
 from .floatstep import f32_bits
-from .geom import Ray, apply_point, box_of, camera_basis, make_ray
+from .geom import Ray, apply_points, box_of, camera_basis, make_ray
 from .hitorder import HitDesc
 from . import oracle
 from .kernels import Step, run_kernel
 from .oracle import check_rebuild_stability, validate_kernel
 from .pipeline import TraceStats
+from .scene import whole_number
 
 T_FAR = 1.0e30
 
@@ -100,10 +101,10 @@ def resolve_camera(scene, width: int, height: int) -> Camera:
             height=height,
         )
     lo, hi = box_of(
-        apply_point(inst.transform, v)
+        p
         for inst in scene.instances
         for g in inst.geometries
-        for v in g.mesh.vertices
+        for p in apply_points(inst.transform, g.mesh.vertices)
     )
     if lo[0] > hi[0]:  # empty scene
         return Camera((0.0, 0.0, -5.0), (0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 45.0, width, height)
@@ -146,7 +147,7 @@ def parse_user_code(s: str) -> UserCodeSpec:
     pass ``make_user_code``'s checks too."""
     name, *args = s.lower().split(":")
     try:
-        nums = [int(a) for a in args]
+        nums = [whole_number(a) for a in args]
     except ValueError:
         nums = []
     if name == "countall" and not args:

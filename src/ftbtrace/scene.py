@@ -167,6 +167,20 @@ def _check_plain(tokens) -> None:
             raise ValueError(t)
 
 
+def whole_number(text: str, least=None) -> int:
+    """The whole number ``text`` spells as an optional ``-`` and ASCII
+    digits, at least ``least`` if given: the one rule of every option and
+    spec.  Python's ``int`` also reads ``+``, spaces, digit separators and
+    non-ASCII digits."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not a whole number")
+    n = int(text)
+    if least is not None and n < least:
+        raise ValueError(f"must be at least {least}, not {n}")
+    return n
+
+
 def _ref(items: list, index, what: str):
     """items[index] for a manifest reference; no wrap-around from the end."""
     if type(index) is not int or not 0 <= index < len(items):
@@ -473,7 +487,7 @@ def make_scene(spec: str) -> Scene:
             kwargs[k] = v.lower() == "true"
         else:
             try:
-                kwargs[k] = int(v)
+                kwargs[k] = whole_number(v)
             except ValueError:
                 raise ValueError(f"generator {name!r}: {k}={v!r} is not a whole number") from None
     missing = [k for k in keys[:required] if k not in kwargs]

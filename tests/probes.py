@@ -1,8 +1,20 @@
-"""Deterministic probe rays and a broken pipeline shared by the test modules."""
+"""Deterministic probe rays, a broken pipeline and a per-point reference
+of the affine map, shared by the test modules."""
 
 import ftbtrace.kernels as kernels_mod
-from ftbtrace import HitContext, camera_rays, resolve_camera
+from ftbtrace import HitContext, Vec3, camera_rays, resolve_camera
 from ftbtrace.hitorder import order_key
+
+
+def apply_point(xf, p) -> Vec3:
+    """Reference for ``geom.apply_points`` on one point: M·p + t, each row
+    summed left to right in binary64 with the translation last."""
+    m, t = xf
+    return Vec3(
+        m[0][0] * p[0] + m[0][1] * p[1] + m[0][2] * p[2] + t[0],
+        m[1][0] * p[0] + m[1][1] * p[1] + m[1][2] * p[2] + t[1],
+        m[2][0] * p[0] + m[2][1] * p[1] + m[2][2] * p[2] + t[2],
+    )
 
 
 def rays_for(scene, width=12, height=10):

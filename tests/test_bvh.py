@@ -37,10 +37,10 @@ from ftbtrace import (
 import ftbtrace.bvh as bvh_mod
 from ftbtrace.bvh import Blas, BuiltGeometry, BuiltInstance
 from ftbtrace.floatstep import F32_MAX, f32_bits, just_above, just_below
-from ftbtrace.geom import IDENTITY, Ray, apply_point, box_of, det3, vec3_32
+from ftbtrace.geom import IDENTITY, Ray, box_of, det3, vec3_32
 from ftbtrace.pipeline import TraceStats
 
-from probes import rays_for
+from probes import apply_point, rays_for
 
 
 def _collect(built, ray):

@@ -16,12 +16,15 @@ from ftbtrace.geom import (
     TriHit,
     Vec3,
     affine_inverse,
+    apply_points,
     make_ray,
     mt_core,
     slab_entry,
     translation,
     vec3_32,
 )
+
+from probes import apply_point
 
 
 def _blas(a, b, c):
@@ -394,6 +397,34 @@ def test_singular_transform_rejected():
     bad = scaling(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         affine_inverse(bad)
+
+
+_F32_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, F32_MAX, -F32_MAX, 2.0 ** -149, -(2.0 ** -149), 2.0 ** -126]),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+)
+# points need not be binary32: the oracle maps binary64 sphere centres
+_COORD = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, F32_MAX]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.tuples(*[_F32_ENTRY] * 12), st.lists(st.tuples(_COORD, _COORD, _COORD), max_size=6))
+@example((0.0,) * 12, [])
+# -0.0 in every entry and coordinate: each row sums to -0.0
+@example((1.0, -0.0, -0.0, -0.0, 1.0, -0.0, -0.0, -0.0, 1.0, -0.0, -0.0, -0.0), [(-0.0, -0.0, -0.0), (0.0, -0.0, 1.0)])
+# products overflow to +-inf, and a row that meets both is NaN
+@example((F32_MAX, -F32_MAX, 0.0, F32_MAX, F32_MAX, 1.0, -F32_MAX, 0.0, 0.0, 1.0, -1.0, 0.0),
+         [(1e300, 1e300, 0.0), (-1e300, 2.0, 5e-324)])
+# subnormal products underflow; (1 + 2**53) - 2**53 is 0.0 left to right, 1.0 otherwise
+@example((2.0 ** -149, 1.0, -1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0),
+         [(5e-324, 2.0 ** 53, 2.0 ** 53), (1.0, 2.0 ** 53, 2.0 ** 53)])
+def test_apply_points_matches_the_per_point_reference(entries, points):
+    xf = Affine3((entries[0:3], entries[3:6], entries[6:9]), Vec3(*entries[9:]))
+    got = apply_points(xf, iter(points))  # any iterable, read once
+    assert all(type(p) is tuple for p in got)
+    assert [struct.pack("<3d", *p) for p in got] == [struct.pack("<3d", *apply_point(xf, p)) for p in points]
 
 
 def test_determinism_repeated_calls():

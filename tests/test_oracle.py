@@ -36,10 +36,10 @@ from ftbtrace import (
     validate_kernel,
 )
 from ftbtrace.bvh import BuiltInstance
-from ftbtrace.geom import IDENTITY, apply_point, box_of, mt_core, vec3_32
+from ftbtrace.geom import IDENTITY, box_of, mt_core, vec3_32
 from ftbtrace.kernels import CORRECT_KERNELS, KERNELS
 
-from probes import rays_for, stuck_trace
+from probes import apply_point, rays_for, stuck_trace
 
 CENTER_RAY = make_ray((0.1, -0.2, -1.0), (0, 0, 1), 0, 100)
 AXIS_RAY = make_ray((-1.0, 0.3, 0.4), (1, 0, 0), 0, 100)

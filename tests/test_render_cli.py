@@ -226,10 +226,11 @@ def test_probdepth_expectation_matches_truncated_geometric():
     total = 0
     probe = pixel_ray(cam, 0, 0)
     assert len(oracle_all_hits(built, probe).hits) == 8
+    rays = iter(camera_rays(cam))  # row-major, the bits of pixel_ray
     for y in range(h):
         for x in range(w):
             code = make_user_code(ProbDepth(4, 123), x, y)
-            total += len(run_kernel("while-while", built, pixel_ray(cam, x, y), code).hits)
+            total += len(run_kernel("while-while", built, next(rays), code).hits)
     mean = total / (w * h)
     assert abs(mean - expected) / expected < 0.10
 
@@ -239,7 +240,9 @@ def test_parse_user_code_specs():
     assert parse_user_code("maxdepth:3") == MaxDepth(3)
     assert parse_user_code("probdepth:4:9") == ProbDepth(4, 9)
     assert parse_user_code("probdepth:4") == ProbDepth(4, 0)
-    for bad in ("sometimes:2", "maxdepth", "maxdepth:x", "probdepth:1:2:3", "countall:1"):
+    for bad in ("sometimes:2", "maxdepth", "maxdepth:x", "probdepth:1:2:3", "countall:1",
+                # a whole number is an optional - and ASCII digits
+                "probdepth:\u0663:1_2", "maxdepth:+2", "maxdepth:1_0", "probdepth:4: 1", "maxdepth:\u0663"):
         with pytest.raises(ValueError, match="unknown user code spec"):
             parse_user_code(bad)
     # make_user_code's n >= 1 rule, run when the spec is parsed

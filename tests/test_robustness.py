@@ -307,6 +307,21 @@ _BAD_OPTIONS = [
     ("--user-code", "probdepth:0", _RENDER_OPTIONS),
     ("--user-code", "maxdepth:x", _RENDER_OPTIONS),
     ("--gen", "coplanar:n=x", _SCENE_OPTIONS),
+    # a whole number is an optional - and ASCII digits: no digit separator,
+    # no non-ASCII digit, no +, no space
+    ("--size", "1_2x8", _SCENE_OPTIONS),
+    ("--size", " 4x3", _SCENE_OPTIONS),
+    ("--prim-order", "permuted:1_0", _SCENE_OPTIONS),
+    ("--prim-order", "permuted:+3", _SCENE_OPTIONS),
+    ("--leaf-size", "0_4", _SCENE_OPTIONS),
+    ("--leaf-size", "\u0664", _SCENE_OPTIONS),
+    ("--seeds", "1_0", ("validate",)),
+    ("--seeds", "\u0663", ("validate",)),
+    ("--user-code", "probdepth:\u0663:1_2", _RENDER_OPTIONS),
+    ("--user-code", "maxdepth:+2", _RENDER_OPTIONS),
+    ("--gen", "coplanar:n=1_0", _SCENE_OPTIONS),
+    ("--gen", "coplanar:n=\u0668", _SCENE_OPTIONS),
+    ("--gen", "coplanar:n=+2", _SCENE_OPTIONS),
 ]
 
 
@@ -329,6 +344,15 @@ def test_cli_bad_option_value_exits_2_before_any_work(tmp_path, capsys, command,
     lead = "error: generator 'coplanar': " if option == "--gen" else f"error: {option}: "
     assert printed.err.startswith(lead) and printed.err.count("\n") == 1, printed.err
     assert list(out.iterdir()) == []
+
+
+def test_cli_negative_seeds_still_run(tmp_path, capsys):
+    from ftbtrace.cli import main
+
+    gen = ["--gen", "coplanar:n=2", "--size", "4x3", "--prim-order", "permuted:-3"]
+    assert main(["validate", *gen, "--seeds", "-1", "--report", str(tmp_path / "r.json")]) == 0
+    assert main(["render", *gen, "--user-code", "probdepth:4:-1", "--out", str(tmp_path / "x.ppm")]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_cli_manifest_top_level_list_exits_2(tmp_path, capsys):

@@ -410,6 +410,9 @@ def test_make_scene_parses_spec_strings():
         # a key takes the type of its default: true/false for a boolean one,
         # a whole number for every other
         ("coplanar:n=true", "n='true'"), ("grid:m=true", "m='true'"), ("coplanar:n=2:same_t=7", "same_t='7'"),
+        # a whole number is an optional - and ASCII digits
+        ("coplanar:n=1_0", "n='1_0'"), ("coplanar:n=\u0668", "n='\u0668'"), ("grid:m=+2", "m='+2'"),
+        ("abutting:k= 3", "k=' 3'"),
     ],
 )
 def test_make_scene_names_the_key_of_a_bad_value(spec, key_value):
