@@ -25,21 +25,21 @@ Every kernel traces one ray again and again, changing only (t_min, t_max),
 and no box or triangle test result depends on the interval until it is
 compared with it.  So ``traverse`` keeps a one-ray memo on the
 ``BuiltScene`` (``built.memo``): the raw slab interval of each node and
-instance box (``slab_entry``), each entered instance's ``object_ray_parts``
-and each leaf's ``mt_core`` hits as finished ``HitContext``s, all computed
-without an interval, and only for what the ray has touched.  Every trace
-clamps a cached interval to the live (t_min, t_max) and hands the any-hit
-program a cached hit when t_min < t < live t_max, so the results are
-bitwise those of testing afresh, and ``nodes_visited``/``tri_tests`` still
-count every emulated test of every trace.  The memo is keyed by the
-identity of ``ray.origin`` and ``ray.direction`` (it holds both, so neither
-id can be reused while it lives): a kernel rebuilds each retrace's ``Ray``
-around the same origin and direction objects and hits it, and any other
-ray replaces it.  Origin and direction are immutable tuples.  Each trace
-reads ``built.memo`` once, so a trace nested in an any-hit program, which
-may replace the memo in the middle of the outer walk, never mixes two
-rays' results.  Every entry is stored whole, so two traces of the same ray
-never read a half-filled one.
+instance box (``slab_entry``) and, in one entry per entered instance, its
+``object_ray_parts`` and, per geometry, each walked leaf's ``mt_core`` hits
+as finished ``HitContext``s, all computed without an interval, and only
+for what the ray has touched.  Every trace clamps a cached interval to the
+live (t_min, t_max) and hands the any-hit program a cached hit when
+t_min < t < live t_max, so the results are bitwise those of testing
+afresh, and ``nodes_visited``/``tri_tests`` still count every emulated
+test of every trace.  The memo is keyed by the identity of ``ray.origin``
+and ``ray.direction`` (it holds both, so neither id can be reused while it
+lives): a kernel rebuilds each retrace's ``Ray`` around the same origin
+and direction objects and hits it, and any other ray replaces it.  Origin
+and direction are immutable tuples.  Each trace reads ``built.memo`` once,
+so a trace nested in an any-hit program, which may replace the memo in the
+middle of the outer walk, never mixes two rays' results.  Every entry is
+stored whole, so two traces of the same ray never read a half-filled one.
 
 Everything a ray reads that does not depend on the ray is computed at build
 time.  ``Blas.tris`` keeps each triangle's packed intersection data in
@@ -56,7 +56,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .floatstep import f32x6
 from .geom import IDENTITY, AhVerdict, HitContext, Ray, affine_inverse, apply_points, box_of, mt_core, slab_entry
@@ -197,15 +197,11 @@ def build_blas(mesh, opts: BuildOptions = BuildOptions()) -> Blas:
     return Blas(nodes, order, tri_data)
 
 
-class BuiltGeometry:
-    """One geometry of one built instance (never shared between instances:
-    the ray memo keys each walked tree's results on it)."""
+class BuiltGeometry(NamedTuple):
+    """One geometry of one built instance."""
 
-    __slots__ = ("sbt_offset", "blas")
-
-    def __init__(self, sbt_offset, blas):
-        self.sbt_offset = sbt_offset
-        self.blas = blas
+    sbt_offset: int
+    blas: Blas
 
 
 class BuiltInstance:
@@ -254,14 +250,14 @@ class _RayMemo:
     """Interval-free test results of one ray, filled as traversal first
     needs them: raw slab intervals of the instance tree's nodes (``tlas``,
     laid out as ``_leaves`` describes) and of each instance slot's bounds
-    (``inst_boxes``); per entered instance slot, the object-space ray parts
-    (``inst_rays``); and per geometry whose tree has been walked, keyed by
-    its ``BuiltGeometry``, a (node boxes, leaf hits) dict pair
-    (``geom_tests``).  A missed box is ``_EMPTY``; a leaf's entry, keyed by
-    its first slot, lists a (slot, ``HitContext``) pair for each of its
-    triangles that the ray's line hits."""
+    (``inst_boxes``); and one entry per entered instance slot
+    (``inst_rays``): the six object-space ray parts and a list of one
+    (sbt_offset, blas, node boxes, leaf hits) record per geometry, in the
+    instance's geometry order.  A missed box is ``_EMPTY``; a leaf's entry,
+    keyed by its first slot, lists a (slot, ``HitContext``) pair for each
+    of its triangles that the ray's line hits."""
 
-    __slots__ = ("origin", "direction", "tlas", "inst_boxes", "inst_rays", "geom_tests")
+    __slots__ = ("origin", "direction", "tlas", "inst_boxes", "inst_rays")
 
     def __init__(self, origin, direction):
         self.origin = origin
@@ -269,7 +265,6 @@ class _RayMemo:
         self.tlas = {}
         self.inst_boxes = {}
         self.inst_rays = {}
-        self.geom_tests = {}
 
 
 class BuiltScene:
@@ -430,7 +425,6 @@ def traverse(built: BuiltScene, ray: Ray, any_hit, prd_stats) -> tuple:
     instances = built.instances
     inst_boxes = memo.inst_boxes
     inst_rays = memo.inst_rays
-    geom_tests = memo.geom_tests
     wx, wy, wz = origin
     wdx, wdy, wdz = direction
     box_live = live if wdx or wdy or wdz else _UNBOUNDED  # as in _leaves
@@ -445,16 +439,12 @@ def traverse(built: BuiltScene, ray: Ray, any_hit, prd_stats) -> tuple:
                 raw = inst_boxes[slot] = raw or _EMPTY
             if _entry(raw, t_min, box_live[0]) is None:
                 continue
-            parts = inst_rays.get(slot)
-            if parts is None:
-                parts = inst_rays[slot] = bi.object_ray_parts(ray)
-            ox, oy, oz, dx, dy, dz = parts
-            for geom in bi.geoms:
-                tests = geom_tests.get(geom)
-                if tests is None:
-                    tests = geom_tests[geom] = ({}, {})
-                boxes, leaf_hits = tests
-                blas = geom.blas
+            entry = inst_rays.get(slot)
+            if entry is None:
+                records = [(g.sbt_offset, g.blas, {}, {}) for g in bi.geoms]
+                entry = inst_rays[slot] = (bi.object_ray_parts(ray), records)
+            (ox, oy, oz, dx, dy, dz), records = entry
+            for sbt_offset, blas, boxes, leaf_hits in records:
                 for tfirst, tcount in _leaves(blas.nodes, boxes, ox, oy, oz, dx, dy, dz, t_min, live, stats):
                     hits = leaf_hits.get(tfirst)
                     if hits is None:
@@ -463,7 +453,7 @@ def traverse(built: BuiltScene, ray: Ray, any_hit, prd_stats) -> tuple:
                             prim = blas.order[tslot]
                             hit = mt_core(ox, oy, oz, dx, dy, dz, -_INF, _INF, *blas.tris[prim])
                             if hit is not None:
-                                ctx = HitContext(*hit, prim, geom.sbt_offset, bi.index, bi.transform,
+                                ctx = HitContext(*hit, prim, sbt_offset, bi.index, bi.transform,
                                                  bi.world_to_object)
                                 hits.append((tslot, ctx))
                         leaf_hits[tfirst] = hits  # published whole: another trace may read it

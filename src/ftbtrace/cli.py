@@ -46,6 +46,18 @@ def _prim_order(text: str):
     return None if order == "asgiven" else whole_number(order[len("permuted:"):])
 
 
+# validate holds every camera ray and its reference result before any
+# kernel runs, about 0.7 KB a pixel: some 0.7 GB at this cap
+_MAX_PIXELS = 1 << 20
+
+
+def _size(text: str):
+    w, h = (whole_number(n, 1) for n in text.lower().partition("x")[::2])
+    if w * h > _MAX_PIXELS:
+        raise ValueError(f"{w}x{h} is more than {_MAX_PIXELS} pixels (1024x1024)")
+    return w, h
+
+
 def _kernel_id(text: str) -> str:
     parse_kernel(text)
     return text
@@ -55,7 +67,7 @@ def _kernel_id(text: str) -> str:
 _PARSERS = {
     "kernel": _kernel_id,
     "kernels": lambda text: [_kernel_id(k) for k in text.split(",")] if text else list(CORRECT_KERNELS),
-    "size": lambda text: tuple(whole_number(n, 1) for n in text.lower().partition("x")[::2]),
+    "size": _size,
     "prim_order": _prim_order,
     "leaf_size": lambda text: whole_number(text, 1),
     "seeds": lambda text: [whole_number(s) for s in text.split(",")] if text else [],
@@ -152,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scene_args(r)
     r.add_argument("--kernel", default="while-while")
     r.add_argument("--user-code", default="countall",
-                   help="countall | maxdepth:N | probdepth:N:SEED")
+                   help="countall | maxdepth:N | probdepth:N[:SEED]")
     r.add_argument("--out", required=True, help="output PPM (P6) path")
     r.add_argument("--stats", help="output stats CSV path")
     r.set_defaults(fn=_cmd_render)

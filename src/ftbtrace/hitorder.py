@@ -25,23 +25,15 @@ class HitDesc(_HitDescBase):
         return _HitDescBase.__new__(cls, t, prim, geom, inst)
 
 
+def order_key(h: HitDesc):
+    """The hit order as a tuple, compared field by field in priority order;
+    a ``HitContext``, which has the same fields, gives the same key."""
+    return (h.t, h.inst, h.geom, h.prim)
+
+
 def less(a: HitDesc, b: HitDesc) -> bool:
     """Strict total order on hits; False when a and b are fully equal."""
-    if a.t != b.t:
-        return a.t < b.t
-    if a.inst != b.inst:
-        return a.inst < b.inst
-    if a.geom != b.geom:
-        return a.geom < b.geom
-    if a.prim != b.prim:
-        return a.prim < b.prim
-    return False
-
-
-def order_key(h: HitDesc):
-    """Sort key that agrees with ``less``; a ``HitContext``, which has the
-    same fields, gives the same key."""
-    return (h.t, h.inst, h.geom, h.prim)
+    return order_key(a) < order_key(b)
 
 
 def sort_hits(hits) -> list:

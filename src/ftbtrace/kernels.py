@@ -296,9 +296,9 @@ class _MultiHitPrd:
 
 
 def _mh_any_hit(ctx, prd):
-    # the buffer holds order keys, not HitDescs: most candidates never reach
-    # a batch, and tuple < on keys is ``less`` (t is never NaN), so a desc
-    # is built only for a delivered hit
+    # the buffer holds order keys, not HitDescs: ``less`` is tuple < on
+    # them, and most candidates never reach a batch, so a desc is built
+    # only for a delivered hit
     curr = order_key(ctx)
     if not prd.hit_min < curr:
         return AhVerdict.IGNORE  # already delivered in an earlier batch

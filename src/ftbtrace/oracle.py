@@ -20,11 +20,13 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Optional
 
 from .bvh import BuiltScene, build_scene, BuildOptions
 from .geom import apply_points, box_of, mt_core
-from .hitorder import HitDesc, sort_hits
+from .hitorder import HitDesc, order_key, sort_hits
 from .kernels import KernelStalled, is_stable, parse_kernel, run_kernel
 from .pipeline import TraceStats
 
@@ -176,7 +178,7 @@ def oracle_all_hits(built: BuiltScene, ray) -> OracleResult:
                 if hit is not None:
                     found.append(HitDesc(hit.t, prim, sbt, bi.index))
     hits = sort_hits(found)
-    return OracleResult(hits, [g for _, g in _grouped(hits)])
+    return OracleResult(hits, [list(g) for _, g in groupby(hits, attrgetter("t"))])
 
 
 def _reached(clusters, ox, oy, oz, dx, dy, dz, dd, on):
@@ -361,25 +363,12 @@ def _triangle_spheres(tris):
     return spheres
 
 
-def _triple(h: HitDesc):
-    return (h.inst, h.geom, h.prim)
-
-
-def _grouped(seq):
-    """Contiguous equal-distance runs of a sequence, as (t, hits) pairs."""
-    out = []
-    for h in seq:
-        if out and out[-1][0] == h.t:
-            out[-1][1].append(h)
-        else:
-            out.append((h.t, [h]))
-    return out
-
-
 def _group_contents(seq):
     """Each equal-distance run of a sequence as (t, sorted identities): two
-    sequences with equal group contents hold the same hit multiset."""
-    return [(t, sorted(_triple(h) for h in g)) for t, g in _grouped(seq)]
+    sequences with equal group contents hold the same hit multiset.  A run
+    is keyed by its first member's t, compared by ==, so -0.0 and 0.0 join
+    one run."""
+    return [(t, sorted(order_key(h)[1:] for h in g)) for t, g in groupby(seq, attrgetter("t"))]
 
 
 def _run_to_end(kernel_id: str, built: BuiltScene, ray, stats=None):
@@ -501,7 +490,7 @@ def validate_kernel(kernel_id: str, built: BuiltScene, rays, oracles=None) -> Ke
                         "actual": [f"t={t!r} x{len(g)}" for t, g in have],
                     }
                 )
-        triples = [_triple(h) for h in got]
+        triples = [order_key(h)[1:] for h in got]
         if len(set(triples)) != len(triples):
             checks["duplicates"].fail({"ray": i, "actual": _fmt_hits(got)})
         if spec.stable and got != orc.hits:

@@ -32,7 +32,8 @@ class Mesh:
 @dataclass
 class Geometry:
     """A mesh bound to a shader-table slot; the slot doubles as the geometry
-    disambiguator in hit identities, so it must be unique per scene."""
+    disambiguator in hit identities, so it must be unique per scene, and an
+    instance may list a geometry only once."""
 
     mesh: Mesh
     sbt_offset: int
@@ -73,11 +74,15 @@ class Scene:
                 if g.sbt_offset < 0:
                     raise ValueError("sbt_offset must be non-negative")
                 prev = seen_sbt.get(g.sbt_offset)
-                if prev is g:
-                    continue  # a shared geometry's mesh was checked where first seen
+                seen_sbt[g.sbt_offset] = g, pos
                 if prev is not None:
-                    raise ValueError(f"duplicate sbt_offset {g.sbt_offset}")
-                seen_sbt[g.sbt_offset] = g
+                    if prev[0] is not g:
+                        raise ValueError(f"duplicate sbt_offset {g.sbt_offset}")
+                    # instances may share a geometry, but two hits of one
+                    # instance must never share (t, prim, geom, inst)
+                    if prev[1] == pos:
+                        raise ValueError(f"instance {pos}: geometry with sbt_offset {g.sbt_offset} listed twice")
+                    continue  # a shared geometry's mesh was checked where first seen
                 verts = g.mesh.vertices
                 # a finite sum has finite terms; one that is not may only
                 # have overflowed, so then each value is looked at

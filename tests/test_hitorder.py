@@ -93,7 +93,20 @@ _edge_descs = st.builds(
 )
 
 
+def _reference_less(a, b):
+    """The hit order written out field by field, independent of ``order_key``."""
+    if a.t != b.t:
+        return a.t < b.t
+    if a.inst != b.inst:
+        return a.inst < b.inst
+    if a.geom != b.geom:
+        return a.geom < b.geom
+    if a.prim != b.prim:
+        return a.prim < b.prim
+    return False
+
+
 @given(_edge_descs, _edge_descs)
 def test_order_key_tuple_comparison_is_less(a, b):
     # the multi-hit any-hit program compares and sorts plain key tuples
-    assert less(a, b) == (order_key(a) < order_key(b))
+    assert less(a, b) == (order_key(a) < order_key(b)) == _reference_less(a, b)

@@ -322,6 +322,9 @@ _BAD_OPTIONS = [
     ("--gen", "coplanar:n=1_0", _SCENE_OPTIONS),
     ("--gen", "coplanar:n=\u0668", _SCENE_OPTIONS),
     ("--gen", "coplanar:n=+2", _SCENE_OPTIONS),
+    # W·H above 2^20 pixels
+    ("--size", "1025x1024", _SCENE_OPTIONS),
+    ("--size", "100000x100000", _SCENE_OPTIONS),
 ]
 
 
@@ -344,6 +347,24 @@ def test_cli_bad_option_value_exits_2_before_any_work(tmp_path, capsys, command,
     lead = "error: generator 'coplanar': " if option == "--gen" else f"error: {option}: "
     assert printed.err.startswith(lead) and printed.err.count("\n") == 1, printed.err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", ["1024x1024", "1048576x1", "1x1048576"])
+def test_size_up_to_its_cap_is_taken(text):
+    from ftbtrace.cli import _PARSERS
+
+    w, h = _PARSERS["size"](text)
+    assert f"{w}x{h}" == text
+
+
+@pytest.mark.parametrize("text", ["1025x1024", "1024x1025", "1048577x1", "100000x100000"])
+def test_size_above_its_cap_is_refused(text):
+    # validate would hold every camera ray and its reference result: about
+    # 0.7 KB a pixel, so 4096x4096 alone needs some 11.6 GB
+    from ftbtrace.cli import _PARSERS
+
+    with pytest.raises(ValueError, match=f"^{text} is more than 1048576 pixels"):
+        _PARSERS["size"](text)
 
 
 def test_cli_negative_seeds_still_run(tmp_path, capsys):
@@ -377,6 +398,24 @@ def test_cli_manifest_mesh_index_out_of_range_exits_2(tmp_path, capsys):
     })
     err = _cli_error(capsys, ["render", "--scene", path, "--out", str(tmp_path / "x.ppm")])
     assert "mesh index 1" in err
+
+
+def test_cli_manifest_geometry_listed_twice_in_one_instance_exits_2(tmp_path, capsys):
+    from ftbtrace.cli import main
+
+    # two hits of one instance would share (t, prim, geom, inst); every
+    # correct kernel once failed validation on such a scene (exit 1)
+    doc = {"meshes": [_ONE_TRIANGLE], "geometries": [{"mesh": 0, "sbtOffset": 0}],
+           "instances": [{"geometries": [0, 0]}]}
+    path = _manifest(tmp_path, doc)
+    for argv in (["render", "--out", str(tmp_path / "x.ppm")], ["validate"]):
+        err = _cli_error(capsys, argv + ["--scene", path, "--size", "4x3"])
+        assert err == "error: manifest: instance 0: geometry with sbt_offset 0 listed twice\n"
+    assert not (tmp_path / "x.ppm").exists()
+    # instances may still share it
+    doc["instances"] = [{"geometries": [0]}, {"geometries": [0], "transform": _shifted(2)}]
+    path = _manifest(tmp_path, doc)
+    assert main(["validate", "--scene", path, "--size", "4x3", "--report", str(tmp_path / "r.json")]) == 0
 
 
 def test_cli_manifest_geometry_index_out_of_range_exits_2(tmp_path, capsys):

@@ -279,6 +279,17 @@ def test_scene_validation_rejects_duplicate_sbt():
         scene.validate()
 
 
+@pytest.mark.parametrize("shared", [False, True], ids=["alone", "after-sharing"])
+def test_scene_validation_rejects_a_geometry_listed_twice_in_one_instance(shared):
+    # instances may share a geometry, but within one instance a repeat
+    # would give two hits the same (t, prim, geom, inst)
+    g = Geometry(Mesh([Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0)], [(0, 1, 2)]), 0)
+    instances = [Instance([g], IDENTITY, 0)] if shared else []
+    instances.append(Instance([g, g], IDENTITY, len(instances)))
+    with pytest.raises(ValueError, match=f"^instance {int(shared)}: geometry with sbt_offset 0 listed twice$"):
+        Scene(instances).validate()
+
+
 class _CountedList(list):
     """A list that counts how often it is iterated."""
 
