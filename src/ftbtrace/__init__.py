@@ -25,7 +25,6 @@ from .geom import (
     HitContext,
     IDENTITY,
     Ray,
-    TriHit,
     Vec3,
     affine_inverse,
     make_ray,

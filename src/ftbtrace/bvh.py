@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple, Optional
 
-from .floatstep import f32x6
+from .floatstep import f32_seq
 from .geom import IDENTITY, AhVerdict, HitContext, Ray, affine_inverse, apply_points, box_of, mt_core, slab_entry
 
 # node tuple layout: (lox, loy, loz, hix, hiy, hiz, left, right, first, count)
@@ -236,14 +236,14 @@ class BuiltInstance:
         if rows is None:
             return ox, oy, oz, dx, dy, dz
         m00, m01, m02, m10, m11, m12, m20, m21, m22, tx, ty, tz = rows
-        return f32x6(
+        return f32_seq((
             m00 * ox + m01 * oy + m02 * oz + tx,
             m10 * ox + m11 * oy + m12 * oz + ty,
             m20 * ox + m21 * oy + m22 * oz + tz,
             m00 * dx + m01 * dy + m02 * dz,
             m10 * dx + m11 * dy + m12 * dz,
             m20 * dx + m21 * dy + m22 * dz,
-        )
+        ))
 
 
 class _RayMemo:

@@ -1,8 +1,11 @@
-"""ULP-exact neighbour stepping on IEEE-754 binary32 values.
+"""Rounding to IEEE-754 binary32 and ULP-exact neighbour stepping between
+binary32 values.
 
-Every distance that crosses the emulated pipeline boundary (ray interval
-endpoints, hit distances) is a binary32 value carried in a Python float;
-binary64 represents all of them exactly, so ordinary comparisons are exact.
+``f32`` and ``f32_seq`` are the one rounding of a value and of a sequence
+(ties to even, +-inf past the binary32 range).  Every distance that crosses
+the emulated pipeline boundary (ray interval endpoints, hit distances) is a
+binary32 value carried in a Python float; binary64 represents all of them
+exactly, so ordinary comparisons are exact.
 
 Neighbour stepping works on the value's ordered bit pattern: the
 sign-magnitude binary32 encoding is mapped onto a monotone unsigned key, the
@@ -30,9 +33,6 @@ F32_MAX = 3.4028234663852886e+38
 F32_MIN_NORMAL = 2.0 ** -126
 F32_MIN_SUBNORMAL = 2.0 ** -149
 
-# values at or beyond this magnitude round to infinity (round-to-nearest-even)
-_F32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103
-
 _SIGN = 0x80000000
 _U32 = 0xFFFFFFFF
 
@@ -41,32 +41,25 @@ def f32(x: float) -> float:
     """Round a Python float to the nearest binary32 value (ties to even)."""
     try:
         return _unpack_f(_pack_f(x))[0]
-    except OverflowError:
-        if x != x:
-            return x
-        if abs(x) >= _F32_OVERFLOW:
-            return math.inf if x > 0.0 else -math.inf
-        return F32_MAX if x > 0.0 else -F32_MAX
+    except OverflowError:  # only a finite x that rounds to +-inf; NaN packs
+        return math.copysign(math.inf, x)
 
 
-_pack_6f = struct.Struct("<6f").pack
-_unpack_6f = struct.Struct("<6f").unpack
+def _codec(n: int) -> tuple:
+    s = struct.Struct(f"<{n}f")
+    return s.pack, s.unpack
 
 
-def f32x6(a: float, b: float, c: float, d: float, e: float, f: float) -> tuple:
-    """Six values rounded as ``f32`` rounds each, in one pack/unpack."""
-    try:
-        return _unpack_6f(_pack_6f(a, b, c, d, e, f))
-    except OverflowError:
-        return f32(a), f32(b), f32(c), f32(d), f32(e), f32(f)
+# the 3- and 6-value roundings run per ray (make_ray, object_ray_parts)
+_CODECS = {3: _codec(3), 6: _codec(6)}
 
 
 def f32_seq(values) -> tuple:
     """A sequence of values rounded as ``f32`` rounds each, in one
-    pack/unpack."""
-    fmt = f"<{len(values)}f"
+    pack/unpack: the one binary32 rounding of a sequence."""
+    pack, unpack = _CODECS.get(len(values)) or _codec(len(values))
     try:
-        return struct.unpack(fmt, struct.pack(fmt, *values))
+        return unpack(pack(*values))
     except OverflowError:
         return tuple(map(f32, values))
 
@@ -107,20 +100,25 @@ def _check(f: float, name: str) -> int:
     return bits
 
 
+def _step(f: float, name: str, end: float, end_message: str, step: int) -> float:
+    # the binary32 neighbour of f one ordered-key step away, skipping -0.0
+    bits = _check(f, name)
+    if f == end:
+        raise ValueError(end_message)
+    key = _key(bits) + step
+    out = _bits(key)
+    if out == _SIGN:
+        out = _bits(key + step)
+    return f32_from_bits(out)
+
+
 def just_above(f: float) -> float:
     """Smallest binary32 value strictly greater than ``f``.
 
     No representable binary32 value lies between ``f`` and the result.
     ``f`` must be finite and below the largest finite binary32 value.
     """
-    bits = _check(f, "just_above")
-    if f == F32_MAX:
-        raise ValueError("just_above: largest finite value has no successor")
-    key = _key(bits) + 1
-    out = _bits(key)
-    if out == _SIGN:  # skip -0.0
-        out = _bits(key + 1)
-    return f32_from_bits(out)
+    return _step(f, "just_above", F32_MAX, "just_above: largest finite value has no successor", 1)
 
 
 def just_below(f: float) -> float:
@@ -128,14 +126,7 @@ def just_below(f: float) -> float:
 
     ``f`` must be finite and above the smallest finite binary32 value.
     """
-    bits = _check(f, "just_below")
-    if f == -F32_MAX:
-        raise ValueError("just_below: smallest finite value has no predecessor")
-    key = _key(bits) - 1
-    out = _bits(key)
-    if out == _SIGN:  # skip -0.0
-        out = _bits(key - 1)
-    return f32_from_bits(out)
+    return _step(f, "just_below", -F32_MAX, "just_below: smallest finite value has no predecessor", -1)
 
 
 def ulp_distance(a: float, b: float) -> int:

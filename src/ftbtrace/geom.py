@@ -18,9 +18,11 @@ import struct
 from enum import Enum, auto
 from typing import NamedTuple, Optional
 
-from .floatstep import f32
+from .floatstep import f32, f32_seq
 
 _INF = math.inf
+# mt_core's own rounding of (t, u, v), not floatstep.f32_seq: it runs on
+# every hit, and an overflow there is a miss rather than a per-value fallback
 _pack_3f = struct.Struct("<3f").pack
 _unpack_3f = struct.Struct("<3f").unpack
 
@@ -55,10 +57,9 @@ class Vec3(NamedTuple):
 
 def vec3_32(x: float, y: float, z: float) -> Vec3:
     """Vec3 with every component rounded to binary32."""
-    try:
-        return Vec3(*_unpack_3f(_pack_3f(x, y, z)))
-    except OverflowError:
-        return Vec3(f32(x), f32(y), f32(z))
+    # tuple.__new__ is Vec3(*...) without a Python-level __new__ call; the
+    # grid:m=12 scene calls this 143 times per set-up
+    return tuple.__new__(Vec3, f32_seq((x, y, z)))
 
 
 class Ray(NamedTuple):
@@ -100,13 +101,6 @@ def camera_basis(position, look_at, up):
 def make_ray(origin, direction, t_min, t_max) -> Ray:
     """Build a ray with all components rounded to binary32."""
     return Ray(vec3_32(*origin), vec3_32(*direction), f32(t_min), f32(t_max))
-
-
-class TriHit(NamedTuple):
-    t: float
-    u: float
-    v: float
-    front_face: bool
 
 
 class Affine3(NamedTuple):
@@ -231,8 +225,9 @@ def affine_inverse(xf: Affine3) -> Affine3:
 def mt_core(
     ox, oy, oz, dx, dy, dz, t_min, t_max,
     v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z,
-) -> Optional[TriHit]:
-    """Moeller-Trumbore ray/triangle test with a pinned evaluation order.
+) -> Optional[tuple]:
+    """Moeller-Trumbore ray/triangle test with a pinned evaluation order:
+    the plain tuple ``(t, u, v, front_face)`` of a hit, else None.
 
     Edge vectors e1 = v1 - v0 and e2 = v2 - v0 are taken as inputs, so the
     triangle tested is v0 + u·e1 + v·e2 for the given e1 and e2.  Their
@@ -274,7 +269,7 @@ def mt_core(
         return None
     if not t_min < t < t_max:  # NaN fails both comparisons
         return None
-    return TriHit(t, u, v, det > 0.0)
+    return t, u, v, det > 0.0
 
 
 def slab_entry(

@@ -176,7 +176,7 @@ def oracle_all_hits(built: BuiltScene, ray) -> OracleResult:
             for prim in _reached(mesh_clusters[geom.blas], *parts, rdd, ron):
                 hit = mt_core(*parts, t_min, t_max, *tris[prim])
                 if hit is not None:
-                    found.append(HitDesc(hit.t, prim, sbt, bi.index))
+                    found.append(HitDesc(hit[0], prim, sbt, bi.index))
     hits = sort_hits(found)
     return OracleResult(hits, [list(g) for _, g in groupby(hits, attrgetter("t"))])
 

@@ -245,7 +245,8 @@ def scene_from_manifest(doc: dict, base_dir: str = ".") -> Scene:
                     raise ValueError("every vertex must be 3 numbers")
                 if not all(_is_numbers(t, 3, (int,)) for t in idx):
                     raise ValueError("every triangle must be 3 integer vertex indices")
-                meshes.append(Mesh([vec3_32(*v) for v in verts], [tuple(t) for t in idx]))
+                # JSON integers become floats first: binary32 rounding takes floats
+                meshes.append(Mesh([vec3_32(*map(float, v)) for v in verts], [tuple(t) for t in idx]))
         geometries = []
         for g in doc.get("geometries", []):
             if type(g["sbtOffset"]) is not int:
@@ -260,7 +261,7 @@ def scene_from_manifest(doc: dict, base_dir: str = ".") -> Scene:
                 raise ValueError(f"instance {i}: transform must be 3 rows of 4 numbers")
             else:
                 m = tuple(tuple(float(v) for v in row[:3]) for row in rows)
-                t = vec3_32(rows[0][3], rows[1][3], rows[2][3])
+                t = vec3_32(float(rows[0][3]), float(rows[1][3]), float(rows[2][3]))
                 xf = Affine3(m, t)
             geos = [_ref(geometries, g, "geometry") for g in inst["geometries"]]
             instances.append(Instance(geos, xf, i))

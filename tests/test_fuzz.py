@@ -76,7 +76,9 @@ _SCALAR = st.one_of(
 _ANY = st.recursive(_SCALAR, lambda inner: st.one_of(st.lists(inner, max_size=3),
                                                     st.dictionaries(st.text("abc", max_size=2), inner, max_size=2)),
                     max_leaves=6)
-_NUM = st.one_of(st.integers(-2, 2), st.floats(-4.0, 4.0, width=32), st.sampled_from([1e300, -1e-300, 3e38, 1e30]))
+# a JSON integer of 2**128 or more once reached the binary32 pack as an int
+_NUM = st.one_of(st.integers(-2, 2), st.floats(-4.0, 4.0, width=32),
+                 st.sampled_from([1e300, -1e-300, 3e38, 1e30, 2 ** 128, -10 ** 400]))
 _VEC3 = st.lists(_NUM, min_size=3, max_size=3)
 _MESH = st.one_of(
     st.fixed_dictionaries({

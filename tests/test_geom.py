@@ -13,7 +13,6 @@ from ftbtrace.geom import (
     IDENTITY,
     Affine3,
     Ray,
-    TriHit,
     Vec3,
     affine_inverse,
     apply_points,
@@ -52,7 +51,7 @@ def test_axis_aligned_hit_at_six():
     ray = make_ray((0, 0, -1), (0, 0, 1), 0, 10)
     hit = _hit(ray, AXIS_TRI)
     assert hit is not None
-    assert hit.t == 6.0
+    assert hit[0] == 6.0
 
 
 def test_interval_is_exclusive_at_t_min():
@@ -99,10 +98,11 @@ def test_golden_intersection_bits():
     tri = _tri((-2.3, -1.9, 5.1), (3.1, -1.4, 5.3), (0.9, 3.8, 4.7))
     hit = _hit(ray, tri)
     assert hit is not None
-    assert f32_bits(hit.t) == 0x40DB34D8
-    assert f32_bits(hit.u) == 0x3E93189A
-    assert f32_bits(hit.v) == 0x3F082B60
-    assert hit.front_face is False
+    t, u, v, front_face = hit
+    assert f32_bits(t) == 0x40DB34D8
+    assert f32_bits(u) == 0x3E93189A
+    assert f32_bits(v) == 0x3F082B60
+    assert front_face is False
 
 
 def _dual_intersect(ray, tri):
@@ -172,7 +172,7 @@ def test_dual_intersector_agreement():
             assert abs(margin) < 1e-6
             continue
         hits += 1
-        assert ulp_distance(a.t, b[0]) <= 4
+        assert ulp_distance(a[0], b[0]) <= 4
     assert hits > 500  # the sample must actually exercise the hit path
 
 
@@ -205,7 +205,7 @@ def _reference_mt_core(
     t = f32((e2x * qx + e2y * qy + e2z * qz) * inv)
     if not t_min < t < t_max:
         return None
-    return TriHit(t, f32(u), f32(v), det > 0.0)
+    return t, f32(u), f32(v), det > 0.0
 
 
 def _hit_bits(hit):
@@ -235,7 +235,7 @@ def test_mt_core_rounds_t_u_v_as_one_f32_call_each():
             args = (*ray.origin, *ray.direction, t_min, t_max, *tri)
             want = _reference_mt_core(*args)
             assert _hit_bits(mt_core(*args)) == _hit_bits(want)
-            hits += want is not None and abs(want.t) == F32_MAX
+            hits += want is not None and abs(want[0]) == F32_MAX
     assert hits
 
 
@@ -390,7 +390,7 @@ def test_uniform_scale_preserves_hit_parameter():
     a = mt_core(*_object_ray(scaling(2.0, 2.0, 2.0), ray), ray.t_min, ray.t_max, *tri)
     b = _hit(ray, scaled)
     assert a is not None and b is not None
-    assert a.t == b.t
+    assert a[0] == b[0]
 
 
 def test_singular_transform_rejected():

@@ -322,7 +322,7 @@ def _brute_force(built, ray):
             for prim, tri in enumerate(geom.blas.tris):
                 hit = mt_core(*parts, ray.t_min, ray.t_max, *tri)
                 if hit is not None:
-                    found.append(HitDesc(hit.t, prim, geom.sbt_offset, bi.index))
+                    found.append(HitDesc(hit[0], prim, geom.sbt_offset, bi.index))
     hits = sort_hits(found)
     groups = []
     for h in hits:

@@ -517,6 +517,18 @@ def test_cli_overflowing_transform_with_a_camera_hint_exits_2(tmp_path, capsys):
     assert err == "error: manifest: instance 0: transform overflows (determinant or inverse not finite)\n"
 
 
+@pytest.mark.parametrize("big", [10 ** 39, 10 ** 400], ids=["beyond-binary32", "beyond-binary64"])
+@pytest.mark.parametrize("where", ["vertex", "translation"])
+def test_cli_manifest_integer_too_large_exits_2(tmp_path, capsys, big, where):
+    # a JSON integer of 2**128 or more once reached the binary32 pack as an
+    # int, which raises struct.error rather than rounding to infinity
+    doc = _with_vertex([big, 0, 5]) if where == "vertex" else _one_instance(_shifted(big))
+    path = _manifest(tmp_path, doc)
+    for argv in (["render", "--out", str(tmp_path / "x.ppm")], ["validate"]):
+        err = _cli_error(capsys, argv + ["--scene", path, "--size", "4x3"])
+        assert err.startswith("error: manifest: ")
+
+
 @pytest.mark.parametrize("x", ["1e39", "inf", "nan"])
 def test_cli_obj_vertex_that_is_not_finite_exits_2(tmp_path, capsys, x):
     # 1e39 overflows binary32; the scene is refused before the camera framing

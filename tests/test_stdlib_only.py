@@ -81,3 +81,10 @@ def test_src_modules_read_no_private_name_of_another():
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in bound and _private(node.attr)]
     assert reads == []
+
+
+def test_only_floatstep_and_geom_import_struct():
+    # floatstep holds the one binary32 rounding (f32, f32_seq) and geom
+    # only mt_core's own pack of a hit; every other module rounds through
+    # floatstep instead of packing on its own
+    assert {name for name, m in _absolute_imports() if m == "struct"} == {"floatstep.py", "geom.py"}
