@@ -45,7 +45,9 @@ Everything a ray reads that does not depend on the ray is computed at build
 time.  ``Blas.tris`` keeps each triangle's packed intersection data in
 primitive order, the one copy of it: a mesh-tree leaf reads slot s as
 ``tris[order[s]]``, as the instance tree reads ``instances[order[s]]``, and
-the brute-force reference enumerates ``tris`` without the tree.
+the brute-force reference enumerates ``tris`` without the tree.  So
+``order[s]`` is the primitive, or the instance position, that a hit
+identity names.
 ``BuiltInstance.world_to_object`` holds the inverse transform, and
 ``inv_rows`` its 12 floats (linear rows, then translation), from which
 ``object_ray_parts`` maps a ray into object space.
@@ -205,10 +207,9 @@ class BuiltGeometry(NamedTuple):
 
 
 class BuiltInstance:
-    __slots__ = ("index", "transform", "world_to_object", "inv_rows", "bounds", "geoms")
+    __slots__ = ("transform", "world_to_object", "inv_rows", "bounds", "geoms")
 
-    def __init__(self, index, transform, geoms):
-        self.index = index
+    def __init__(self, transform, geoms):
         self.transform = transform
         identity = transform == IDENTITY
         if identity:
@@ -310,7 +311,7 @@ def build_trees(scene, opts: BuildOptions) -> BuiltScene:
                 blas = build_blas(g.mesh, opts)
                 blas_cache[key] = blas
             geoms.append(BuiltGeometry(g.sbt_offset, blas))
-        instances.append(BuiltInstance(inst.index, inst.transform, geoms))
+        instances.append(BuiltInstance(inst.transform, geoms))
     n = len(instances)
     if n == 0:
         return BuiltScene([], [], [])
@@ -430,7 +431,8 @@ def traverse(built: BuiltScene, ray: Ray, any_hit, prd_stats) -> tuple:
     box_live = live if wdx or wdy or wdz else _UNBOUNDED  # as in _leaves
     for first, count in _leaves(nodes, memo.tlas, wx, wy, wz, wdx, wdy, wdz, t_min, live, stats):
         for slot in range(first, first + count):
-            bi = instances[order[slot]]
+            index = order[slot]
+            bi = instances[index]
             stats.nodes_visited += 1
             raw = inst_boxes.get(slot)
             if raw is None:
@@ -453,7 +455,7 @@ def traverse(built: BuiltScene, ray: Ray, any_hit, prd_stats) -> tuple:
                             prim = blas.order[tslot]
                             hit = mt_core(ox, oy, oz, dx, dy, dz, -_INF, _INF, *blas.tris[prim])
                             if hit is not None:
-                                ctx = HitContext(*hit, prim, sbt_offset, bi.index, bi.transform,
+                                ctx = HitContext(*hit, prim, sbt_offset, index, bi.transform,
                                                  bi.world_to_object)
                                 hits.append((tslot, ctx))
                         leaf_hits[tfirst] = hits  # published whole: another trace may read it

@@ -66,7 +66,7 @@ def _kernel_id(text: str) -> str:
 # the parser of each option's text, in the order they are checked
 _PARSERS = {
     "kernel": _kernel_id,
-    "kernels": lambda text: [_kernel_id(k) for k in text.split(",")] if text else list(CORRECT_KERNELS),
+    "kernels": lambda text: list(dict.fromkeys(map(_kernel_id, text.split(","))) if text else CORRECT_KERNELS),
     "size": _size,
     "prim_order": _prim_order,
     "leaf_size": lambda text: whole_number(text, 1),

@@ -137,8 +137,9 @@ def oracle_all_hits(built: BuiltScene, ray) -> OracleResult:
     corner, so the triangle lies within ρ of s, and |e1|, |e2| <= 2ρ and
     |T| <= |o'| + |s| + ρ hold as in (c).  So a hit puts L' within ρ + E of
     s, with E = 2^-20·(|s| + ρ + |o'|), and (d) with s in place of c adds
-    5η(|s| + |o'|): p0 = ρ + 2^-20·(|s| + ρ) + 5η|s| and
-    p1 = ``_TRI_P1`` = 2^-20 + 5η, each raised by 1 + 2^-40.
+    5η(|s| + |o'|): p0 = ρ + 2^-20·(|s| + ρ) + 5η|s| (``_object_reach``)
+    and p1 = ``_TRI_P1`` = 2^-20 + 5η, each raised by 1 + 2^-40.  An
+    identity instance's sphere (C, r) has the same reach.
 
     The cluster bound, at both levels (o' in place of o for triangles).  A
     hit on member i puts the exact line within p0ᵢ + p1ᵢ·|o| of its centre
@@ -176,7 +177,7 @@ def oracle_all_hits(built: BuiltScene, ray) -> OracleResult:
             for prim in _reached(mesh_clusters[geom.blas], *parts, rdd, ron):
                 hit = mt_core(*parts, t_min, t_max, *tris[prim])
                 if hit is not None:
-                    found.append(HitDesc(hit[0], prim, sbt, bi.index))
+                    found.append(HitDesc(hit[0], prim, sbt, i))
     hits = sort_hits(found)
     return OracleResult(hits, [list(g) for _, g in groupby(hits, attrgetter("t"))])
 
@@ -233,6 +234,12 @@ def _object_sphere(blases, boxes):
     return C, r, _norm(*C)
 
 
+def _object_reach(cn, r):
+    """p0 of a sphere of radius ``r``, centre norm ``cn``, tested against the
+    line ``mt_core`` receives (``oracle_all_hits``' triangle bound)."""
+    return (r + _REL * (cn + r) + 5 * _U * cn) * _UP
+
+
 def _linear_terms(m, w, r, cn):
     """(ok, m, mF, q0, q1, p1) of ``oracle_all_hits``'s bound for a linear
     part ``m`` (rows), the 9 floats ``w`` of its computed inverse and an
@@ -275,8 +282,7 @@ def _instance_spheres(built: BuiltScene):
         (Cx, Cy, Cz), r, cn = sphere
         rows = bi.inv_rows
         if rows is None:
-            p0 = r + _REL * (cn + r) + 5 * _U * cn
-            spheres.append((Cx, Cy, Cz, p0 * _UP, _TRI_P1, i))
+            spheres.append((Cx, Cy, Cz, _object_reach(cn, r), _TRI_P1, i))
             continue
         m, t = bi.transform
         key = (m, sphere)
@@ -358,8 +364,7 @@ def _triangle_spheres(tris):
         lo, hi = box_of(corners)
         s = tuple((lo[a] + hi[a]) * 0.5 for a in range(3))
         rho = max(_norm(*(abs(k[a] - s[a]) + 2 * _U * abs(k[a]) for a in range(3))) for k in corners)
-        sn = _norm(*s)
-        spheres.append((*s, (rho + _REL * (sn + rho) + 5 * _U * sn) * _UP, _TRI_P1, prim))
+        spheres.append((*s, _object_reach(_norm(*s), rho), _TRI_P1, prim))
     return spheres
 
 

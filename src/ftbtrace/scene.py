@@ -1,12 +1,12 @@
 """Meshes, geometries, instances and scenes, plus loaders and the procedural
 stress-scene generators.
 
-A scene addresses every triangle by the triple (instance index, geometry
-shader-table offset, primitive index); loaders and generators are
-deterministic, so identical inputs give bitwise identical scenes.  Each
-generator targets one stressor: exact co-planarity, abutting solids sharing
-faces, instancing with coincident copies, and two hand-built trees that
-expose traversal-order hazards.
+A scene addresses every triangle by the triple (instance position in
+``Scene.instances``, geometry shader-table offset, primitive index);
+loaders and generators are deterministic, so identical inputs give bitwise
+identical scenes.  Each generator targets one stressor: exact co-planarity,
+abutting solids sharing faces, instancing with coincident copies, and two
+hand-built trees that expose traversal-order hazards.
 """
 
 from __future__ import annotations
@@ -41,9 +41,11 @@ class Geometry:
 
 @dataclass
 class Instance:
+    """Geometries placed by an object-to-world transform.  An instance's
+    index in hit identities is its position in ``Scene.instances``."""
+
     geometries: list
     transform: Affine3
-    index: int
 
 
 @dataclass
@@ -56,10 +58,6 @@ class Scene:
     def validate(self) -> None:
         seen_sbt = {}
         for pos, inst in enumerate(self.instances):
-            if inst.index != pos:
-                raise ValueError(
-                    f"instance index {inst.index} does not match list position {pos}"
-                )
             xf = inst.transform
             if not _all_finite(xf):
                 raise ValueError(f"instance {pos}: transform entries must be finite")
@@ -104,7 +102,7 @@ def _all_finite(xf: Affine3) -> bool:
 
 def single_mesh_scene(mesh: Mesh, name: str = "", **kw) -> Scene:
     geom = Geometry(mesh, 0)
-    return Scene([Instance([geom], IDENTITY, 0)], name=name, **kw)
+    return Scene([Instance([geom], IDENTITY)], name=name, **kw)
 
 
 def load_obj(path) -> Mesh:
@@ -264,7 +262,7 @@ def scene_from_manifest(doc: dict, base_dir: str = ".") -> Scene:
                 t = vec3_32(float(rows[0][3]), float(rows[1][3]), float(rows[2][3]))
                 xf = Affine3(m, t)
             geos = [_ref(geometries, g, "geometry") for g in inst["geometries"]]
-            instances.append(Instance(geos, xf, i))
+            instances.append(Instance(geos, xf))
         camera = doc.get("camera")
         if camera is not None:
             _check_camera_hint(camera)
@@ -366,7 +364,7 @@ def gen_abutting_boxes(k: int) -> Scene:
         Geometry(_box_mesh(float(i), float(i + 1), 0.0, 1.0, 0.0, 1.0), i)
         for i in range(k)
     ]
-    inst = Instance(geometries, IDENTITY, 0)
+    inst = Instance(geometries, IDENTITY)
     hint = _camera_hint((-2.0, 0.43, 0.57), (float(k), 0.45, 0.5), 9.0)
     return Scene([inst], name="abutting-boxes", camera_hint=hint)
 
@@ -376,7 +374,7 @@ def gen_instanced_grid(m: int) -> Scene:
 
     For m >= 2 instance 1 is placed exactly on top of instance 0, so some
     rays meet two coincident triangles whose hit identities differ only in
-    the instance index.  For m = 1 the single instance uses the exact
+    the instance position.  For m = 1 the single instance uses the exact
     identity transform.
     """
     _check_size("grid", m)
@@ -391,7 +389,7 @@ def gen_instanced_grid(m: int) -> Scene:
                 xf = IDENTITY if index == 0 else translation(0.0, 0.0, 0.0)
             else:
                 xf = translation(2.0 * i, 2.0 * j, 0.0)
-            instances.append(Instance([geom], xf, index))
+            instances.append(Instance([geom], xf))
     c = float(m - 1)
     half_extent = c + 0.7
     fov = 2.0 * math.degrees(math.atan(half_extent / 11.0))

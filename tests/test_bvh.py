@@ -196,7 +196,7 @@ def test_instance_bounds_match_box_of_apply_point(boxes, entries, t):
     geoms = [BuiltGeometry(g, Blas([(*box, -1, -1, 0, 1)], [0], [])) for g, box in enumerate(boxes)]
     corners = (c for box in boxes for c in product(*zip(box[:3], box[3:])))
     lo, hi = box_of(apply_point(xf, Vec3(*c)) for c in corners) if xf != IDENTITY else box_of(corners)
-    assert _float_bits([BuiltInstance(0, xf, geoms).bounds]) == _float_bits([(*lo, *hi)])
+    assert _float_bits([BuiltInstance(xf, geoms).bounds]) == _float_bits([(*lo, *hi)])
 
 
 @pytest.mark.parametrize("spec", ["grid:m=3", "abutting:k=3", "coplanar:n=8:same_t=true", "leaf-reorder"])
@@ -363,7 +363,7 @@ _DIAG_ONE = IDENTITY.m
 # every product in the direction's x and y rows is -0.0
 @example(Affine3(_DIAG_HALF, Vec3(1.0, 2.0, 3.0)), (1.0, 1.0, 1.0), (-0.0, -0.0, -1.0))
 def test_object_ray_parts_matches_transform_ray_inv_bitwise(xf, origin, direction):
-    bi = BuiltInstance(0, xf, [])
+    bi = BuiltInstance(xf, [])
     ray = make_ray(origin, direction, 0.0, 1.0)
     want = transform_ray_inv(bi.world_to_object, ray)
     got = bi.object_ray_parts(ray)
@@ -372,7 +372,7 @@ def test_object_ray_parts_matches_transform_ray_inv_bitwise(xf, origin, directio
 
 def test_object_ray_parts_edge_cases_round_as_expected():
     def parts(xf, origin, direction):
-        return BuiltInstance(0, xf, []).object_ray_parts(make_ray(origin, direction, 0.0, 1.0))
+        return BuiltInstance(xf, []).object_ray_parts(make_ray(origin, direction, 0.0, 1.0))
 
     assert parts(Affine3(_DIAG_ONE, Vec3(-3e38, 0.0, 0.0)), (3e38, 0, 0), (0, 0, 1))[0] == float("inf")
     assert parts(Affine3(_DIAG_ONE, Vec3(3e38, 0.0, 0.0)), (-3e38, 0, 0), (0, 0, 1))[0] == float("-inf")
@@ -386,7 +386,7 @@ def test_object_ray_parts_edge_cases_round_as_expected():
 
 
 def test_object_ray_parts_identity_returns_ray_components():
-    bi = BuiltInstance(0, IDENTITY, [])
+    bi = BuiltInstance(IDENTITY, [])
     ray = make_ray((-0.0, 1.5, 3e38), (0.0, -0.0, -1.0), 0.0, 1.0)
     got = bi.object_ray_parts(ray)
     assert bi.inv_rows is None
@@ -566,7 +566,7 @@ def test_instances_sharing_a_mesh_keep_their_own_memo_entries():
     # keep them apart although the tree is the same
     geom = make_scene("abutting:k=2").instances[0].geometries[0]
     transforms = [IDENTITY, translation(0.125, 0.0625, 1.5), Affine3(_DIAG_HALF, Vec3(0.25, 0.25, 3.0))]
-    scene = Scene([Instance([geom], xf, i) for i, xf in enumerate(transforms)])
+    scene = Scene([Instance([geom], xf) for xf in transforms])
     built = build_scene(scene, BuildOptions(leaf_size=2))
     assert len({id(bi.geoms[0].blas) for bi in built.instances}) == 1
     rays = camera_rays(Camera((0.45, 0.55, -3.0), (0.5, 0.5, 3.0), (0.0, 1.0, 0.0), 20.0, 8, 6))

@@ -366,7 +366,7 @@ def scaling(sx: float, sy: float, sz: float) -> Affine3:
 
 def _object_ray(xf, ray):
     """Object-space origin and direction, as traversal maps a ray."""
-    return BuiltInstance(0, xf, []).object_ray_parts(ray)
+    return BuiltInstance(xf, []).object_ray_parts(ray)
 
 
 def test_transform_ray_identity_is_bitwise_noop():

@@ -316,13 +316,13 @@ def _brute_force(built, ray):
     """(hits, groups) of every triangle of every instance through
     ``object_ray_parts`` and ``mt_core``, with no cull."""
     found = []
-    for bi in built.instances:
+    for i, bi in enumerate(built.instances):
         parts = bi.object_ray_parts(ray)
         for geom in bi.geoms:
             for prim, tri in enumerate(geom.blas.tris):
                 hit = mt_core(*parts, ray.t_min, ray.t_max, *tri)
                 if hit is not None:
-                    found.append(HitDesc(hit[0], prim, geom.sbt_offset, bi.index))
+                    found.append(HitDesc(hit[0], prim, geom.sbt_offset, i))
     hits = sort_hits(found)
     groups = []
     for h in hits:
@@ -441,9 +441,9 @@ def _cull_cases(draw):
     """A scene built directly from ``Scene`` and rays aimed at it."""
     geometries = [Geometry(mesh, sbt) for sbt, mesh in enumerate(_MESHES)]
     instances = []
-    for index in range(draw(st.integers(min_value=1, max_value=4))):
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
         geoms = draw(st.sampled_from(([geometries[0]], [geometries[1]], geometries)))
-        instances.append(Instance(geoms, draw(_instance_transforms()), index))
+        instances.append(Instance(geoms, draw(_instance_transforms())))
     scene = Scene(instances)
     return scene, [_aimed_ray(draw, instances) for _ in range(6)]
 
@@ -503,10 +503,10 @@ def _cluster_cases(draw):
     geometries = [Geometry(mesh, sbt) for sbt, mesh in enumerate((*_MESHES, _SLIVERS, fan))]
     transforms = _instance_transforms(("general",) * 6 + ("identity", "identity", "huge"))
     instances = []
-    for index in range(draw(sizes)):
+    for _ in range(draw(sizes)):
         geoms = draw(st.sampled_from(([geometries[0]], [geometries[1]], [geometries[2]], geometries[1:3],
                                       [geometries[3]], [geometries[3]])))
-        instances.append(Instance(geoms, draw(transforms), index))
+        instances.append(Instance(geoms, draw(transforms)))
     kinds = ("grazing", "grazing", "far", "far", "aimed", "tangent", "rim")
     return Scene(instances), [_aimed_ray(draw, instances, kinds) for _ in range(6)]
 
@@ -546,11 +546,11 @@ def test_culled_oracle_keeps_tangent_hits_from_far_origins():
     rng = random.Random(7)
     geom = Geometry(_QUAD, 0)
     instances = []
-    for index in range(8):
+    for _ in range(8):
         rot = _rotation(rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
         s = rng.choice((0.1, 1.0, 30.0))
         m = tuple(tuple(x * s for x in row) for row in rot)
-        instances.append(Instance([geom], Affine3(m, vec3_32(*(rng.uniform(-3.0, 3.0) for _ in range(3)))), index))
+        instances.append(Instance([geom], Affine3(m, vec3_32(*(rng.uniform(-3.0, 3.0) for _ in range(3))))))
     built = build_scene(Scene(instances))
     for _ in range(500):
         inst = rng.choice(instances)
@@ -587,10 +587,10 @@ def _quad_soups(draw):
             indices += [(b, b + 1, b + 2), (b, b + 2, b + 3)]
         geometries.append(Geometry(Mesh(vertices, indices), sbt))
     instances = [
-        Instance([geometries[0]], IDENTITY, 0),
-        Instance(geometries, IDENTITY, 1),
-        Instance([geometries[1]], _ROT90_Z, 2),
-        Instance([geometries[0]], translation(0.0, 0.0, 0.0), 3),  # coincident with instance 0
+        Instance([geometries[0]], IDENTITY),
+        Instance(geometries, IDENTITY),
+        Instance([geometries[1]], _ROT90_Z),
+        Instance([geometries[0]], translation(0.0, 0.0, 0.0)),  # coincident with instance 0
     ]
     seed = draw(st.one_of(st.none(), st.integers(0, 2**16)))
     return Scene(instances, BuildOptions(leaf_size=draw(st.sampled_from((1, 2, 4))), permute_seed=seed))

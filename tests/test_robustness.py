@@ -65,9 +65,9 @@ def _rotated_scene():
 
     return Scene(
         [
-            Instance([geom], IDENTITY, 0),
-            Instance([geom], rot, 1),
-            Instance([geom], scl, 2),
+            Instance([geom], IDENTITY),
+            Instance([geom], rot),
+            Instance([geom], scl),
         ],
         name="transformed-trio",
     )

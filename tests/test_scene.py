@@ -21,6 +21,7 @@ from ftbtrace import (
     make_ray,
     make_scene,
     oracle_all_hits,
+    run_kernel,
     single_mesh_scene,
     sort_hits,
 )
@@ -229,13 +230,16 @@ def test_manifest_roundtrip(tmp_path):
     ray = make_ray((0, -0.2, -1), (0, 0, 1), 0, 100)
     orc = oracle_all_hits(built, ray)
     assert [(h.t, h.inst) for h in orc.hits] == [(6.0, 0)]
-
-
-def test_scene_validation_rejects_bad_instance_index():
-    mesh = Mesh([Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0)], [(0, 1, 2)])
-    scene = Scene([Instance([Geometry(mesh, 0)], IDENTITY, 3)])
-    with pytest.raises(ValueError):
-        scene.validate()
+    # a hit's inst is its instance's position in the scene, also where a
+    # permuted build puts that instance in another slot of the instance tree
+    permuted = build_scene(scene, BuildOptions(permute_seed=1))
+    assert permuted.tlas_order == [1, 0]
+    ray = make_ray((2, -0.2, -1), (0, 0, 1), 0, 100)
+    assert [(h.t, h.inst) for h in oracle_all_hits(permuted, ray).hits] == [(6.0, 1)]
+    seen = []
+    rep = run_kernel("while-while", permuted, ray, lambda hit, ctx, prd: seen.append(ctx.inst))
+    assert [(h.t, h.inst) for h in rep.hits] == [(6.0, 1)]
+    assert seen == [1]
 
 
 def test_scene_validation_rejects_non_finite_vertices():
@@ -264,8 +268,8 @@ def test_scene_validation_rejects_an_overflowing_transform(scale):
     # subnormal and its reciprocal, hence the inverse, is inf
     mesh = Mesh([Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0)], [(0, 1, 2)])
     linear = ((scale, 0.0, 0.0), (0.0, scale, 0.0), (0.0, 0.0, scale))
-    scene = Scene([Instance([Geometry(mesh, 0)], IDENTITY, 0),
-                   Instance([Geometry(mesh, 1)], Affine3(linear, Vec3(0.0, 0.0, 0.0)), 1)])
+    scene = Scene([Instance([Geometry(mesh, 0)], IDENTITY),
+                   Instance([Geometry(mesh, 1)], Affine3(linear, Vec3(0.0, 0.0, 0.0)))])
     with pytest.raises(ValueError, match="^instance 1: transform overflows"):
         scene.validate()
 
@@ -274,7 +278,7 @@ def test_scene_validation_rejects_duplicate_sbt():
     mesh = Mesh([Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0)], [(0, 1, 2)])
     g1 = Geometry(mesh, 0)
     g2 = Geometry(mesh, 0)
-    scene = Scene([Instance([g1, g2], IDENTITY, 0)])
+    scene = Scene([Instance([g1, g2], IDENTITY)])
     with pytest.raises(ValueError):
         scene.validate()
 
@@ -284,8 +288,8 @@ def test_scene_validation_rejects_a_geometry_listed_twice_in_one_instance(shared
     # instances may share a geometry, but within one instance a repeat
     # would give two hits the same (t, prim, geom, inst)
     g = Geometry(Mesh([Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0)], [(0, 1, 2)]), 0)
-    instances = [Instance([g], IDENTITY, 0)] if shared else []
-    instances.append(Instance([g, g], IDENTITY, len(instances)))
+    instances = [Instance([g], IDENTITY)] if shared else []
+    instances.append(Instance([g, g], IDENTITY))
     with pytest.raises(ValueError, match=f"^instance {int(shared)}: geometry with sbt_offset 0 listed twice$"):
         Scene(instances).validate()
 
@@ -304,15 +308,12 @@ def test_scene_validation_checks_a_shared_geometry_once():
     verts = _CountedList([Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0)])
     tris = _CountedList([(0, 1, 2)])
     geom = Geometry(Mesh(verts, tris), 0)
-    scene = Scene([Instance([geom], translation(2.0 * i, 0, 0), i) for i in range(5)])
+    scene = Scene([Instance([geom], translation(2.0 * i, 0, 0)) for i in range(5)])
     scene.validate()
     assert (verts.iterations, tris.iterations) == (1, 1)
     # the shared mesh is still checked, after the first instance's own checks
     verts.append(Vec3(float("nan"), 0, 0))
     with pytest.raises(ValueError, match="mesh vertices must be finite"):
-        scene.validate()
-    scene.instances[0].index = 9
-    with pytest.raises(ValueError, match="instance index 9"):
         scene.validate()
 
 
