@@ -30,7 +30,7 @@ from .geom import (
     make_ray,
     translation,
 )
-from .hitorder import HitDesc, less, order_key, sort_hits
+from .hitorder import HitDesc, less, sort_hits
 from .kernels import (
     CORRECT_KERNELS,
     FtbReport,

@@ -455,7 +455,8 @@ def traverse(built: BuiltScene, ray: Ray, any_hit, prd_stats) -> tuple:
                             prim = blas.order[tslot]
                             hit = mt_core(ox, oy, oz, dx, dy, dz, -_INF, _INF, *blas.tris[prim])
                             if hit is not None:
-                                ctx = HitContext(*hit, prim, sbt_offset, index, bi.transform,
+                                t, u, v, front_face = hit
+                                ctx = HitContext(t, index, sbt_offset, prim, u, v, front_face, bi.transform,
                                                  bi.world_to_object)
                                 hits.append((tslot, ctx))
                         leaf_hits[tfirst] = hits  # published whole: another trace may read it

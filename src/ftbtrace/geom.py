@@ -116,15 +116,16 @@ IDENTITY = Affine3(
 
 
 class HitContext(NamedTuple):
-    """Pipeline state for one candidate or committed hit."""
+    """Pipeline state for one candidate or committed hit.  It leads with a
+    ``HitDesc``'s fields in their order, so ``ctx[:4]`` is the hit's sort key."""
 
     t: float
+    inst: int
+    geom: int
+    prim: int
     u: float
     v: float
     front_face: bool
-    prim: int
-    geom: int
-    inst: int
     object_to_world: Affine3
     world_to_object: Affine3
 

@@ -42,7 +42,7 @@ from typing import Callable, Optional
 from .bvh import BuiltScene
 from .floatstep import just_above, just_below
 from .geom import HitContext, Ray
-from .hitorder import HitDesc, less, order_key
+from .hitorder import HitDesc, less
 from .pipeline import AhVerdict, TraceConfig, TraceFlags, TraceStats, trace
 from .scene import whole_number
 
@@ -84,7 +84,7 @@ class FtbReport:
 
 
 def _desc(ctx: HitContext) -> HitDesc:
-    return HitDesc(ctx.t, ctx.prim, ctx.geom, ctx.inst)
+    return HitDesc(*ctx[:4])
 
 
 def _record_closest_hit(ctx, prd):
@@ -117,8 +117,7 @@ def _rr_any_hit(ctx, prd):
     if ctx.t > prd.skip_hit.t:
         return AhVerdict.ACCEPT  # first hit at a farther distance
     # now at the skip distance (the interval excludes anything nearer)
-    skip = prd.skip_hit
-    if ctx.prim == skip.prim and ctx.geom == skip.geom and ctx.inst == skip.inst:
+    if ctx[:4] == prd.skip_hit:
         # the anchor hit is skipped by identity, never by count: a t_min
         # change may have reordered the traversal since it was delivered
         return AhVerdict.IGNORE
@@ -296,10 +295,10 @@ class _MultiHitPrd:
 
 
 def _mh_any_hit(ctx, prd):
-    # the buffer holds order keys, not HitDescs: ``less`` is tuple < on
-    # them, and most candidates never reach a batch, so a desc is built
+    # the buffer holds sort keys ctx[:4], plain tuples that compare as
+    # HitDescs do: most candidates never reach a batch, so a desc is built
     # only for a delivered hit
-    curr = order_key(ctx)
+    curr = ctx[:4]
     if not prd.hit_min < curr:
         return AhVerdict.IGNORE  # already delivered in an earlier batch
     buf = prd.buffer
@@ -337,12 +336,11 @@ def iter_multi_hit_batches(built: BuiltScene, ray, n: int, stats: TraceStats):
     hit_min = HitDesc(ray.t_min, -1, -1, -1)
     cur_tmin = ray.t_min
     while True:
-        prd = _MultiHitPrd(order_key(hit_min), n)
+        prd = _MultiHitPrd(hit_min, n)
         trace(built, Ray(ray.origin, ray.direction, cur_tmin, ray.t_max), _MH_CFG, prd, stats)
         if not prd.buffer:
             return
-        # back from order_key's (t, inst, geom, prim) layout to HitDesc's
-        batch = [HitDesc(t, prim, geom, inst) for t, inst, geom, prim in prd.buffer]
+        batch = [HitDesc(*key) for key in prd.buffer]
         if not less(hit_min, batch[-1]):
             raise KernelStalled(f"multi-hit stalled: batch ends at {batch[-1]} after {hit_min}")
         yield batch

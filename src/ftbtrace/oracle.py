@@ -26,7 +26,7 @@ from typing import Optional
 
 from .bvh import BuiltScene, build_scene, BuildOptions
 from .geom import apply_points, box_of, mt_core
-from .hitorder import HitDesc, order_key, sort_hits
+from .hitorder import HitDesc, sort_hits
 from .kernels import KernelStalled, is_stable, parse_kernel, run_kernel
 from .pipeline import TraceStats
 
@@ -177,7 +177,7 @@ def oracle_all_hits(built: BuiltScene, ray) -> OracleResult:
             for prim in _reached(mesh_clusters[geom.blas], *parts, rdd, ron):
                 hit = mt_core(*parts, t_min, t_max, *tris[prim])
                 if hit is not None:
-                    found.append(HitDesc(hit[0], prim, sbt, i))
+                    found.append(HitDesc(hit[0], i, sbt, prim))
     hits = sort_hits(found)
     return OracleResult(hits, [list(g) for _, g in groupby(hits, attrgetter("t"))])
 
@@ -373,7 +373,7 @@ def _group_contents(seq):
     sequences with equal group contents hold the same hit multiset.  A run
     is keyed by its first member's t, compared by ==, so -0.0 and 0.0 join
     one run."""
-    return [(t, sorted(order_key(h)[1:] for h in g)) for t, g in groupby(seq, attrgetter("t"))]
+    return [(t, sorted(h[1:] for h in g)) for t, g in groupby(seq, attrgetter("t"))]
 
 
 def _run_to_end(kernel_id: str, built: BuiltScene, ray, stats=None):
@@ -495,7 +495,7 @@ def validate_kernel(kernel_id: str, built: BuiltScene, rays, oracles=None) -> Ke
                         "actual": [f"t={t!r} x{len(g)}" for t, g in have],
                     }
                 )
-        triples = [order_key(h)[1:] for h in got]
+        triples = [h[1:] for h in got]
         if len(set(triples)) != len(triples):
             checks["duplicates"].fail({"ray": i, "actual": _fmt_hits(got)})
         if spec.stable and got != orc.hits:

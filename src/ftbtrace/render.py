@@ -264,8 +264,9 @@ class CompareReport:
 
 
 def compare_kernels(built: BuiltScene, cam: Camera, kernel_ids, spec: UserCodeSpec) -> CompareReport:
-    """Render every kernel with identical rays and diff images pixel-exactly."""
-    kernel_ids = list(kernel_ids)
+    """Render every kernel with identical rays and diff images pixel-exactly;
+    a kernel id named more than once is rendered and reported once."""
+    kernel_ids = list(dict.fromkeys(kernel_ids))
     images = {}
     stats = {}
     for k in kernel_ids:
@@ -287,17 +288,18 @@ def run_validation(scene, kernel_ids, cam: Camera, seeds=()):
     """Drive the differential validator over all camera rays.
 
     Each kernel id names a ``KERNELS`` entry, a custom one too, and is
-    validated and reported once however often it is named.  Runs each kernel
-    once per build: the base tree (``scene.build_options``) and each seed's
-    permuted tree are built once, the scene is validated once, and per
-    kernel the sequences ``validate_kernel`` delivers on the base tree are
-    the baseline of its ``check_rebuild_stability``.  Only one kernel's
-    sequences are held at a time.
+    validated and reported once however often it is named; so is each seed.
+    Runs each kernel once per build: the base tree (``scene.build_options``)
+    and each seed's permuted tree are built once, the scene is validated
+    once, and per kernel the sequences ``validate_kernel`` delivers on the
+    base tree are the baseline of its ``check_rebuild_stability``.  Only one
+    kernel's sequences are held at a time.
 
     Returns (status, report dict); status is 0 only when every check of
     every kernel (and, with seeds, every rebuild-stability check) passed.
     Both maps are keyed by kernel id.
     """
+    seeds = list(dict.fromkeys(seeds))
     built = build_scene(scene)
     # the same scene, so Scene.validate need not run again
     permuted = [build_trees(scene, oracle.rebuild_options(scene.build_options, s)) for s in seeds]

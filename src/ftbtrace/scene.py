@@ -77,7 +77,7 @@ class Scene:
                     if prev[0] is not g:
                         raise ValueError(f"duplicate sbt_offset {g.sbt_offset}")
                     # instances may share a geometry, but two hits of one
-                    # instance must never share (t, prim, geom, inst)
+                    # instance must never share (t, inst, geom, prim)
                     if prev[1] == pos:
                         raise ValueError(f"instance {pos}: geometry with sbt_offset {g.sbt_offset} listed twice")
                     continue  # a shared geometry's mesh was checked where first seen

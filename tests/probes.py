@@ -3,7 +3,6 @@ of the affine map, shared by the test modules."""
 
 import ftbtrace.kernels as kernels_mod
 from ftbtrace import HitContext, Vec3, camera_rays, resolve_camera
-from ftbtrace.hitorder import order_key
 
 
 def apply_point(xf, p) -> Vec3:
@@ -26,10 +25,11 @@ def stuck_trace(built, ray, cfg, prd=None, stats=None):
     """A broken pipeline to patch in as ``kernels.trace``: every trace
     commits the same hit, whatever the interval and whatever the any-hit
     program would say, so every kernel loop stalls."""
-    ctx = HitContext(2.0, 0.25, 0.25, True, 0, 0, 0, None, None)
+    ctx = HitContext(t=2.0, inst=0, geom=0, prim=0, u=0.25, v=0.25, front_face=True,
+                     object_to_world=None, world_to_object=None)
     stats.traces += 1
     if cfg is kernels_mod._MH_CFG:
-        prd.buffer = [order_key(ctx)]
+        prd.buffer = [ctx[:4]]
     elif cfg.closest_hit is not None:
         cfg.closest_hit(ctx, prd)
     return ctx

@@ -38,7 +38,6 @@ from ftbtrace import (
     ulp_distance,
 )
 from ftbtrace.floatstep import f32
-from ftbtrace.hitorder import order_key
 from ftbtrace.pipeline import TraceFlags
 
 KERNELS = (
@@ -68,9 +67,9 @@ def _group_view(hits):
     groups = []
     for h in hits:
         if groups and groups[-1][0] == h.t:
-            groups[-1][1].append(order_key(h))
+            groups[-1][1].append(h)
         else:
-            groups.append((h.t, [order_key(h)]))
+            groups.append((h.t, [h]))
     return [(t, sorted(g)) for t, g in groups]
 
 
@@ -109,10 +108,10 @@ def test_criterion_1_oracle_equivalence(grid):
         entry = grid[scene_name]
         for kernel in KERNELS:
             for (hits, _stats), orc in zip(entry["runs"][kernel], entry["oracles"]):
-                assert sorted(hits, key=order_key) == orc.hits, (scene_name, kernel)
+                assert sorted(hits) == orc.hits, (scene_name, kernel)
                 ts = [h.t for h in hits]
                 assert all(a <= b for a, b in zip(ts, ts[1:])), (scene_name, kernel)
-                want = [(g[0].t, sorted(order_key(h) for h in g)) for g in orc.groups]
+                want = [(g[0].t, sorted(g)) for g in orc.groups]
                 assert _group_view(hits) == want, (scene_name, kernel)
                 total_hits += len(hits)
     assert total_hits > 0

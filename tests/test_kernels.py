@@ -29,7 +29,6 @@ from ftbtrace import (
     validate_kernel,
 )
 from ftbtrace.floatstep import just_below
-from ftbtrace.hitorder import order_key
 from ftbtrace.kernels import CORRECT_KERNELS, KernelStalled, is_stable, parse_kernel
 from ftbtrace.pipeline import TraceStats
 from ftbtrace.render import CountAll, make_user_code
@@ -107,7 +106,7 @@ def test_stable_next_cursor_allows_work_between_hits():
     mid_traces = stats.traces
     [second] = next(it)
     assert stats.traces == mid_traces + 1
-    assert order_key(first) < order_key(second)
+    assert first < second
 
 
 # --------------------------------------------------------------- reject-repeats
@@ -153,6 +152,19 @@ def test_reject_repeats_cursor_yields_hit_and_context():
 
 # ------------------------------------------------------------------ while-while
 
+@pytest.mark.parametrize("spec", ["grid:m=3", "abutting:k=3"])
+def test_while_while_delivers_each_hit_with_its_context_leading_fields(spec):
+    # a context leads with its hit's fields: the delivered HitDesc is ctx[:4]
+    scene = make_scene(spec)
+    built = build_scene(scene)
+    pairs = []
+    for ray in rays_for(scene, 8, 6):
+        run_kernel("while-while", built, ray, lambda h, ctx, p: pairs.append((h, ctx)))
+    assert pairs
+    for hit, ctx in pairs:
+        assert ctx[:4] == hit
+
+
 def test_while_while_delivers_all_ties_at_feeler_distance():
     built = build_scene(gen_coplanar_stack(4, True))
     stats = TraceStats()
@@ -195,8 +207,8 @@ def test_while_merged_matches_while_while_per_group():
         ww = _exhaust("while-while", built, ray)
         wm = _exhaust("while-merged", built, ray)
         assert sort_hits(wm.hits) == sort_hits(ww.hits)
-        a = [(g[0].t, sorted(map(order_key, g))) for g in _groups(wm.hits)]
-        b = [(g[0].t, sorted(map(order_key, g))) for g in _groups(ww.hits)]
+        a = [(g[0].t, sorted(g)) for g in _groups(wm.hits)]
+        b = [(g[0].t, sorted(g)) for g in _groups(ww.hits)]
         assert a == b
 
 
@@ -329,11 +341,11 @@ def test_correct_kernels_match_oracle_everywhere(kernel):
             orc = oracle_all_hits(built, ray)
             rep = run_kernel(kernel, built, ray, lambda h, c, p: None)
             got = rep.hits
-            assert sorted(got, key=order_key) == orc.hits  # completeness
+            assert sorted(got) == orc.hits  # completeness
             ts = [h.t for h in got]
             assert all(a <= b for a, b in zip(ts, ts[1:]))  # order
-            runs = [(g[0].t, sorted(map(order_key, g))) for g in _groups(got)]
-            want = [(g[0].t, sorted(map(order_key, g))) for g in orc.groups]
+            runs = [(g[0].t, sorted(g)) for g in _groups(got)]
+            want = [(g[0].t, sorted(g)) for g in orc.groups]
             assert runs == want  # distance group contents
             ids = [(h.inst, h.geom, h.prim) for h in got]
             assert len(set(ids)) == len(ids)  # no duplicates
@@ -418,7 +430,7 @@ def test_counter_identities_across_scenes():
 def test_a_custom_kernel_delivers_through_the_report_run_kernel_makes(register_kernel):
     # a kernel's run(built, ray, rep) hands hits to user code through
     # rep.deliver and counts into rep.stats, the stats passed to run_kernel
-    hits = [HitDesc(1.0, 0, 0, 0), HitDesc(2.0, 1, 0, 0)]
+    hits = [HitDesc(t=1.0, prim=0, geom=0, inst=0), HitDesc(t=2.0, prim=1, geom=0, inst=0)]
 
     def two_hits(built_, ray, rep):
         for hit in hits:
@@ -609,7 +621,7 @@ def test_kernel_deliveries_and_counters_are_pinned():
                     seen = []
 
                     def code(hit, ctx, prd, _seen=seen, _k=stop_after):
-                        _seen.append(None if ctx is None else tuple(ctx[:7]))
+                        _seen.append(None if ctx is None else (ctx.t, ctx.u, ctx.v, ctx.front_face, ctx.prim, ctx.geom, ctx.inst))
                         return Step.STOP if len(_seen) == _k else Step.CONTINUE
 
                     stats = TraceStats()

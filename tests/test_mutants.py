@@ -33,8 +33,7 @@ _MUTANTS = {
     "mh-skip-by-distance": (
         "_mh_any_hit", "if not prd.hit_min < curr:", "if not prd.hit_min[0] < curr[0]:", _MULTI_HIT),
     "rr-no-identity-guard": (
-        "_rr_any_hit", "if ctx.prim == skip.prim and ctx.geom == skip.geom and ctx.inst == skip.inst:", "if False:",
-        ("reject-repeats",)),
+        "_rr_any_hit", "if ctx[:4] == prd.skip_hit:", "if False:", ("reject-repeats",)),
     "executor-accepts": (
         "_deliver_any_hit", "return AhVerdict.IGNORE", "return AhVerdict.ACCEPT", ("while-while", "while-merged")),
     "mh-accept-at-worst": (

@@ -259,7 +259,9 @@ def _fixed(hits):
     return fixed
 
 
-_A, _B, _C = HitDesc(1.0, 0, 0, 0), HitDesc(1.0, 1, 0, 0), HitDesc(2.0, 2, 0, 0)
+_A = HitDesc(t=1.0, prim=0, geom=0, inst=0)
+_B = HitDesc(t=1.0, prim=1, geom=0, inst=0)
+_C = HitDesc(t=2.0, prim=2, geom=0, inst=0)
 
 
 def test_rebuild_rule_on_hand_made_sequences(register_kernel):
@@ -312,6 +314,26 @@ def test_a_kernel_named_twice_is_run_and_reported_once(register_kernel):
     assert len(runs) == 2 * 4 * 3  # the base and one permuted build, 4x3 rays
 
 
+def test_a_seed_named_twice_is_built_and_checked_once(register_kernel):
+    # every run of this kernel delivers a hit no other run delivers, so
+    # each seed's rebuild check fails once on every ray
+    scene = gen_coplanar_stack(4, True)
+    cam = resolve_camera(scene, 4, 3)
+    runs = []
+
+    def fresh(built_, ray, rep):
+        runs.append(ray)
+        rep.hits.append(HitDesc(t=float(len(runs)), prim=0, geom=0, inst=0))
+
+    kernel = register_kernel("fresh", fresh)
+    status, report = run_validation(scene, [kernel], cam, seeds=[1, 1])
+    assert status == 1
+    assert len(runs) == 2 * 4 * 3  # the base and one permuted build, 4x3 rays
+    stability = report["stability"][kernel]
+    assert stability["seeds"] == [1]
+    assert stability["violations"] == 4 * 3
+
+
 def _brute_force(built, ray):
     """(hits, groups) of every triangle of every instance through
     ``object_ray_parts`` and ``mt_core``, with no cull."""
@@ -322,7 +344,7 @@ def _brute_force(built, ray):
             for prim, tri in enumerate(geom.blas.tris):
                 hit = mt_core(*parts, ray.t_min, ray.t_max, *tri)
                 if hit is not None:
-                    found.append(HitDesc(hit[0], prim, geom.sbt_offset, i))
+                    found.append(HitDesc(t=hit[0], prim=prim, geom=geom.sbt_offset, inst=i))
     hits = sort_hits(found)
     groups = []
     for h in hits:

@@ -189,7 +189,7 @@ def test_closest_hit_equals_oracle_minimum_without_anyhit():
     for ray in rays_for(scene, 8, 6):
         orc = oracle_all_hits(built, ray)
         got = []
-        cfg = TraceConfig(closest_hit=lambda ctx, prd: got.append(HitDesc(ctx.t, ctx.prim, ctx.geom, ctx.inst)))
+        cfg = TraceConfig(closest_hit=lambda ctx, prd: got.append(HitDesc(t=ctx.t, prim=ctx.prim, geom=ctx.geom, inst=ctx.inst)))
         stats = TraceStats()
         trace(built, ray, cfg, None, stats)
         assert stats.ah_calls == 0

@@ -186,6 +186,23 @@ def test_compare_ch_only_differs_on_coplanar_stack():
     assert rep.diff_pixels["ch-only"] > 0
 
 
+def test_compare_renders_a_kernel_named_twice_once(monkeypatch):
+    import ftbtrace.render as render_mod
+
+    rendered = []
+    render = render_mod.render_image
+
+    def counted(built, cam, kernel_id, spec):
+        rendered.append(kernel_id)
+        return render(built, cam, kernel_id, spec)
+
+    monkeypatch.setattr(render_mod, "render_image", counted)
+    built = build_scene(gen_coplanar_stack(2, True))
+    rep = compare_kernels(built, _narrow_camera(4, 3), ["while-while", "stable-next", "while-while"], CountAll())
+    assert rendered == rep.kernels == ["while-while", "stable-next"]
+    assert [row.split(",")[0] for row in rep.csv().splitlines()[1:]] == rep.kernels
+
+
 def test_compare_counts_pixels_when_image_height_is_255():
     # the header "P6\n2 255\n255\n" holds "255\n" twice; the count must
     # still read whole pixel triples after the full header

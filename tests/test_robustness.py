@@ -31,7 +31,6 @@ from ftbtrace import (
 )
 from ftbtrace.floatstep import f32_bits
 from ftbtrace.geom import IDENTITY, affine_inverse, mt_core
-from ftbtrace.hitorder import order_key
 from ftbtrace.kernels import CORRECT_KERNELS
 from ftbtrace.render import camera_rays
 
@@ -42,7 +41,7 @@ def _check_against_oracle(built, ray, kernels=CORRECT_KERNELS):
     orc = oracle_all_hits(built, ray)
     for kernel in kernels:
         rep = run_kernel(kernel, built, ray, lambda h, c, p: None)
-        assert sorted(rep.hits, key=order_key) == orc.hits, (kernel, ray)
+        assert sorted(rep.hits) == orc.hits, (kernel, ray)
         ts = [h.t for h in rep.hits]
         assert all(a <= b for a, b in zip(ts, ts[1:])), (kernel, ray)
     return orc
@@ -107,7 +106,9 @@ def _recomputed_context(scene, built, ray, ctx):
                   b.x - a.x, b.y - a.y, b.z - a.z, c.x - a.x, c.y - a.y, c.z - a.z)
     xf = inst.transform
     inverse = IDENTITY if xf == IDENTITY else affine_inverse(xf)
-    return HitContext(*hit, ctx.prim, ctx.geom, ctx.inst, xf, inverse)
+    t, u, v, front_face = hit
+    return HitContext(t=t, inst=ctx.inst, geom=ctx.geom, prim=ctx.prim, u=u, v=v, front_face=front_face,
+                      object_to_world=xf, world_to_object=inverse)
 
 
 @pytest.mark.parametrize("kernel", ["reject-repeats", "while-while", "while-merged", "ah-only", "ch-only"])
@@ -124,7 +125,7 @@ def test_user_code_gets_the_full_hit_context(spec, kernel):
         for ctx in got:
             want = _recomputed_context(scene, built, ray, ctx)
             assert ctx == want
-            assert [f32_bits(x) for x in ctx[:3]] == [f32_bits(x) for x in want[:3]]
+            assert [f32_bits(x) for x in (ctx.t, ctx.u, ctx.v)] == [f32_bits(x) for x in (want.t, want.u, want.v)]
         identity.update(ctx.object_to_world == IDENTITY for ctx in got)
     assert identity == {True, False}  # identity and transformed instances seen
 
@@ -403,7 +404,7 @@ def test_cli_manifest_mesh_index_out_of_range_exits_2(tmp_path, capsys):
 def test_cli_manifest_geometry_listed_twice_in_one_instance_exits_2(tmp_path, capsys):
     from ftbtrace.cli import main
 
-    # two hits of one instance would share (t, prim, geom, inst); every
+    # two hits of one instance would share (t, inst, geom, prim); every
     # correct kernel once failed validation on such a scene (exit 1)
     doc = {"meshes": [_ONE_TRIANGLE], "geometries": [{"mesh": 0, "sbtOffset": 0}],
            "instances": [{"geometries": [0, 0]}]}

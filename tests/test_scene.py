@@ -286,7 +286,7 @@ def test_scene_validation_rejects_duplicate_sbt():
 @pytest.mark.parametrize("shared", [False, True], ids=["alone", "after-sharing"])
 def test_scene_validation_rejects_a_geometry_listed_twice_in_one_instance(shared):
     # instances may share a geometry, but within one instance a repeat
-    # would give two hits the same (t, prim, geom, inst)
+    # would give two hits the same (t, inst, geom, prim)
     g = Geometry(Mesh([Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0)], [(0, 1, 2)]), 0)
     instances = [Instance([g], IDENTITY)] if shared else []
     instances.append(Instance([g, g], IDENTITY))
