@@ -8,22 +8,25 @@ reach: spheres computed from ``Blas.tris`` and the transforms and padded by
 proven bounds (``oracle_all_hits`` gives them) are walked cluster, then
 instance, then, per geometry, cluster, then triangle, and what a sphere the
 line misses covers is skipped.  It yields hit identities (``HitDesc``) and
-their equal-distance groups.  Validation
-replays a kernel to exhaustion over many rays and checks completeness,
-ordering, distance-group contents, duplicates, stable-sequence equality and
-the kernels' trace-count identities against the reference.  Failures are
-data in the report, not exceptions.
+their equal-distance groups.  Validation replays a kernel to exhaustion
+over many rays, and its unit is one ray's check: ``KernelValidation.check_ray``
+against the reference (completeness, ordering, distance-group contents,
+duplicates, stable-sequence equality and the kernel's trace-count identity),
+and ``StabilityReport.check_ray`` of a permuted rebuild against the base
+build.  Failures are data in the report, not exceptions.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
 from typing import Optional
 
+# perfbench's tracer patches run_kernel and build_scene on this module, so
+# the validator runs kernels and builds trees through these names only
 from .bvh import BuiltScene, build_scene, BuildOptions
 from .geom import apply_points, box_of, mt_core
 from .hitorder import HitDesc, sort_hits
@@ -397,6 +400,10 @@ class CheckResult:
     violations: int = 0
     first_failure: Optional[dict] = None
 
+    @property
+    def ok(self) -> bool:
+        return self.violations == 0
+
     def fail(self, detail: dict) -> None:
         if self.violations == 0:
             self.first_failure = detail
@@ -409,70 +416,39 @@ class CheckResult:
         return d
 
 
-@dataclass
 class KernelValidation:
-    kernel: str
-    rays: int
-    checks: dict
-    counter_rule: str
-    # per-ray delivered sequences (None where the kernel stalled), for
-    # check_rebuild_stability's baseline; not part of the report
-    delivered: list = field(default_factory=list, repr=False)
+    """One kernel's checks against the reference, fed one ray at a time by
+    ``check_ray``.  ``delivered`` holds each checked ray's delivered sequence
+    (None where the kernel stalled), for ``check_rebuild_stability``'s
+    baseline; it is not part of the report."""
+
+    def __init__(self, kernel: str):
+        self.kernel = kernel
+        self.spec, self.n = parse_kernel(kernel)
+        self.checks = {name: CheckResult() for name in ("completeness", "order", "groups", "duplicates", "counters")}
+        if self.spec.stable:
+            self.checks["stableSequence"] = CheckResult()
+        self.counter_rule = self.spec.counter_rule
+        self.delivered = []
 
     @property
     def ok(self) -> bool:
-        return all(c.violations == 0 for c in self.checks.values())
+        return all(c.ok for c in self.checks.values())
 
-    def violation_counts(self) -> dict:
-        return {name: c.violations for name, c in self.checks.items()}
-
-    def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "rays": self.rays,
-            "ok": self.ok,
-            "counterRule": self.counter_rule,
-            "checks": {name: c.to_dict() for name, c in self.checks.items()},
-        }
-
-
-def validate_kernel(kernel_id: str, built: BuiltScene, rays, oracles=None) -> KernelValidation:
-    """Run the ``KERNELS`` entry a kernel id names to exhaustion on each ray
-    and diff it against the reference enumeration.
-
-    ``oracles`` may carry precomputed OracleResults (parallel to rays) to
-    share them across kernels.  Checks: completeness (hit multiset),
-    nondecreasing distances, distance-group contents (only meaningful when
-    the order holds), duplicate identities, exact sorted-sequence equality
-    for the stable kernels, and the entry's counter rule, for a custom entry
-    as for a built-in one.  A ray on which the kernel stalls is one
-    completeness failure, with the message under ``stalled``, and no other
-    check.  The result's ``delivered`` holds each ray's delivered sequence
-    (None where it stalled), so that a rebuild-stability check on the same
-    build need not run the kernel again.
-    """
-    spec, n = parse_kernel(kernel_id)
-    checks = {
-        "completeness": CheckResult(),
-        "order": CheckResult(),
-        "groups": CheckResult(),
-        "duplicates": CheckResult(),
-        "counters": CheckResult(),
-    }
-    if spec.stable:
-        checks["stableSequence"] = CheckResult()
-    delivered = []
-    for i, ray in enumerate(rays):
-        orc = oracles[i] if oracles is not None else oracle_all_hits(built, ray)
-        stats = TraceStats()
-        got, stalled = _run_to_end(kernel_id, built, ray, stats)
-        delivered.append(got)
+    def check_ray(self, i: int, got, stalled, stats: TraceStats, orc: OracleResult) -> None:
+        """Check ray ``i``'s delivered sequence ``got`` and the ``stats`` of
+        its run against the reference ``orc``: completeness (hit multiset),
+        nondecreasing distances, distance-group contents (when the order
+        holds), duplicate identities, the exact sequence for a stable kernel,
+        and the counter rule.  A stall (``got`` None, ``stalled`` the
+        message) is one completeness failure, with the message, and no other."""
+        self.delivered.append(got)
+        checks = self.checks
         if stalled:
             checks["completeness"].fail({"ray": i, "stalled": stalled})
-            continue
+            return
         H = len(orc.hits)
         G = len(orc.groups)
-
         if sort_hits(got) != orc.hits:
             checks["completeness"].fail(
                 {
@@ -498,21 +474,45 @@ def validate_kernel(kernel_id: str, built: BuiltScene, rays, oracles=None) -> Ke
         triples = [h[1:] for h in got]
         if len(set(triples)) != len(triples):
             checks["duplicates"].fail({"ray": i, "actual": _fmt_hits(got)})
-        if spec.stable and got != orc.hits:
+        if self.spec.stable and got != orc.hits:
             checks["stableSequence"].fail(
                 {"ray": i, "expected": _fmt_hits(orc.hits), "actual": _fmt_hits(got)}
             )
-        if not spec.counters_ok(stats, H, G, n):
+        if not self.spec.counters_ok(stats, H, G, self.n):
             checks["counters"].fail(
                 {"ray": i, "stats": stats.as_dict(), "hits": H, "groups": G}
             )
-    return KernelValidation(
-        kernel=kernel_id,
-        rays=len(rays),
-        checks=checks,
-        counter_rule=spec.counter_rule,
-        delivered=delivered,
-    )
+
+    def violation_counts(self) -> dict:
+        return {name: c.violations for name, c in self.checks.items()}
+
+    def to_dict(self) -> dict:
+        return {
+            "kernel": self.kernel,
+            "rays": len(self.delivered),
+            "ok": self.ok,
+            "counterRule": self.counter_rule,
+            "checks": {name: c.to_dict() for name, c in self.checks.items()},
+        }
+
+
+def validate_kernel(kernel_id: str, built: BuiltScene, rays, oracles=None) -> KernelValidation:
+    """Run the ``KERNELS`` entry a kernel id names to exhaustion on each ray
+    and check it against the reference enumeration with
+    ``KernelValidation.check_ray``, for a custom entry as for a built-in one.
+
+    ``oracles`` may carry precomputed OracleResults (parallel to rays) to
+    share them across kernels.  The result's ``delivered`` holds each ray's
+    delivered sequence (None where it stalled), so that a rebuild-stability
+    check on the same build need not run the kernel again.
+    """
+    v = KernelValidation(kernel_id)
+    for i, ray in enumerate(rays):
+        orc = oracles[i] if oracles is not None else oracle_all_hits(built, ray)
+        stats = TraceStats()
+        got, stalled = _run_to_end(kernel_id, built, ray, stats)
+        v.check_ray(i, got, stalled, stats, orc)
+    return v
 
 
 @dataclass(kw_only=True)
@@ -521,9 +521,16 @@ class StabilityReport(CheckResult):
     seeds: tuple
     requires_exact_sequence: bool
 
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
+    def check_ray(self, seed, i: int, got, stalled, want) -> None:
+        """Check ray ``i``'s sequence ``got`` on ``seed``'s permuted build
+        against ``want``, its sequence on the base build.  A stall on either
+        (``want`` None, or ``stalled`` the message) is one failure; else a
+        stable kernel must reproduce ``want`` exactly, and the others its
+        hit multiset and the contents of each distance group."""
+        if want is None or stalled:
+            self.fail({"seed": seed, "ray": i, "stalled": stalled or "on the base build"})
+        elif got != want and (self.requires_exact_sequence or _group_contents(got) != _group_contents(want)):
+            self.fail({"seed": seed, "ray": i, "expected": _fmt_hits(want), "actual": _fmt_hits(got)})
 
     def to_dict(self) -> dict:
         return {
@@ -542,35 +549,27 @@ def rebuild_options(opts: BuildOptions, seed) -> BuildOptions:
 
 def check_rebuild_stability(kernel_id: str, scene, rays, seeds, baseline=None, builds=None) -> StabilityReport:
     """Rebuild the scene tree with permuted primitive order per seed and
-    compare delivered sequences against the baseline build.
-
-    Stable kernels must reproduce the exact sequence; the others only have
-    to preserve the hit multiset and the contents of each distance group.
-    A stall on the base build or on a permuted build is one failure for
-    that seed and ray.
+    check each ray's delivered sequence against the baseline build's with
+    ``StabilityReport.check_ray``.  A seed named twice is built, checked
+    and reported once.
 
     The baseline is the kernel's delivered sequence per ray on a build with
     ``scene.build_options``; ``baseline`` may pass those sequences (e.g. a
     ``validate_kernel`` result's ``delivered``) when they were taken on a
     build with exactly those options, or they are computed here.
-    ``builds`` may pass the permuted builds, parallel to ``seeds`` and made
-    with ``rebuild_options(scene.build_options, seed)``; otherwise each seed's
-    tree is built here.
+    ``builds`` may pass the permuted builds, a mapping from each seed to its
+    build made with ``rebuild_options(scene.build_options, seed)``;
+    otherwise each seed's tree is built here.
     """
-    exact = is_stable(kernel_id)
-    report = StabilityReport(kernel=kernel_id, seeds=tuple(seeds), requires_exact_sequence=exact)
+    seeds = tuple(dict.fromkeys(seeds))
+    report = StabilityReport(kernel=kernel_id, seeds=seeds, requires_exact_sequence=is_stable(kernel_id))
     base_opts = scene.build_options
     if baseline is None:
         built0 = build_scene(scene, base_opts)
         baseline = [_run_to_end(kernel_id, built0, ray)[0] for ray in rays]
-    if builds is None:
-        builds = (build_scene(scene, rebuild_options(base_opts, seed)) for seed in seeds)
-    for seed, built in zip(seeds, builds):
+    for seed in seeds:
+        built = builds[seed] if builds is not None else build_scene(scene, rebuild_options(base_opts, seed))
         for i, ray in enumerate(rays):
             got, stalled = _run_to_end(kernel_id, built, ray)
-            want = baseline[i]
-            if want is None or stalled:
-                report.fail({"seed": seed, "ray": i, "stalled": stalled or "on the base build"})
-            elif got != want and (exact or _group_contents(got) != _group_contents(want)):
-                report.fail({"seed": seed, "ray": i, "expected": _fmt_hits(want), "actual": _fmt_hits(got)})
+            report.check_ray(seed, i, got, stalled, baseline[i])
     return report

@@ -288,21 +288,21 @@ def run_validation(scene, kernel_ids, cam: Camera, seeds=()):
     """Drive the differential validator over all camera rays.
 
     Each kernel id names a ``KERNELS`` entry, a custom one too, and is
-    validated and reported once however often it is named; so is each seed.
-    Runs each kernel once per build: the base tree (``scene.build_options``)
-    and each seed's permuted tree are built once, the scene is validated
-    once, and per kernel the sequences ``validate_kernel`` delivers on the
-    base tree are the baseline of its ``check_rebuild_stability``.  Only one
-    kernel's sequences are held at a time.
+    validated and reported once however often it is named; each seed is
+    checked once.  Runs each kernel once per build: the base tree
+    (``scene.build_options``) and each seed's permuted tree are built once,
+    the scene is validated once, and per kernel the sequences
+    ``validate_kernel`` delivers on the base tree, checked ray by ray, are
+    the baseline of its ``check_rebuild_stability``.  Only one kernel's
+    sequences are held at a time.
 
     Returns (status, report dict); status is 0 only when every check of
     every kernel (and, with seeds, every rebuild-stability check) passed.
     Both maps are keyed by kernel id.
     """
-    seeds = list(dict.fromkeys(seeds))
     built = build_scene(scene)
-    # the same scene, so Scene.validate need not run again
-    permuted = [build_trees(scene, oracle.rebuild_options(scene.build_options, s)) for s in seeds]
+    # one tree per distinct seed, of the same scene: no second Scene.validate
+    permuted = {s: build_trees(scene, oracle.rebuild_options(scene.build_options, s)) for s in set(seeds)}
     rays = camera_rays(cam)
     # looked up on the oracle module at each call, so a wrapper installed
     # there (as the benchmark's tracer does) also sees these calls

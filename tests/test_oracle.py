@@ -38,6 +38,8 @@ from ftbtrace import (
 from ftbtrace.bvh import BuiltInstance
 from ftbtrace.geom import IDENTITY, box_of, mt_core, vec3_32
 from ftbtrace.kernels import CORRECT_KERNELS, KERNELS
+from ftbtrace.oracle import KernelValidation, OracleResult, StabilityReport, rebuild_options
+from ftbtrace.pipeline import TraceStats
 
 from probes import apply_point, rays_for, stuck_trace
 
@@ -332,6 +334,129 @@ def test_a_seed_named_twice_is_built_and_checked_once(register_kernel):
     stability = report["stability"][kernel]
     assert stability["seeds"] == [1]
     assert stability["violations"] == 4 * 3
+
+
+def test_check_rebuild_stability_checks_a_seed_named_twice_once(register_kernel, monkeypatch):
+    # called directly, with no help from run_validation: every run of this
+    # kernel delivers a hit no other run delivers, so each seed's check fails
+    # once on every ray
+    import ftbtrace.oracle as oracle_mod
+
+    scene = gen_coplanar_stack(4, True)
+    rays = rays_for(scene, 4, 3)
+    runs = []
+    builds = []
+
+    def fresh(built_, ray, rep):
+        runs.append(ray)
+        rep.hits.append(HitDesc(t=float(len(runs)), prim=0, geom=0, inst=0))
+
+    def counted_build(scene_, opts=None):
+        builds.append(opts)
+        return build_scene(scene_, opts)
+
+    kernel = register_kernel("fresh", fresh)
+    monkeypatch.setattr(oracle_mod, "build_scene", counted_build)
+    rep = check_rebuild_stability(kernel, scene, rays, [1, 1])
+    assert rep.to_dict()["seeds"] == [1]
+    assert rep.violations == len(rays)
+    assert len(runs) == 2 * len(rays)  # the base and one permuted build
+    assert len(builds) == 2
+    # builds maps each seed to its tree, so a repeated seed has one
+    permuted = {1: build_scene(scene, rebuild_options(scene.build_options, 1))}
+    rep = check_rebuild_stability(kernel, scene, rays, [1, 1], baseline=[[]] * len(rays), builds=permuted)
+    assert rep.seeds == (1,) and rep.violations == len(rays)
+    assert len(builds) == 2  # the mapping's tree is used, and none is built
+
+
+def _checked(kernel_id, got, stats=None, stalled=None):
+    """KernelValidation of one ray: ``got`` against the reference [_A, _B, _C]."""
+    v = KernelValidation(kernel_id)
+    v.check_ray(0, got, stalled, stats or TraceStats(), OracleResult([_A, _B, _C], [[_A, _B], [_C]]))
+    return v
+
+
+def test_a_repeated_identity_fails_completeness_groups_and_duplicates(register_kernel):
+    # in order, so the groups check runs too, and the group at t=1 holds
+    # _A twice
+    v = _checked(register_kernel("hand-made", None), [_A, _A, _B, _C])
+    assert v.violation_counts() == {"completeness": 1, "order": 0, "groups": 1, "duplicates": 1, "counters": 0}
+    expected = ["(t=1.0,prim=0,geom=0,inst=0)", "(t=1.0,prim=1,geom=0,inst=0)", "(t=2.0,prim=2,geom=0,inst=0)"]
+    actual = expected[:1] + expected
+    assert v.checks["completeness"].first_failure == {"ray": 0, "expected": expected, "actual": actual}
+    assert v.checks["groups"].first_failure == {
+        "ray": 0, "expected": ["t=1.0 x2", "t=2.0 x1"], "actual": ["t=1.0 x3", "t=2.0 x1"],
+    }
+    assert v.checks["duplicates"].first_failure == {"ray": 0, "actual": actual}
+    assert v.delivered == [[_A, _A, _B, _C]] and not v.ok
+
+
+def test_an_out_of_order_sequence_fails_order_and_skips_groups(register_kernel):
+    v = _checked(register_kernel("hand-made", None), [_C, _A, _B])
+    assert v.violation_counts() == {"completeness": 0, "order": 1, "groups": 0, "duplicates": 0, "counters": 0}
+    assert v.checks["order"].first_failure == {
+        "ray": 0,
+        "actual": ["(t=2.0,prim=2,geom=0,inst=0)", "(t=1.0,prim=0,geom=0,inst=0)", "(t=1.0,prim=1,geom=0,inst=0)"],
+    }
+
+
+def test_a_reordered_tie_fails_only_the_stable_sequence():
+    # stable-next's counter rule is traces == hits + 1
+    v = _checked("stable-next", [_B, _A, _C], TraceStats(traces=4))
+    assert v.violation_counts() == {
+        "completeness": 0, "order": 0, "groups": 0, "duplicates": 0, "counters": 0, "stableSequence": 1,
+    }
+    assert v.checks["stableSequence"].first_failure == {
+        "ray": 0,
+        "expected": ["(t=1.0,prim=0,geom=0,inst=0)", "(t=1.0,prim=1,geom=0,inst=0)", "(t=2.0,prim=2,geom=0,inst=0)"],
+        "actual": ["(t=1.0,prim=1,geom=0,inst=0)", "(t=1.0,prim=0,geom=0,inst=0)", "(t=2.0,prim=2,geom=0,inst=0)"],
+    }
+    # the same sequence, counted wrongly
+    v = _checked("stable-next", [_A, _B, _C], TraceStats(traces=3, ah_calls=5))
+    assert v.violation_counts()["counters"] == 1 and v.violation_counts()["stableSequence"] == 0
+    assert v.checks["counters"].first_failure == {
+        "ray": 0, "stats": TraceStats(traces=3, ah_calls=5).as_dict(), "hits": 3, "groups": 2,
+    }
+
+
+def test_a_stall_fails_completeness_only():
+    v = _checked("stable-next", None, stalled="stable-next stalled: here")
+    assert v.violation_counts() == {
+        "completeness": 1, "order": 0, "groups": 0, "duplicates": 0, "counters": 0, "stableSequence": 0,
+    }
+    assert v.checks["completeness"].first_failure == {"ray": 0, "stalled": "stable-next stalled: here"}
+    assert v.delivered == [None]
+    assert v.to_dict()["rays"] == 1
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_the_rebuild_rule_per_ray(exact):
+    rep = StabilityReport(kernel="k", seeds=(3,), requires_exact_sequence=exact)
+    rep.check_ray(3, 0, [_A, _B, _C], None, [_A, _B, _C])
+    rep.check_ray(3, 1, [_B, _A, _C], None, [_A, _B, _C])  # a reorder inside a tie
+    assert rep.violations == exact
+    rep = StabilityReport(kernel="k", seeds=(3,), requires_exact_sequence=exact)
+    rep.check_ray(3, 0, [_A, _C, _B], None, [_A, _B, _C])  # t=1 split around t=2
+    rep.check_ray(3, 1, [_A, _B], None, [_A, _B, _C])  # a hit lost
+    assert rep.violations == 2 and not rep.ok
+    assert rep.first_failure == {
+        "seed": 3, "ray": 0,
+        "expected": ["(t=1.0,prim=0,geom=0,inst=0)", "(t=1.0,prim=1,geom=0,inst=0)", "(t=2.0,prim=2,geom=0,inst=0)"],
+        "actual": ["(t=1.0,prim=0,geom=0,inst=0)", "(t=2.0,prim=2,geom=0,inst=0)", "(t=1.0,prim=1,geom=0,inst=0)"],
+    }
+
+
+def test_a_stall_on_either_build_is_one_rebuild_failure():
+    rep = StabilityReport(kernel="k", seeds=(1, 2), requires_exact_sequence=True)
+    rep.check_ray(1, 0, [_A], None, None)  # stalled on the base build
+    assert rep.first_failure == {"seed": 1, "ray": 0, "stalled": "on the base build"}
+    rep.check_ray(2, 0, None, "k stalled: permuted", [_A])  # on the permuted build
+    rep.check_ray(2, 1, None, "k stalled: both", None)  # on both: the permuted build's message
+    assert rep.violations == 3
+    assert rep.to_dict() == {
+        "kernel": "k", "seeds": [1, 2], "exactSequence": True, "ok": False,
+        "violations": 3, "firstFailure": {"seed": 1, "ray": 0, "stalled": "on the base build"},
+    }
 
 
 def _brute_force(built, ray):
