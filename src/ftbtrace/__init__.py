@@ -23,14 +23,15 @@ from .floatstep import (
 from .geom import (
     Affine3,
     HitContext,
+    HitDesc,
     IDENTITY,
     Ray,
     Vec3,
     affine_inverse,
+    less,
     make_ray,
     translation,
 )
-from .hitorder import HitDesc, less, sort_hits
 from .kernels import (
     CORRECT_KERNELS,
     FtbReport,

@@ -1,6 +1,7 @@
 """Vectors, rays, triangles, boxes and affine instance transforms, plus the
 deterministic ray/triangle and ray/box tests shared by the traversal pipeline
-and the brute-force reference.
+and the brute-force reference, and the hit records: the pipeline's
+``HitContext``, the ``HitDesc`` identity and the hit order.
 
 Stored coordinates are binary32 values held in Python floats.  Intersection
 arithmetic runs in binary64 with a fixed operation order (written out below,
@@ -13,6 +14,7 @@ comparisons are exact.
 
 from __future__ import annotations
 
+import collections
 import math
 import struct
 from enum import Enum, auto
@@ -116,8 +118,9 @@ IDENTITY = Affine3(
 
 
 class HitContext(NamedTuple):
-    """Pipeline state for one candidate or committed hit.  It leads with a
-    ``HitDesc``'s fields in their order, so ``ctx[:4]`` is the hit's sort key."""
+    """Pipeline state for one candidate or committed hit.  Its first four
+    fields are the hit's identity, in the hit order's priority, so
+    ``ctx[:4]`` is the hit's sort key and ``HitDesc`` is those four."""
 
     t: float
     inst: int
@@ -128,6 +131,34 @@ class HitContext(NamedTuple):
     front_face: bool
     object_to_world: Affine3
     world_to_object: Affine3
+
+
+class HitDesc(collections.namedtuple("HitDesc", HitContext._fields[:4])):
+    """Identity of one intersection; ``prim < 0`` marks a no-hit sentinel.
+
+    A binary32 distance plus the (instance, geometry, primitive) indices:
+    no two distinct intersections share all four, so any two hits can be
+    ordered even at exactly the same distance.  The fields are stored in
+    the order's priority -- distance, then instance, then geometry, then
+    primitive -- so plain tuple comparison is the hit order, and a
+    ``HitContext``'s first four slots compare the same way.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, t, inst, geom, prim):
+        if t != t:  # NaN would break the order laws
+            raise ValueError("HitDesc: NaN distance")
+        return tuple.__new__(cls, (t, inst, geom, prim))
+
+
+def less(a: HitDesc, b: HitDesc) -> bool:
+    """Strict total order on hits; False when a and b are fully equal.
+
+    It is ``a < b``, kept as a named function because the kernels call it
+    by name and perfbench samples ``kernels.less`` to time and count it.
+    """
+    return a < b
 
 
 class AhVerdict(Enum):

@@ -41,8 +41,7 @@ from typing import Callable, Optional
 
 from .bvh import BuiltScene
 from .floatstep import just_above, just_below
-from .geom import HitContext, Ray
-from .hitorder import HitDesc, less
+from .geom import HitContext, HitDesc, Ray, less
 from .pipeline import AhVerdict, TraceConfig, TraceFlags, TraceStats, trace
 from .scene import whole_number
 
@@ -137,12 +136,14 @@ def iter_reject_repeats(built: BuiltScene, ray, stats: TraceStats):
     The committed hit of each trace is the delivery.  Repeated traces at one
     distance keep the identical interval, so their traversal order -- and
     with it the skip count -- is consistent; only the anchor hit, delivered
-    under a different t_min, needs the identity guard.
+    under a different t_min, needs the identity guard.  A committed hit
+    nearer than the anchor, or one already delivered on this ray, raises
+    `KernelStalled`.
     """
     prd = _RejectRepeatsPrd()
     next_tmin = ray.t_min
     next_skip = 0
-    group = set()  # hits delivered at the anchor's distance
+    delivered = set()  # every hit delivered on this ray
     while True:
         prd.found = None
         prd.skip_left = next_skip
@@ -151,21 +152,20 @@ def iter_reject_repeats(built: BuiltScene, ray, stats: TraceStats):
         if ctx is None:
             return
         got = _desc(ctx)
+        if got.t < prd.skip_hit.t or got in delivered:
+            # the trace did not move past what was delivered: skipping on
+            # would deliver the same hits again and again
+            raise KernelStalled(f"reject-repeats stalled: trace committed {got} again "
+                                f"at t_min={next_tmin!r}, skip={next_skip}")
+        delivered.add(got)
         if got.t > prd.skip_hit.t:
             # new distance: re-anchor and count skips from zero again
             # (the anchor itself is skipped by identity, on top of the count)
             next_tmin = just_below(got.t)
             next_skip = 0
             prd.skip_hit = got
-            group = {got}
-        elif got.t < prd.skip_hit.t or got in group:
-            # the trace did not move past what was delivered: skipping on
-            # would deliver the same hits again and again
-            raise KernelStalled(f"reject-repeats stalled: trace committed {got} again "
-                                f"at t_min={next_tmin!r}, skip={next_skip}")
         else:
             next_skip += 1
-            group.add(got)
         yield got, ctx
 
 

@@ -28,8 +28,7 @@ from typing import Optional
 # perfbench's tracer patches run_kernel and build_scene on this module, so
 # the validator runs kernels and builds trees through these names only
 from .bvh import BuiltScene, build_scene, BuildOptions
-from .geom import apply_points, box_of, mt_core
-from .hitorder import HitDesc, sort_hits
+from .geom import HitDesc, apply_points, box_of, mt_core
 from .kernels import KernelStalled, is_stable, parse_kernel, run_kernel
 from .pipeline import TraceStats
 
@@ -181,7 +180,7 @@ def oracle_all_hits(built: BuiltScene, ray) -> OracleResult:
                 hit = mt_core(*parts, t_min, t_max, *tris[prim])
                 if hit is not None:
                     found.append(HitDesc(hit[0], i, sbt, prim))
-    hits = sort_hits(found)
+    hits = sorted(found)
     return OracleResult(hits, [list(g) for _, g in groupby(hits, attrgetter("t"))])
 
 
@@ -449,12 +448,12 @@ class KernelValidation:
             return
         H = len(orc.hits)
         G = len(orc.groups)
-        if sort_hits(got) != orc.hits:
+        if sorted(got) != orc.hits:
             checks["completeness"].fail(
                 {
                     "ray": i,
                     "expected": _fmt_hits(orc.hits),
-                    "actual": _fmt_hits(sort_hits(got)),
+                    "actual": _fmt_hits(sorted(got)),
                 }
             )
         in_order = all(got[j].t <= got[j + 1].t for j in range(len(got) - 1))

@@ -17,8 +17,7 @@ from typing import Optional, Union
 
 from .bvh import BuiltScene, build_scene, build_trees
 from .floatstep import f32_bits
-from .geom import Ray, apply_points, box_of, camera_basis, make_ray
-from .hitorder import HitDesc
+from .geom import HitDesc, Ray, apply_points, box_of, camera_basis, make_ray
 from . import oracle
 from .kernels import Step, run_kernel
 from .oracle import check_rebuild_stability, validate_kernel

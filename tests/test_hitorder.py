@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ftbtrace.geom import HitContext
-from ftbtrace.hitorder import HitDesc, less, sort_hits
+from ftbtrace.geom import HitContext, HitDesc, less
 
 
 def test_distance_dominates():
@@ -44,13 +43,9 @@ def test_infinite_sentinels_allowed():
     assert less(h, HitDesc(t=0.0, prim=0, geom=0, inst=0))
 
 
-def test_sort_empty():
-    assert sort_hits([]) == []
-
-
 def test_sort_reversed():
     hits = [HitDesc(t=float(t), prim=0, geom=0, inst=0) for t in range(5, 0, -1)]
-    assert sort_hits(hits) == sorted(hits, key=lambda h: h.t)
+    assert sorted(hits) == sorted(hits, key=lambda h: h.t)
 
 
 def test_sort_is_permutation_invariant():
@@ -59,11 +54,11 @@ def test_sort_is_permutation_invariant():
         HitDesc(t=rng.choice([1.0, 2.0, 2.0, 3.0]), prim=rng.randrange(4), geom=rng.randrange(3), inst=rng.randrange(3))
         for _ in range(24)
     ]
-    want = sort_hits(base)
+    want = sorted(base)
     for _ in range(50):
         shuffled = base[:]
         rng.shuffle(shuffled)
-        assert sort_hits(shuffled) == want
+        assert sorted(shuffled) == want
 
 
 _descs = st.builds(
@@ -122,7 +117,7 @@ _sentinels = st.builds(
 @given(st.lists(st.one_of(_edge_descs, _sentinels), max_size=12))
 def test_sort_hits_is_the_reference_sort(hits):
     want = sorted(hits, key=functools.cmp_to_key(lambda a, b: _reference_less(b, a) - _reference_less(a, b)))
-    got = sort_hits(hits)
+    got = sorted(hits)
     assert got == want
     # ±0.0 compare equal, so equal hits may differ in the sign of t; the
     # sort is stable, so each keeps its input position among its equals

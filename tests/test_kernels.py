@@ -25,7 +25,6 @@ from ftbtrace import (
     oracle_all_hits,
     run_kernel,
     single_mesh_scene,
-    sort_hits,
     validate_kernel,
 )
 from ftbtrace.floatstep import just_below
@@ -115,7 +114,7 @@ def test_reject_repeats_matches_oracle_groups_on_ties():
     built = build_scene(gen_coplanar_stack(4, True))
     orc = oracle_all_hits(built, CENTER_RAY)
     rep = _exhaust("reject-repeats", built, CENTER_RAY)
-    assert sort_hits(rep.hits) == orc.hits
+    assert sorted(rep.hits) == orc.hits
     assert len({h.t for h in rep.hits}) == 1
 
 
@@ -125,7 +124,7 @@ def test_reject_repeats_survives_tmin_leaf_reorder():
     built = build_scene(gen_leaf_reorder())
     orc = oracle_all_hits(built, REORDER_RAY)
     rep = _exhaust("reject-repeats", built, REORDER_RAY)
-    assert sort_hits(rep.hits) == orc.hits
+    assert sorted(rep.hits) == orc.hits
     assert rep.stats.traces == len(orc.hits) + 1
 
 
@@ -191,7 +190,7 @@ def test_while_while_abutting_boxes_keeps_every_coplanar_pair():
     built = build_scene(gen_abutting_boxes(3))
     orc = oracle_all_hits(built, AXIS_RAY)
     rep = _exhaust("while-while", built, AXIS_RAY)
-    assert sort_hits(rep.hits) == orc.hits
+    assert sorted(rep.hits) == orc.hits
     assert [len(g) for g in _groups(rep.hits)] == [len(g) for g in orc.groups]
 
 
@@ -206,7 +205,7 @@ def test_while_merged_matches_while_while_per_group():
         built = build_scene(scene)
         ww = _exhaust("while-while", built, ray)
         wm = _exhaust("while-merged", built, ray)
-        assert sort_hits(wm.hits) == sort_hits(ww.hits)
+        assert sorted(wm.hits) == sorted(ww.hits)
         a = [(g[0].t, sorted(g)) for g in _groups(wm.hits)]
         b = [(g[0].t, sorted(g)) for g in _groups(ww.hits)]
         assert a == b
@@ -267,7 +266,7 @@ def test_multi_hit_batches_are_resumable():
     batches = list(iter_multi_hit_batches(built, CENTER_RAY, 4, stats))
     assert [len(b) for b in batches] == [4, 2]
     flat = [h for b in batches for h in b]
-    assert flat == sort_hits(flat)
+    assert flat == sorted(flat)
 
 
 def test_multi_hit_zero_capacity_is_domain_error():
@@ -293,7 +292,7 @@ def test_ah_only_full_multiset_single_trace():
     built = build_scene(gen_abutting_boxes(3))
     orc = oracle_all_hits(built, AXIS_RAY)
     rep = _exhaust("ah-only", built, AXIS_RAY)
-    assert sort_hits(rep.hits) == orc.hits
+    assert sorted(rep.hits) == orc.hits
     assert rep.stats.traces == 1
 
 
@@ -301,7 +300,7 @@ def test_ah_only_out_of_order_on_adversarial_scene():
     built = build_scene(gen_adversarial_order())
     orc = oracle_all_hits(built, REORDER_RAY)
     rep = _exhaust("ah-only", built, REORDER_RAY)
-    assert sort_hits(rep.hits) == orc.hits  # complete ...
+    assert sorted(rep.hits) == orc.hits  # complete ...
     ts = [h.t for h in rep.hits]
     assert any(b < a for a, b in zip(ts, ts[1:]))  # ... but out of order
 

@@ -1,4 +1,4 @@
-"""Validator power: nine one-line kernel mutants, each a plausible slip in
+"""Validator power: ten one-line kernel mutants, each a plausible slip in
 the interval surgery or the any-hit verdicts, must each make a seedless
 ``run_validation`` fail on at least one scene, and every correct kernel
 must pass on every scene.
@@ -34,6 +34,8 @@ _MUTANTS = {
         "_mh_any_hit", "if not prd.hit_min < curr:", "if not prd.hit_min[0] < curr[0]:", _MULTI_HIT),
     "rr-no-identity-guard": (
         "_rr_any_hit", "if ctx[:4] == prd.skip_hit:", "if False:", ("reject-repeats",)),
+    "rr-reanchor-ge": (
+        "iter_reject_repeats", "if got.t > prd.skip_hit.t:", "if got.t >= prd.skip_hit.t:", ("reject-repeats",)),
     "executor-accepts": (
         "_deliver_any_hit", "return AhVerdict.IGNORE", "return AhVerdict.ACCEPT", ("while-while", "while-merged")),
     "mh-accept-at-worst": (
@@ -72,6 +74,7 @@ _CAUGHT = {
     "wm-retrace-from-t": (_ALL, ("completeness",)),
     "mh-skip-by-distance": (_TIED, _STABLE_CHECKS),
     "rr-no-identity-guard": (_ALL, ("completeness",)),
+    "rr-reanchor-ge": (_TIED, ("completeness",)),
     "executor-accepts": (_ALL, _ORDER_CHECKS),
     "mh-accept-at-worst": (("permuted",), _STABLE_CHECKS),
     "mh-accept-at-worst-ge": (("permuted",), _STABLE_CHECKS),

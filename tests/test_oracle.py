@@ -31,7 +31,6 @@ from ftbtrace import (
     resolve_camera,
     run_kernel,
     run_validation,
-    sort_hits,
     translation,
     validate_kernel,
 )
@@ -81,7 +80,7 @@ def test_oracle_is_tree_independent():
 def test_oracle_hits_sorted_and_grouped():
     built = build_scene(gen_abutting_boxes(2))
     orc = oracle_all_hits(built, AXIS_RAY)
-    assert orc.hits == sort_hits(orc.hits)
+    assert orc.hits == sorted(orc.hits)
     assert [len(g) for g in orc.groups] == [1, 2, 1]
     assert [h for g in orc.groups for h in g] == orc.hits
     assert all(h.t == g[0].t for g in orc.groups for h in g)
@@ -470,7 +469,7 @@ def _brute_force(built, ray):
                 hit = mt_core(*parts, ray.t_min, ray.t_max, *tri)
                 if hit is not None:
                     found.append(HitDesc(t=hit[0], prim=prim, geom=geom.sbt_offset, inst=i))
-    hits = sort_hits(found)
+    hits = sorted(found)
     groups = []
     for h in hits:
         if groups and groups[-1][0].t == h.t:

@@ -1,5 +1,6 @@
 """The README's examples work: its "Command line" lines parse with the
-CLI's own parser, and each of its Python blocks runs."""
+CLI's own parser, and each of its Python blocks runs.  Its "Library
+layout" table names the package's modules."""
 
 import argparse
 import os
@@ -47,3 +48,12 @@ def test_readme_python_block_runs(block):
     proc = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_layout_names_every_module():
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"## Library layout\n(.*?)\n## ", text, re.S)
+    assert section, "README has no Library layout section"
+    named = re.findall(r"^\| `(\w+)`", section.group(1), re.M)
+    modules = {p.stem for p in (ROOT / "src" / "ftbtrace").glob("*.py")} - {"__init__", "__main__"}
+    assert sorted(named) == sorted(modules)  # each once, none stale

@@ -27,7 +27,6 @@ from ftbtrace import (
     oracle_all_hits,
     resolve_camera,
     run_kernel,
-    sort_hits,
 )
 from ftbtrace.floatstep import f32_bits
 from ftbtrace.geom import IDENTITY, affine_inverse, mt_core

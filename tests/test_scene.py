@@ -23,7 +23,6 @@ from ftbtrace import (
     oracle_all_hits,
     run_kernel,
     single_mesh_scene,
-    sort_hits,
 )
 from ftbtrace.floatstep import F32_MAX, F32_MIN_SUBNORMAL, f32
 from ftbtrace.geom import IDENTITY, Affine3, translation
@@ -394,7 +393,7 @@ def test_instanced_grid_coincident_pair_spans_instances():
     group = orc.groups[0]
     assert {h.inst for h in group} == {0, 1}
     # equal-distance hits from distinct instances order by instance index
-    assert [h.inst for h in sort_hits(group)] == sorted(h.inst for h in group)
+    assert [h.inst for h in sorted(group)] == sorted(h.inst for h in group)
 
 
 def test_generators_are_deterministic():
