@@ -40,8 +40,6 @@ from .kernels import (
     KernelStalled,
     Step,
     is_stable,
-    iter_multi_hit_batches,
-    iter_reject_repeats,
     run_kernel,
 )
 from .oracle import (

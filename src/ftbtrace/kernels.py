@@ -16,8 +16,7 @@ kernel traces with ``rep.stats`` and hands each hit to the user's
 ``user_code(hit, ctx, prd)`` through ``rep.deliver``; `ctx` is the full
 pipeline hit state for kernels whose user code sees a live or committed
 hit, and None for the stable kernels, which can only hand out the stored
-identity tuple.  reject-repeats and the multi-hit kernel additionally
-expose resumable iterators so callers can do arbitrary work between hits.
+identity tuple.
 
 Several kernels are special cases of others:
 
@@ -42,7 +41,7 @@ from typing import Callable, Optional
 from .bvh import BuiltScene
 from .floatstep import just_above, just_below
 from .geom import HitContext, HitDesc, Ray, less
-from .pipeline import AhVerdict, TraceConfig, TraceFlags, TraceStats, trace
+from .pipeline import AhVerdict, TraceConfig, TraceStats, trace
 from .scene import whole_number
 
 
@@ -97,8 +96,8 @@ def _deliver_any_hit(ctx, prd):
     return AhVerdict.IGNORE
 
 
-_DELIVER_CFG = TraceConfig(any_hit=_deliver_any_hit, flags=TraceFlags.DISABLE_CLOSESTHIT)
-_FEELER_CFG = TraceConfig(closest_hit=_record_closest_hit, flags=TraceFlags.DISABLE_ANYHIT)
+_DELIVER_CFG = TraceConfig(any_hit=_deliver_any_hit)
+_FEELER_CFG = TraceConfig(closest_hit=_record_closest_hit)
 
 
 # ------------------------------------------------------------- reject-repeats
@@ -129,9 +128,9 @@ def _rr_any_hit(ctx, prd):
 _RR_CFG = TraceConfig(any_hit=_rr_any_hit, closest_hit=_record_closest_hit)
 
 
-def iter_reject_repeats(built: BuiltScene, ray, stats: TraceStats):
+def _reject_repeats(built, ray, rep: FtbReport) -> None:
     """Hits in nondecreasing distance order, disambiguating ties by skip
-    counting in traversal order; yields (HitDesc, HitContext).
+    counting in traversal order; user code sees each with its HitContext.
 
     The committed hit of each trace is the delivery.  Repeated traces at one
     distance keep the identical interval, so their traversal order -- and
@@ -147,7 +146,7 @@ def iter_reject_repeats(built: BuiltScene, ray, stats: TraceStats):
     while True:
         prd.found = None
         prd.skip_left = next_skip
-        trace(built, Ray(ray.origin, ray.direction, next_tmin, ray.t_max), _RR_CFG, prd, stats)
+        trace(built, Ray(ray.origin, ray.direction, next_tmin, ray.t_max), _RR_CFG, prd, rep.stats)
         ctx = prd.found
         if ctx is None:
             return
@@ -166,12 +165,7 @@ def iter_reject_repeats(built: BuiltScene, ray, stats: TraceStats):
             prd.skip_hit = got
         else:
             next_skip += 1
-        yield got, ctx
-
-
-def _reject_repeats(built, ray, rep: FtbReport) -> None:
-    for hit, ctx in iter_reject_repeats(built, ray, rep.stats):
-        if rep.deliver(hit, ctx):
+        if rep.deliver(got, ctx):
             return
 
 
@@ -317,11 +311,11 @@ def _mh_any_hit(ctx, prd):
     return AhVerdict.IGNORE
 
 
-_MH_CFG = TraceConfig(any_hit=_mh_any_hit, flags=TraceFlags.DISABLE_CLOSESTHIT)
+_MH_CFG = TraceConfig(any_hit=_mh_any_hit)
 
 
-def iter_multi_hit_batches(built: BuiltScene, ray, n: int, stats: TraceStats):
-    """Batches of the next up-to-n hits in sorted order, resumable past ties.
+def _stable_multi_hit(built, ray, rep: FtbReport, n: int) -> None:
+    """Batches of the next up-to-n hits in sorted order, delivered in order.
 
     Each trace gathers the n smallest hits strictly greater (under the total
     order) than the last delivered hit, so a batch boundary can fall inside
@@ -331,28 +325,21 @@ def iter_multi_hit_batches(built: BuiltScene, ray, n: int, stats: TraceStats):
     the valid interval.  Delivery order is independent of traversal order,
     hence stable across rebuilds.
     """
-    if n < 1:
-        raise ValueError("multi-hit capacity must be >= 1")
     hit_min = HitDesc(ray.t_min, -1, -1, -1)
     cur_tmin = ray.t_min
     while True:
         prd = _MultiHitPrd(hit_min, n)
-        trace(built, Ray(ray.origin, ray.direction, cur_tmin, ray.t_max), _MH_CFG, prd, stats)
+        trace(built, Ray(ray.origin, ray.direction, cur_tmin, ray.t_max), _MH_CFG, prd, rep.stats)
         if not prd.buffer:
             return
         batch = [HitDesc(*key) for key in prd.buffer]
         if not less(hit_min, batch[-1]):
             raise KernelStalled(f"multi-hit stalled: batch ends at {batch[-1]} after {hit_min}")
-        yield batch
-        hit_min = batch[-1]
-        cur_tmin = just_below(hit_min.t)
-
-
-def _stable_multi_hit(built, ray, rep: FtbReport, n: int) -> None:
-    for batch in iter_multi_hit_batches(built, ray, n, rep.stats):
         for hit in batch:
             if rep.deliver(hit, None):
                 return
+        hit_min = batch[-1]
+        cur_tmin = just_below(hit_min.t)
 
 
 # -------------------------------------------------------------------- registry

@@ -1,8 +1,10 @@
-"""Deterministic probe rays, a broken pipeline and a per-point reference
-of the affine map, shared by the test modules."""
+"""Deterministic probe rays, a broken pipeline, a per-point reference
+of the affine map and a batch probe, shared by the test modules."""
+
+from itertools import groupby
 
 import ftbtrace.kernels as kernels_mod
-from ftbtrace import HitContext, Vec3, camera_rays, resolve_camera
+from ftbtrace import HitContext, TraceStats, Vec3, camera_rays, resolve_camera, run_kernel
 
 
 def apply_point(xf, p) -> Vec3:
@@ -33,3 +35,19 @@ def stuck_trace(built, ray, cfg, prd=None, stats=None):
     elif cfg.closest_hit is not None:
         cfg.closest_hit(ctx, prd)
     return ctx
+
+
+def traces_at_deliveries(kernel_id, built, ray):
+    """Run a kernel to exhaustion; returns the run's ``traces`` count as
+    user code reads it at each delivery, and the report."""
+    stats = TraceStats()
+    seen = []
+    rep = run_kernel(kernel_id, built, ray, lambda h, c, p: seen.append(stats.traces), stats=stats)
+    return seen, rep
+
+
+def batch_sizes(kernel_id, built, ray):
+    """The sizes of a multi-hit run's batches: a batch is the hits that one
+    trace gathered, so its deliveries all read the same ``traces`` count."""
+    seen, _ = traces_at_deliveries(kernel_id, built, ray)
+    return [len(list(run)) for _, run in groupby(seen)]

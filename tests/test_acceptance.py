@@ -25,7 +25,6 @@ from ftbtrace import (
     gen_abutting_boxes,
     gen_coplanar_stack,
     gen_instanced_grid,
-    iter_multi_hit_batches,
     just_above,
     just_below,
     make_ray,
@@ -39,6 +38,8 @@ from ftbtrace import (
 )
 from ftbtrace.floatstep import f32
 from ftbtrace.pipeline import TraceFlags
+
+from probes import batch_sizes
 
 KERNELS = (
     "stable-next",
@@ -263,7 +264,7 @@ def test_criterion_7_multi_hit_tie_boundary_resume():
     orc = oracle_all_hits(built, ray)
     assert len(orc.hits) == 6 and len(orc.groups) == 1
     rep = run_kernel("stable-multi-hit:4", built, ray, lambda h, c, p: None)
-    assert [len(b) for b in iter_multi_hit_batches(built, ray, 4, TraceStats())] == [4, 2]
+    assert batch_sizes("stable-multi-hit:4", built, ray) == [4, 2]
     assert rep.hits == orc.hits  # no loss or duplication inside the tie group
     print("\nACCEPTANCE 7 multi-hit tie-boundary resume: PASS")
 

@@ -19,7 +19,6 @@ from ftbtrace import (
     gen_coplanar_stack,
     gen_instanced_grid,
     gen_leaf_reorder,
-    iter_multi_hit_batches,
     make_ray,
     make_scene,
     oracle_all_hits,
@@ -32,7 +31,7 @@ from ftbtrace.kernels import CORRECT_KERNELS, KernelStalled, is_stable, parse_ke
 from ftbtrace.pipeline import TraceStats
 from ftbtrace.render import CountAll, make_user_code
 
-from probes import rays_for, stuck_trace
+from probes import batch_sizes, rays_for, stuck_trace, traces_at_deliveries
 
 CENTER_RAY = make_ray((0.1, -0.2, -1.0), (0, 0, 1), 0, 100)
 AXIS_RAY = make_ray((-1.0, 0.3, 0.4), (1, 0, 0), 0, 100)
@@ -98,13 +97,11 @@ def test_stable_next_survives_redelivered_tie_arriving_first():
 
 
 def test_stable_next_cursor_allows_work_between_hits():
+    # user code runs between hits: one trace between two deliveries
     built = build_scene(gen_coplanar_stack(3, True))
-    stats = TraceStats()
-    it = iter_multi_hit_batches(built, CENTER_RAY, 1, stats)
-    [first] = next(it)
-    mid_traces = stats.traces
-    [second] = next(it)
-    assert stats.traces == mid_traces + 1
+    seen, rep = traces_at_deliveries("stable-next", built, CENTER_RAY)
+    first, second = rep.hits[:2]
+    assert seen[1] == seen[0] + 1
     assert first < second
 
 
@@ -136,16 +133,15 @@ def test_reject_repeats_single_hit_two_traces():
 
 
 def test_reject_repeats_cursor_yields_hit_and_context():
-    from ftbtrace import iter_reject_repeats
-
     built = build_scene(gen_coplanar_stack(3, True))
     stats = TraceStats()
-    it = iter_reject_repeats(built, CENTER_RAY, stats)
-    first_hit, first_ctx = next(it)
-    traces_between = stats.traces
-    second_hit, second_ctx = next(it)
-    assert stats.traces == traces_between + 1  # one trace per explicit request
-    assert first_ctx.t == first_hit.t and second_ctx.t == second_hit.t
+    seen = []
+    run_kernel("reject-repeats", built, CENTER_RAY,
+               lambda h, c, p: seen.append((h, c, stats.traces)), stats=stats)
+    (first_hit, first_ctx, first_traces), (second_hit, second_ctx, second_traces) = seen[:2]
+    assert second_traces == first_traces + 1  # one trace between two deliveries
+    assert isinstance(first_ctx, HitContext) and isinstance(second_ctx, HitContext)
+    assert first_ctx[:4] == first_hit and second_ctx[:4] == second_hit
     assert first_hit != second_hit
 
 
@@ -237,7 +233,7 @@ def test_multi_hit_capacity_covers_all_hits_in_two_traces():
     rep = _exhaust("stable-multi-hit:16", built, CENTER_RAY)
     assert rep.hits == orc.hits
     assert rep.stats.traces == 2  # one gather, one empty confirmation
-    assert [len(b) for b in iter_multi_hit_batches(built, CENTER_RAY, 16, TraceStats())] == [4]
+    assert batch_sizes("stable-multi-hit:16", built, CENTER_RAY) == [4]
 
 
 def test_multi_hit_n1_reduces_to_stable_next():
@@ -256,25 +252,23 @@ def test_multi_hit_batch_boundary_inside_tie_group():
     built = build_scene(gen_coplanar_stack(6, True))
     orc = oracle_all_hits(built, CENTER_RAY)
     rep = _exhaust("stable-multi-hit:4", built, CENTER_RAY)
-    assert [len(b) for b in iter_multi_hit_batches(built, CENTER_RAY, 4, TraceStats())] == [4, 2]
+    assert batch_sizes("stable-multi-hit:4", built, CENTER_RAY) == [4, 2]
     assert rep.hits == orc.hits
 
 
 def test_multi_hit_batches_are_resumable():
+    # capacity 4, six tied hits: the second trace resumes inside the group
     built = build_scene(gen_coplanar_stack(6, True))
-    stats = TraceStats()
-    batches = list(iter_multi_hit_batches(built, CENTER_RAY, 4, stats))
-    assert [len(b) for b in batches] == [4, 2]
-    flat = [h for b in batches for h in b]
-    assert flat == sorted(flat)
+    seen, rep = traces_at_deliveries("stable-multi-hit:4", built, CENTER_RAY)
+    assert seen == [1, 1, 1, 1, 2, 2]
+    assert rep.hits == sorted(rep.hits)
+    assert rep.stats.traces == 3
 
 
 def test_multi_hit_zero_capacity_is_domain_error():
     built = build_scene(gen_coplanar_stack(1, True))
     with pytest.raises(ValueError):
         _exhaust("stable-multi-hit:0", built, CENTER_RAY)
-    with pytest.raises(ValueError):
-        next(iter_multi_hit_batches(built, CENTER_RAY, 0, TraceStats()))
 
 
 def test_multi_hit_permuted_rebuild_same_sequence():

@@ -1,14 +1,16 @@
 """Validator power: ten one-line kernel mutants, each a plausible slip in
 the interval surgery or the any-hit verdicts, must each make a seedless
-``run_validation`` fail on at least one scene, and every correct kernel
-must pass on every scene.
+``run_validation`` of every kernel id it affects fail on at least one
+scene, and every correct kernel must pass on every scene.
 
 A mutant is one line of a ``kernels`` function replaced: the function's
 source is changed by one unique text replacement, compiled in the
 ``kernels`` namespace and installed wherever the original is referenced
-(the module, any ``TraceConfig`` and any ``KERNELS`` entry)."""
+(the module, any ``TraceConfig`` and any ``KERNELS`` entry, also one
+that wraps it in ``functools.partial``)."""
 
 import dataclasses
+import functools
 import inspect
 import json
 
@@ -25,9 +27,9 @@ _MULTI_HIT = ("stable-next", "stable-multi-hit:1", "stable-multi-hit:4", "stable
 # name: (function, text replaced, replacement, the kernel ids it affects)
 _MUTANTS = {
     "rr-retrace-from-t": (
-        "iter_reject_repeats", "next_tmin = just_below(got.t)", "next_tmin = got.t", ("reject-repeats",)),
+        "_reject_repeats", "next_tmin = just_below(got.t)", "next_tmin = got.t", ("reject-repeats",)),
     "mh-retrace-from-t": (
-        "iter_multi_hit_batches", "cur_tmin = just_below(hit_min.t)", "cur_tmin = hit_min.t", _MULTI_HIT),
+        "_stable_multi_hit", "cur_tmin = just_below(hit_min.t)", "cur_tmin = hit_min.t", _MULTI_HIT),
     "wm-retrace-from-t": (
         "_while_merged", "cur_tmin = just_below(prd.t_exec)", "cur_tmin = prd.t_exec", ("while-merged",)),
     "mh-skip-by-distance": (
@@ -35,7 +37,7 @@ _MUTANTS = {
     "rr-no-identity-guard": (
         "_rr_any_hit", "if ctx[:4] == prd.skip_hit:", "if False:", ("reject-repeats",)),
     "rr-reanchor-ge": (
-        "iter_reject_repeats", "if got.t > prd.skip_hit.t:", "if got.t >= prd.skip_hit.t:", ("reject-repeats",)),
+        "_reject_repeats", "if got.t > prd.skip_hit.t:", "if got.t >= prd.skip_hit.t:", ("reject-repeats",)),
     "executor-accepts": (
         "_deliver_any_hit", "return AhVerdict.IGNORE", "return AhVerdict.ACCEPT", ("while-while", "while-merged")),
     "mh-accept-at-worst": (
@@ -48,7 +50,9 @@ _MUTANTS = {
 }
 
 # name: (generator spec, permute seed of the base build); "permuted" is
-# what ``validate --gen coplanar:n=8 --prim-order permuted:1`` runs
+# what ``validate --gen coplanar:n=8 --prim-order permuted:1`` runs.  The
+# deep stack holds more tied hits than the largest capacity tested (16),
+# so stable-multi-hit:16 must split a tie group across batches there.
 _SCENES = {
     "coplanar": ("coplanar:n=8", None),
     "spaced": ("coplanar:n=8:same_t=false", None),
@@ -57,17 +61,21 @@ _SCENES = {
     "adversarial": ("adversarial", None),
     "leaf-reorder": ("leaf-reorder", None),
     "permuted": ("coplanar:n=8", 1),
+    "deep": ("coplanar:n=24", None),
+    "deep-permuted": ("coplanar:n=24", 1),
 }
 
 _ALL = tuple(_SCENES)
-_TIED = ("coplanar", "abutting", "grid", "leaf-reorder", "permuted")
+_TIED = ("coplanar", "abutting", "grid", "leaf-reorder", "permuted", "deep", "deep-permuted")
 _ORDER_CHECKS = ("completeness", "counters", "groups")
 _STABLE_CHECKS = ("completeness", "counters", "groups", "stableSequence")
 
 # per mutant: the scenes on which seedless validation fails, and the
 # checks that fail there.  The three buffer-verdict mutants are caught only
 # where the tree delivers tied hits against the order key: on the permuted
-# build, and (evicting by distance) on leaf-reorder.
+# builds, and (evicting by distance) on leaf-reorder.  Each kernel id a
+# mutant lists must fail on some scene; stable-multi-hit:16 fails only on
+# the deep stack (every mh-* mutant on deep-permuted).
 _CAUGHT = {
     "rr-retrace-from-t": (_TIED, _ORDER_CHECKS),
     "mh-retrace-from-t": (_TIED, _STABLE_CHECKS),
@@ -76,9 +84,9 @@ _CAUGHT = {
     "rr-no-identity-guard": (_ALL, ("completeness",)),
     "rr-reanchor-ge": (_TIED, ("completeness",)),
     "executor-accepts": (_ALL, _ORDER_CHECKS),
-    "mh-accept-at-worst": (("permuted",), _STABLE_CHECKS),
-    "mh-accept-at-worst-ge": (("permuted",), _STABLE_CHECKS),
-    "mh-evict-by-distance": (("leaf-reorder", "permuted"), _STABLE_CHECKS),
+    "mh-accept-at-worst": (("permuted", "deep-permuted"), _STABLE_CHECKS),
+    "mh-accept-at-worst-ge": (("permuted", "deep-permuted"), _STABLE_CHECKS),
+    "mh-evict-by-distance": (("leaf-reorder", "permuted", "deep-permuted"), _STABLE_CHECKS),
 }
 
 
@@ -97,25 +105,29 @@ def _install(monkeypatch, name, old, new):
     for entry in kernels.KERNELS.values():
         if entry.run is original:
             monkeypatch.setattr(entry, "run", mutant)
+        elif isinstance(entry.run, functools.partial) and entry.run.func is original:
+            monkeypatch.setattr(entry, "run", functools.partial(mutant, *entry.run.args, **entry.run.keywords))
 
 
 def _failing_checks(name, kernel_ids):
-    """The names of the checks that fail in a seedless ``run_validation``
-    of the kernels, at 8x6, on the scene ``_SCENES`` names."""
+    """Per kernel id, the names of the checks that fail in a seedless
+    ``run_validation`` of the kernels, at 8x6, on the scene ``_SCENES``
+    names."""
     spec, seed = _SCENES[name]
     scene = make_scene(spec)
     scene.build_options = BuildOptions(leaf_size=scene.build_options.leaf_size, permute_seed=seed)
     status, report = run_validation(scene, kernel_ids, resolve_camera(scene, 8, 6))
     json.dumps(report)  # the full report serialises
     assert sorted(report["kernels"]) == sorted(kernel_ids)
-    failing = {check for v in report["kernels"].values() for check, c in v["checks"].items() if c["violations"]}
-    assert status == (1 if failing else 0)
+    failing = {kernel_id: {check for check, c in v["checks"].items() if c["violations"]}
+               for kernel_id, v in report["kernels"].items()}
+    assert status == (1 if any(failing.values()) else 0)
     return failing
 
 
 @pytest.mark.parametrize("scene", _ALL)
 def test_correct_kernels_pass_every_mutant_scene(scene):
-    assert _failing_checks(scene, list(CORRECT_KERNELS)) == set()
+    assert _failing_checks(scene, list(CORRECT_KERNELS)) == {k: set() for k in CORRECT_KERNELS}
 
 
 @pytest.mark.parametrize("mutant", list(_MUTANTS))
@@ -123,6 +135,9 @@ def test_seedless_validation_catches_the_mutant(monkeypatch, mutant):
     name, old, new, kernel_ids = _MUTANTS[mutant]
     _install(monkeypatch, name, old, new)
     caught = {scene: _failing_checks(scene, list(kernel_ids)) for scene in _ALL}
-    scenes = tuple(scene for scene in _ALL if caught[scene])
-    assert scenes, f"{mutant} escapes seedless validation on every scene"
-    assert (scenes, tuple(sorted(set().union(*caught.values())))) == _CAUGHT[mutant]
+    for kernel_id in kernel_ids:
+        assert any(caught[scene][kernel_id] for scene in _ALL), \
+            f"{mutant} escapes seedless validation of {kernel_id} on every scene"
+    scenes = tuple(scene for scene in _ALL if any(caught[scene].values()))
+    checks = set().union(*(failing for per_id in caught.values() for failing in per_id.values()))
+    assert (scenes, tuple(sorted(checks))) == _CAUGHT[mutant]

@@ -14,14 +14,12 @@ from ftbtrace import (
     Instance,
     Mesh,
     Scene,
-    TraceStats,
     Vec3,
     build_scene,
     gen_abutting_boxes,
     gen_adversarial_order,
     gen_coplanar_stack,
     gen_instanced_grid,
-    iter_multi_hit_batches,
     make_ray,
     make_scene,
     oracle_all_hits,
@@ -33,7 +31,7 @@ from ftbtrace.geom import IDENTITY, affine_inverse, mt_core
 from ftbtrace.kernels import CORRECT_KERNELS
 from ftbtrace.render import camera_rays
 
-from probes import stuck_trace
+from probes import batch_sizes, stuck_trace
 
 
 def _check_against_oracle(built, ray, kernels=CORRECT_KERNELS):
@@ -192,7 +190,7 @@ def test_multi_hit_eviction_within_tie_group_under_permutation():
         built = build_scene(scene, BuildOptions(permute_seed=seed))
         rep = run_kernel("stable-multi-hit:3", built, ray, lambda h, c, p: None)
         assert rep.hits == want
-        assert [len(b) for b in iter_multi_hit_batches(built, ray, 3, TraceStats())] == [3, 3, 2]
+        assert batch_sizes("stable-multi-hit:3", built, ray) == [3, 3, 2]
 
 
 def test_grid_rays_through_empty_cell():
