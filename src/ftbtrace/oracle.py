@@ -378,9 +378,9 @@ def _group_contents(seq):
     return [(t, sorted(h[1:] for h in g)) for t, g in groupby(seq, attrgetter("t"))]
 
 
-def _run_to_end(kernel_id: str, built: BuiltScene, ray, stats=None):
-    """(every hit the kernel delivers on the ray, None), or (None, the
-    message) if the kernel stalled."""
+def run_to_end(kernel_id: str, built: BuiltScene, ray, stats=None):
+    """(every hit the kernel delivers on the ray, as a list, None), or
+    (None, the message) if the kernel stalled."""
     try:
         return run_kernel(kernel_id, built, ray, lambda h, c, p: None, stats=stats).hits, None
     except KernelStalled as exc:
@@ -509,7 +509,7 @@ def validate_kernel(kernel_id: str, built: BuiltScene, rays, oracles=None) -> Ke
     for i, ray in enumerate(rays):
         orc = oracles[i] if oracles is not None else oracle_all_hits(built, ray)
         stats = TraceStats()
-        got, stalled = _run_to_end(kernel_id, built, ray, stats)
+        got, stalled = run_to_end(kernel_id, built, ray, stats)
         v.check_ray(i, got, stalled, stats, orc)
     return v
 
@@ -522,13 +522,16 @@ class StabilityReport(CheckResult):
 
     def check_ray(self, seed, i: int, got, stalled, want) -> None:
         """Check ray ``i``'s sequence ``got`` on ``seed``'s permuted build
-        against ``want``, its sequence on the base build.  A stall on either
-        (``want`` None, or ``stalled`` the message) is one failure; else a
-        stable kernel must reproduce ``want`` exactly, and the others its
-        hit multiset and the contents of each distance group."""
+        against ``want``, its sequence on the base build; either may be a
+        list or a tuple.  A stall on either (``want`` None, or ``stalled``
+        the message) is one failure; else a stable kernel must reproduce
+        ``want`` exactly, and the others its hit multiset and the contents
+        of each distance group."""
         if want is None or stalled:
             self.fail({"seed": seed, "ray": i, "stalled": stalled or "on the base build"})
-        elif got != want and (self.requires_exact_sequence or _group_contents(got) != _group_contents(want)):
+        elif tuple(got) != tuple(want) and (
+            self.requires_exact_sequence or _group_contents(got) != _group_contents(want)
+        ):
             self.fail({"seed": seed, "ray": i, "expected": _fmt_hits(want), "actual": _fmt_hits(got)})
 
     def to_dict(self) -> dict:
@@ -546,29 +549,35 @@ def rebuild_options(opts: BuildOptions, seed) -> BuildOptions:
     return BuildOptions(leaf_size=opts.leaf_size, permute_seed=seed)
 
 
-def check_rebuild_stability(kernel_id: str, scene, rays, seeds, baseline=None, builds=None) -> StabilityReport:
+def check_rebuild_stability(kernel_id: str, scene, rays, seeds, baseline=None, runs=None) -> StabilityReport:
     """Rebuild the scene tree with permuted primitive order per seed and
     check each ray's delivered sequence against the baseline build's with
-    ``StabilityReport.check_ray``.  A seed named twice is built, checked
-    and reported once.
+    ``StabilityReport.check_ray``, seed by seed and ray by ray.  A seed
+    named twice is built, checked and reported once.
 
     The baseline is the kernel's delivered sequence per ray on a build with
     ``scene.build_options``; ``baseline`` may pass those sequences (e.g. a
     ``validate_kernel`` result's ``delivered``) when they were taken on a
     build with exactly those options, or they are computed here.
-    ``builds`` may pass the permuted builds, a mapping from each seed to its
-    build made with ``rebuild_options(scene.build_options, seed)``;
-    otherwise each seed's tree is built here.
+    ``runs`` may pass the kernel's runs on the permuted builds, a mapping
+    from each seed to each ray's ``run_to_end`` result (hits as a list or a
+    tuple) on the build made with ``rebuild_options(scene.build_options,
+    seed)``; then this only compares.  Otherwise each seed's tree is built
+    and the kernel run here.
     """
+    rays = list(rays)
     seeds = tuple(dict.fromkeys(seeds))
     report = StabilityReport(kernel=kernel_id, seeds=seeds, requires_exact_sequence=is_stable(kernel_id))
     base_opts = scene.build_options
     if baseline is None:
         built0 = build_scene(scene, base_opts)
-        baseline = [_run_to_end(kernel_id, built0, ray)[0] for ray in rays]
+        baseline = [run_to_end(kernel_id, built0, ray)[0] for ray in rays]
     for seed in seeds:
-        built = builds[seed] if builds is not None else build_scene(scene, rebuild_options(base_opts, seed))
-        for i, ray in enumerate(rays):
-            got, stalled = _run_to_end(kernel_id, built, ray)
-            report.check_ray(seed, i, got, stalled, baseline[i])
+        if runs is None:
+            built = build_scene(scene, rebuild_options(base_opts, seed))
+            seed_runs = (run_to_end(kernel_id, built, ray) for ray in rays)
+        else:
+            seed_runs = runs[seed]
+        for i, ((got, stalled), want) in enumerate(zip(seed_runs, baseline, strict=True)):
+            report.check_ray(seed, i, got, stalled, want)
     return report

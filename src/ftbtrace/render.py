@@ -283,6 +283,18 @@ def compare_kernels(built: BuiltScene, cam: Camera, kernel_ids, spec: UserCodeSp
     return CompareReport(kernel_ids, diffs, images, stats)
 
 
+_NO_HITS = ((), None)  # the common rebuild run: no hit, no stall
+
+
+def _compact(run):
+    """A ``run_to_end`` result as the rebuild pass holds it: the hits as a
+    tuple, and one shared ``_NO_HITS`` for every run that delivered none."""
+    got, stalled = run
+    if got:
+        return tuple(got), None
+    return run if stalled else _NO_HITS
+
+
 def run_validation(scene, kernel_ids, cam: Camera, seeds=()):
     """Drive the differential validator over all camera rays.
 
@@ -290,18 +302,21 @@ def run_validation(scene, kernel_ids, cam: Camera, seeds=()):
     validated and reported once however often it is named; each seed is
     checked once.  Runs each kernel once per build: the base tree
     (``scene.build_options``) and each seed's permuted tree are built once,
-    the scene is validated once, and per kernel the sequences
-    ``validate_kernel`` delivers on the base tree, checked ray by ray, are
-    the baseline of its ``check_rebuild_stability``.  Only one kernel's
-    sequences are held at a time.
+    one permuted tree at a time, and the scene is validated once.  The
+    base pass runs kernel by kernel: ``validate_kernel`` checks each ray's
+    delivered sequence against the reference.  With seeds, those sequences
+    are the baselines of the rebuild pass, which runs ray by ray: on each
+    seed's tree, every kernel runs on a ray before the next ray, so they
+    share the tree's one-ray memo.  Then ``check_rebuild_stability``
+    compares each kernel's runs with its baseline.
 
     Returns (status, report dict); status is 0 only when every check of
     every kernel (and, with seeds, every rebuild-stability check) passed.
     Both maps are keyed by kernel id.
     """
+    kernel_ids = tuple(dict.fromkeys(kernel_ids))
+    seeds = tuple(dict.fromkeys(seeds))
     built = build_scene(scene)
-    # one tree per distinct seed, of the same scene: no second Scene.validate
-    permuted = {s: build_trees(scene, oracle.rebuild_options(scene.build_options, s)) for s in set(seeds)}
     rays = camera_rays(cam)
     # looked up on the oracle module at each call, so a wrapper installed
     # there (as the benchmark's tracer does) also sees these calls
@@ -313,15 +328,27 @@ def run_validation(scene, kernel_ids, cam: Camera, seeds=()):
         "stability": {},
     }
     status = 0
-    for k in dict.fromkeys(kernel_ids):
+    baselines = {}
+    for k in kernel_ids:
         v = validate_kernel(k, built, rays, oracles=oracles)
         report["kernels"][k] = v.to_dict()
         if not v.ok:
             status = 1
         if seeds:
-            s = check_rebuild_stability(k, scene, rays, seeds, baseline=v.delivered, builds=permuted)
-            report["stability"][k] = s.to_dict()
-            if not s.ok:
-                status = 1
+            # held as tuples until the rebuild pass is done; every empty one is ()
+            baselines[k] = [got if got is None else tuple(got) for got in v.delivered]
+    runs = {k: {s: [] for s in seeds} for k in baselines}
+    for seed in seeds:
+        # a tree of the same scene: no second Scene.validate
+        tree = build_trees(scene, oracle.rebuild_options(scene.build_options, seed))
+        outs = [(k, runs[k][seed]) for k in baselines]
+        for ray in rays:
+            for k, out in outs:
+                out.append(_compact(oracle.run_to_end(k, tree, ray)))
+    for k, baseline in baselines.items():
+        s = check_rebuild_stability(k, scene, rays, seeds, baseline=baseline, runs=runs[k])
+        report["stability"][k] = s.to_dict()
+        if not s.ok:
+            status = 1
     report["status"] = status
     return status, report

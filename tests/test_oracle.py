@@ -37,7 +37,7 @@ from ftbtrace import (
 from ftbtrace.bvh import BuiltInstance
 from ftbtrace.geom import IDENTITY, box_of, mt_core, vec3_32
 from ftbtrace.kernels import CORRECT_KERNELS, KERNELS
-from ftbtrace.oracle import KernelValidation, OracleResult, StabilityReport, rebuild_options
+from ftbtrace.oracle import KernelValidation, OracleResult, StabilityReport, rebuild_options, run_to_end
 from ftbtrace.pipeline import TraceStats
 
 from probes import apply_point, rays_for, stuck_trace
@@ -361,11 +361,14 @@ def test_check_rebuild_stability_checks_a_seed_named_twice_once(register_kernel,
     assert rep.violations == len(rays)
     assert len(runs) == 2 * len(rays)  # the base and one permuted build
     assert len(builds) == 2
-    # builds maps each seed to its tree, so a repeated seed has one
-    permuted = {1: build_scene(scene, rebuild_options(scene.build_options, 1))}
-    rep = check_rebuild_stability(kernel, scene, rays, [1, 1], baseline=[[]] * len(rays), builds=permuted)
+    # runs maps each seed to its runs, so a repeated seed has one list
+    permuted = build_scene(scene, rebuild_options(scene.build_options, 1))
+    seed_runs = {1: [run_to_end(kernel, permuted, ray) for ray in rays]}
+    runs.clear()
+    builds.clear()
+    rep = check_rebuild_stability(kernel, scene, rays, [1, 1], baseline=[[]] * len(rays), runs=seed_runs)
     assert rep.seeds == (1,) and rep.violations == len(rays)
-    assert len(builds) == 2  # the mapping's tree is used, and none is built
+    assert builds == [] and runs == []  # the mapping's runs are compared, and none is made
 
 
 def _checked(kernel_id, got, stats=None, stalled=None):

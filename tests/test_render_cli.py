@@ -337,7 +337,12 @@ def _standalone_report(scene, kernel_ids, cam, seeds):
     return report, rays, oracles
 
 
-@pytest.mark.parametrize("seeds", [(), (1,), (1, 2)], ids=["no-seeds", "one-seed", "two-seeds"])
+# on coplanar:n=4:same_t=true at 8x6, the dropping kernel's rebuild check
+# first fails on ray 9 with seed 4 and on ray 1 with seed 1, so seeds (4, 1)
+# tell a seed-major firstFailure (seed 4, ray 9) from a ray-major one
+@pytest.mark.parametrize(
+    "seeds", [(), (1,), (1, 2), (4, 1)], ids=["no-seeds", "one-seed", "two-seeds", "seeds-apart"]
+)
 @pytest.mark.parametrize("gen", ["coplanar:n=4:same_t=true", "abutting:k=3", "grid:m=2", "leaf-reorder"])
 def test_run_validation_matches_standalone_checks(register_kernel, gen, seeds):
     register_kernel("drops-first-hit", _dropping_kernel, KERNELS["ah-only"].counter_rule)
@@ -355,6 +360,68 @@ def test_run_validation_matches_standalone_checks(register_kernel, gen, seeds):
     )
     completeness = report["kernels"]["drops-first-hit"]["checks"]["completeness"]
     assert completeness["firstFailure"]["ray"] == first
+    # a rebuild check's firstFailure is the first failing seed's first
+    # failing ray, in the order the seeds are named
+    firsts = [check_rebuild_stability("drops-first-hit", scene, rays, [s]).first_failure for s in seeds]
+    if any(firsts):
+        stability = report["stability"]["drops-first-hit"]
+        assert stability["firstFailure"] == next(f for f in firsts if f)
+    if (gen, seeds) == ("coplanar:n=4:same_t=true", (4, 1)):
+        assert [f["ray"] for f in firsts] == [9, 1]
+
+
+@pytest.mark.parametrize("seeds", [iter, lambda seeds: (s for s in seeds)], ids=["iterator", "generator"])
+def test_run_validation_reads_seeds_given_once(register_kernel, seeds):
+    kernel = register_kernel("drop", _dropping_kernel, KERNELS["ah-only"].counter_rule)
+    scene = make_scene("leaf-reorder")
+    cam = resolve_camera(scene, 8, 6)
+    status, report = run_validation(scene, [kernel], cam, seeds=seeds([1, 2, 3]))
+    _, want = run_validation(scene, [kernel], cam, seeds=[1, 2, 3])
+    assert report == want
+    assert report["stability"][kernel]["seeds"] == [1, 2, 3]
+    assert report["stability"][kernel]["violations"] == 48
+
+
+def test_check_rebuild_stability_reads_rays_given_once(register_kernel):
+    # the baseline and each seed's check read the same rays
+    kernel = register_kernel("drop", _dropping_kernel, KERNELS["ah-only"].counter_rule)
+    scene = make_scene("leaf-reorder")
+    rays = camera_rays(resolve_camera(scene, 8, 6))
+    rep = check_rebuild_stability(kernel, scene, iter(rays), [1, 2, 3])
+    assert rep.violations == check_rebuild_stability(kernel, scene, rays, [1, 2, 3]).violations == 48
+
+
+def test_run_validation_fills_one_memo_per_ray_on_a_permuted_tree(monkeypatch):
+    # the rebuild pass runs every kernel on a ray before the next ray, so
+    # the kernels share the permuted tree's one-ray memo
+    import ftbtrace.pipeline as pipeline_mod
+    import ftbtrace.render as render_mod
+
+    permuted = []
+    fills = []
+
+    orig_build_trees = render_mod.build_trees
+    orig_traverse = pipeline_mod.traverse
+
+    def build_trees(scene_, opts):
+        permuted.append(orig_build_trees(scene_, opts))
+        return permuted[-1]
+
+    def traverse(built, ray, any_hit, prd_stats):
+        memo = built.memo
+        try:
+            return orig_traverse(built, ray, any_hit, prd_stats)
+        finally:
+            if built.memo is not memo:
+                fills.append(built)
+
+    monkeypatch.setattr(render_mod, "build_trees", build_trees)
+    monkeypatch.setattr(pipeline_mod, "traverse", traverse)
+    scene = make_scene("grid:m=2")
+    cam = resolve_camera(scene, 6, 4)
+    status, report = run_validation(scene, list(CORRECT_KERNELS), cam, seeds=(1,))
+    assert status == 0 and len(permuted) == 1
+    assert sum(built is permuted[0] for built in fills) == 24
 
 
 @pytest.mark.parametrize("seeds", [(), (1,), (1, 2)], ids=["no-seeds", "one-seed", "two-seeds"])
