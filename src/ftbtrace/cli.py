@@ -47,9 +47,10 @@ def _prim_order(text: str):
 
 
 # validate holds every camera ray and its reference result before any
-# kernel runs and, with seeds, every kernel's base and rebuild sequences
-# until they are compared: about 1.5 KB a pixel with one seed on grid:m=12
-# (tracemalloc peak), some 1.6 GB at this cap
+# kernel runs, every kernel's base runs until they are checked and, with
+# seeds, every kernel's base and rebuild sequences until they are compared:
+# about 1.1 KB a pixel without seeds and 1.4 KB with one seed on grid:m=12
+# at 256x256 (tracemalloc peak), some 1.5 GB at this cap
 _MAX_PIXELS = 1 << 20
 
 

@@ -435,12 +435,14 @@ class KernelValidation:
         return all(c.ok for c in self.checks.values())
 
     def check_ray(self, i: int, got, stalled, stats: TraceStats, orc: OracleResult) -> None:
-        """Check ray ``i``'s delivered sequence ``got`` and the ``stats`` of
-        its run against the reference ``orc``: completeness (hit multiset),
-        nondecreasing distances, distance-group contents (when the order
-        holds), duplicate identities, the exact sequence for a stable kernel,
-        and the counter rule.  A stall (``got`` None, ``stalled`` the
-        message) is one completeness failure, with the message, and no other."""
+        """Check ray ``i``'s delivered sequence ``got`` (a list or a tuple)
+        and the ``stats`` of its run against the reference ``orc``:
+        completeness (hit multiset), nondecreasing distances, distance-group
+        contents (when the order holds), duplicate identities, the exact
+        sequence for a stable kernel (by content, so a list and a tuple of
+        the same hits agree), and the counter rule.  A stall (``got`` None,
+        ``stalled`` the message) is one completeness failure, with the
+        message, and no other."""
         self.delivered.append(got)
         checks = self.checks
         if stalled:
@@ -473,7 +475,7 @@ class KernelValidation:
         triples = [h[1:] for h in got]
         if len(set(triples)) != len(triples):
             checks["duplicates"].fail({"ray": i, "actual": _fmt_hits(got)})
-        if self.spec.stable and got != orc.hits:
+        if self.spec.stable and tuple(got) != tuple(orc.hits):
             checks["stableSequence"].fail(
                 {"ray": i, "expected": _fmt_hits(orc.hits), "actual": _fmt_hits(got)}
             )
@@ -495,21 +497,32 @@ class KernelValidation:
         }
 
 
-def validate_kernel(kernel_id: str, built: BuiltScene, rays, oracles=None) -> KernelValidation:
-    """Run the ``KERNELS`` entry a kernel id names to exhaustion on each ray
-    and check it against the reference enumeration with
-    ``KernelValidation.check_ray``, for a custom entry as for a built-in one.
+def validate_kernel(kernel_id: str, built: BuiltScene, rays, oracles=None, runs=None) -> KernelValidation:
+    """Check the ``KERNELS`` entry a kernel id names against the reference
+    enumeration on each ray with ``KernelValidation.check_ray``, in ray
+    order, for a custom entry as for a built-in one.
 
-    ``oracles`` may carry precomputed OracleResults (parallel to rays) to
-    share them across kernels.  The result's ``delivered`` holds each ray's
-    delivered sequence (None where it stalled), so that a rebuild-stability
-    check on the same build need not run the kernel again.
+    ``runs`` may pass the kernel's runs on ``built``, parallel to rays: each
+    ray's ``(hits as a list or a tuple, None, stats)``, or ``(None, the
+    message, stats)`` where it stalled, with the ``TraceStats`` of that run
+    alone; then this only checks.  Otherwise the kernel runs here to
+    exhaustion on each ray.  ``oracles`` may carry precomputed
+    OracleResults (parallel to rays) to share them across kernels.  The
+    result's ``delivered`` holds each ray's delivered sequence (None where
+    it stalled), so that a rebuild-stability check on the same build need
+    not run the kernel again.
     """
     v = KernelValidation(kernel_id)
+    rays = list(rays)
+    if runs is not None and len(runs) != len(rays):
+        raise ValueError(f"{len(runs)} runs for {len(rays)} rays")
     for i, ray in enumerate(rays):
         orc = oracles[i] if oracles is not None else oracle_all_hits(built, ray)
-        stats = TraceStats()
-        got, stalled = run_to_end(kernel_id, built, ray, stats)
+        if runs is None:
+            stats = TraceStats()
+            got, stalled = run_to_end(kernel_id, built, ray, stats)
+        else:
+            got, stalled, stats = runs[i]
         v.check_ray(i, got, stalled, stats, orc)
     return v
 

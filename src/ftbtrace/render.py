@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Optional, Union
 
 from .bvh import BuiltScene, build_scene, build_trees
@@ -285,6 +286,9 @@ def compare_kernels(built: BuiltScene, cam: Camera, kernel_ids, spec: UserCodeSp
 
 _NO_HITS = ((), None)  # the common rebuild run: no hit, no stall
 
+# a TraceStats' counters, as the key the base pass shares them by
+_counts = attrgetter(*(f.name for f in fields(TraceStats)))
+
 
 def _compact(run):
     """A ``run_to_end`` result as the rebuild pass holds it: the hits as a
@@ -295,6 +299,41 @@ def _compact(run):
     return run if stalled else _NO_HITS
 
 
+def _base_runs(built):
+    """``run(k, ray)`` for the base pass: a kernel's run on ``built`` as
+    ``validate_kernel`` takes it, (hits, stall message, TraceStats).  The
+    hits are held as a tuple, runs with equal counters share one TraceStats,
+    and runs with equal counters that delivered no hit and did not stall
+    share one record.  Records are never shared by their hits: -0.0 == 0.0,
+    but the two print differently in a report."""
+    shared = {}  # counters -> the record of a run with no hit and no stall
+
+    def run(k, ray):
+        stats = TraceStats()
+        got, stalled = oracle.run_to_end(k, built, ray, stats)
+        key = _counts(stats)
+        empty = shared.get(key)
+        if empty is None:
+            empty = shared[key] = ((), None, stats)
+        if got:
+            return tuple(got), None, empty[2]
+        return (None, stalled, empty[2]) if stalled else empty
+
+    return run
+
+
+def _ray_major(kernel_ids, rays, run):
+    """Each kernel's ``run(k, ray)`` results, one list per kernel id, in ray
+    order.  Every kernel runs on a ray before the next ray, so consecutive
+    runs share the tree's one-ray memo."""
+    runs = {k: [] for k in kernel_ids}
+    outs = list(runs.items())
+    for ray in rays:
+        for k, out in outs:
+            out.append(run(k, ray))
+    return runs
+
+
 def run_validation(scene, kernel_ids, cam: Camera, seeds=()):
     """Drive the differential validator over all camera rays.
 
@@ -302,13 +341,14 @@ def run_validation(scene, kernel_ids, cam: Camera, seeds=()):
     validated and reported once however often it is named; each seed is
     checked once.  Runs each kernel once per build: the base tree
     (``scene.build_options``) and each seed's permuted tree are built once,
-    one permuted tree at a time, and the scene is validated once.  The
-    base pass runs kernel by kernel: ``validate_kernel`` checks each ray's
-    delivered sequence against the reference.  With seeds, those sequences
-    are the baselines of the rebuild pass, which runs ray by ray: on each
-    seed's tree, every kernel runs on a ray before the next ray, so they
-    share the tree's one-ray memo.  Then ``check_rebuild_stability``
-    compares each kernel's runs with its baseline.
+    one permuted tree at a time, and the scene is validated once.  Both
+    passes run ray by ray: on each tree, every kernel runs on a ray before
+    the next ray, so the kernels share the tree's one-ray memo.  The base
+    pass holds each run, then ``validate_kernel`` checks each kernel's runs
+    against the reference, ray by ray.  With seeds, the base sequences are
+    the baselines of the rebuild pass, which runs each seed's tree the same
+    way; then ``check_rebuild_stability`` compares each kernel's runs with
+    its baseline.
 
     Returns (status, report dict); status is 0 only when every check of
     every kernel (and, with seeds, every rebuild-stability check) passed.
@@ -328,23 +368,22 @@ def run_validation(scene, kernel_ids, cam: Camera, seeds=()):
         "stability": {},
     }
     status = 0
+    base = _ray_major(kernel_ids, rays, _base_runs(built))
     baselines = {}
     for k in kernel_ids:
-        v = validate_kernel(k, built, rays, oracles=oracles)
+        v = validate_kernel(k, built, rays, oracles=oracles, runs=base.pop(k))
         report["kernels"][k] = v.to_dict()
         if not v.ok:
             status = 1
         if seeds:
-            # held as tuples until the rebuild pass is done; every empty one is ()
-            baselines[k] = [got if got is None else tuple(got) for got in v.delivered]
-    runs = {k: {s: [] for s in seeds} for k in baselines}
+            baselines[k] = v.delivered  # tuples, every empty one ()
+    runs = {k: {} for k in baselines}
     for seed in seeds:
         # a tree of the same scene: no second Scene.validate
         tree = build_trees(scene, oracle.rebuild_options(scene.build_options, seed))
-        outs = [(k, runs[k][seed]) for k in baselines]
-        for ray in rays:
-            for k, out in outs:
-                out.append(_compact(oracle.run_to_end(k, tree, ray)))
+        held = _ray_major(baselines, rays, lambda k, ray: _compact(oracle.run_to_end(k, tree, ray)))
+        for k, out in held.items():
+            runs[k][seed] = out
     for k, baseline in baselines.items():
         s = check_rebuild_stability(k, scene, rays, seeds, baseline=baseline, runs=runs[k])
         report["stability"][k] = s.to_dict()

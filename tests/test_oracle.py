@@ -431,6 +431,14 @@ def test_a_stall_fails_completeness_only():
     assert v.to_dict()["rays"] == 1
 
 
+def test_a_stable_sequence_is_compared_by_content():
+    # a run held as a tuple is the reference's list of hits, and () a miss
+    v = _checked("stable-next", (_A, _B, _C), TraceStats(traces=4))
+    v.check_ray(1, (), None, TraceStats(traces=1), OracleResult([], []))
+    assert v.ok, v.violation_counts()
+    assert v.delivered == [(_A, _B, _C), ()]
+
+
 @pytest.mark.parametrize("exact", [True, False])
 def test_the_rebuild_rule_per_ray(exact):
     rep = StabilityReport(kernel="k", seeds=(3,), requires_exact_sequence=exact)

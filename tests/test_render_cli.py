@@ -18,6 +18,7 @@ from ftbtrace import (
     gen_abutting_boxes,
     gen_adversarial_order,
     gen_coplanar_stack,
+    KernelStalled,
     make_scene,
     make_user_code,
     oracle_all_hits,
@@ -32,6 +33,7 @@ from ftbtrace import (
 from ftbtrace.cli import main
 from ftbtrace.geom import camera_basis, make_ray
 from ftbtrace.kernels import CORRECT_KERNELS, KERNELS
+from ftbtrace.oracle import run_to_end
 from ftbtrace.render import mix64, parse_user_code, stats_csv
 from ftbtrace.pipeline import TraceStats
 
@@ -391,21 +393,27 @@ def test_check_rebuild_stability_reads_rays_given_once(register_kernel):
     assert rep.violations == check_rebuild_stability(kernel, scene, rays, [1, 2, 3]).violations == 48
 
 
-def test_run_validation_fills_one_memo_per_ray_on_a_permuted_tree(monkeypatch):
-    # the rebuild pass runs every kernel on a ray before the next ray, so
-    # the kernels share the permuted tree's one-ray memo
+def _memo_fills(seeds):
+    """How many traces replaced each tree's one-ray memo during
+    run_validation(grid:m=2, 6x4, CORRECT_KERNELS) with ``seeds``: the base
+    tree's count, then each permuted tree's."""
     import ftbtrace.pipeline as pipeline_mod
     import ftbtrace.render as render_mod
 
-    permuted = []
+    trees = []
     fills = []
 
+    orig_build_scene = render_mod.build_scene
     orig_build_trees = render_mod.build_trees
     orig_traverse = pipeline_mod.traverse
 
+    def build_scene(scene_):
+        trees.append(orig_build_scene(scene_))
+        return trees[-1]
+
     def build_trees(scene_, opts):
-        permuted.append(orig_build_trees(scene_, opts))
-        return permuted[-1]
+        trees.append(orig_build_trees(scene_, opts))
+        return trees[-1]
 
     def traverse(built, ray, any_hit, prd_stats):
         memo = built.memo
@@ -415,13 +423,100 @@ def test_run_validation_fills_one_memo_per_ray_on_a_permuted_tree(monkeypatch):
             if built.memo is not memo:
                 fills.append(built)
 
-    monkeypatch.setattr(render_mod, "build_trees", build_trees)
-    monkeypatch.setattr(pipeline_mod, "traverse", traverse)
     scene = make_scene("grid:m=2")
     cam = resolve_camera(scene, 6, 4)
-    status, report = run_validation(scene, list(CORRECT_KERNELS), cam, seeds=(1,))
-    assert status == 0 and len(permuted) == 1
-    assert sum(built is permuted[0] for built in fills) == 24
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(render_mod, "build_scene", build_scene)
+        mp.setattr(render_mod, "build_trees", build_trees)
+        mp.setattr(pipeline_mod, "traverse", traverse)
+        status, report = run_validation(scene, list(CORRECT_KERNELS), cam, seeds=seeds)
+    assert status == 0 and len(trees) == 1 + len(seeds)
+    return [sum(built is tree for built in fills) for tree in trees]
+
+
+def test_run_validation_fills_one_memo_per_ray_on_a_permuted_tree():
+    # the rebuild pass runs every kernel on a ray before the next ray, so
+    # the kernels share the permuted tree's one-ray memo
+    assert _memo_fills((1,))[1:] == [24]
+
+
+def test_run_validation_fills_one_memo_per_ray_on_the_base_tree():
+    # so does the base pass, on the base tree: once per ray, not once per
+    # ray and kernel
+    assert _memo_fills(()) == [24]
+    assert _memo_fills((1,))[0] == 24
+
+
+def _stalling_kernel(built, ray, rep):
+    # delivers every hit, then stalls on each ray that has one
+    KERNELS["ah-only"].run(built, ray, rep)
+    if rep.hits:
+        raise KernelStalled(f"stalls: after {len(rep.hits)} hits")
+
+
+_FAILING_KERNELS = {
+    "stalls": (_stalling_kernel, "True"),
+    # ah-only traces once, so this rule fails on each ray with a hit
+    "miscounts": (KERNELS["ah-only"].run, "traces == hits + 1"),
+    "drops-first-hit": (_dropping_kernel, KERNELS["ah-only"].counter_rule),
+}
+
+
+@pytest.mark.parametrize("held", ["lists", "base-pass"])
+@pytest.mark.parametrize("kernel", list(_FAILING_KERNELS))
+def test_validate_kernel_checks_given_runs_as_it_checks_its_own(register_kernel, kernel, held):
+    # runs as run_to_end returns them, or as run_validation's base pass
+    # holds them (tuples, shared TraceStats and shared empty runs)
+    import ftbtrace.render as render_mod
+
+    register_kernel(kernel, *_FAILING_KERNELS[kernel])
+    scene = make_scene("grid:m=2")  # rays with 0, 1 and 2 hits
+    built = build_scene(scene)
+    rays = camera_rays(resolve_camera(scene, 8, 6))
+    if held == "lists":
+        runs = []
+        for ray in rays:
+            stats = TraceStats()
+            got, stalled = run_to_end(kernel, built, ray, stats)
+            runs.append((got, stalled, stats))
+    else:
+        runs = render_mod._ray_major([kernel], rays, render_mod._base_runs(built))[kernel]
+    want = validate_kernel(kernel, built, rays).to_dict()
+    assert validate_kernel(kernel, built, rays, runs=runs).to_dict() == want
+    assert not want["ok"]
+    checks = want["checks"]
+    if kernel == "stalls":
+        assert checks["completeness"]["firstFailure"]["stalled"] == "stalls: after 1 hits"
+    elif kernel == "miscounts":
+        # the failure carries its own ray's counters, and the rays' differ
+        fail = checks["counters"]["firstFailure"]
+        stats = TraceStats()
+        run_kernel(kernel, built, rays[fail["ray"]], lambda h, c, p: None, stats=stats)
+        assert fail["stats"] == stats.as_dict()
+        assert len({tuple(s.as_dict().values()) for _, _, s in runs}) > 1
+    else:
+        assert checks["completeness"]["violations"] > 0
+
+
+@pytest.mark.parametrize("seeds", [(), (1,)], ids=["no-seeds", "one-seed"])
+def test_run_validation_holds_a_bounded_number_of_bytes_per_pixel(seeds):
+    # tracemalloc peak over run_validation on grid:m=12 at 48x32 with
+    # CORRECT_KERNELS: about 1.0 KB a pixel without seeds and 1.3 KB with
+    # one; holding each base run as its own list, tuple and TraceStats
+    # took about 2.7 KB
+    import tracemalloc
+
+    scene = make_scene("grid:m=12")
+    cam = resolve_camera(scene, 48, 32)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        status, _ = run_validation(scene, list(CORRECT_KERNELS), cam, seeds=seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert (peak - start) / (cam.width * cam.height) < 1600
 
 
 @pytest.mark.parametrize("seeds", [(), (1,), (1, 2)], ids=["no-seeds", "one-seed", "two-seeds"])
