@@ -40,6 +40,11 @@ and direction are immutable tuples.  Each trace reads ``built.memo`` once,
 so a trace nested in an any-hit program, which may replace the memo in the
 middle of the outer walk, never mixes two rays' results.  Every entry is
 stored whole, so two traces of the same ray never read a half-filled one.
+A walk that met no candidate ran no program, so nothing shrank its t_max:
+it is a function of the memo and of (t_min, t_max) alone, whose every use
+is a comparison.  The memo keeps its ``nodes_visited``/``tri_tests`` by
+interval, and a retrace of that interval adds them and returns the miss
+without walking.
 
 Everything a ray reads that does not depend on the ray is computed at build
 time.  ``Blas.tris`` keeps each triangle's packed intersection data in
@@ -256,9 +261,11 @@ class _RayMemo:
     (sbt_offset, blas, node boxes, leaf hits) record per geometry, in the
     instance's geometry order.  A missed box is ``_EMPTY``; a leaf's entry,
     keyed by its first slot, lists a (slot, ``HitContext``) pair for each
-    of its triangles that the ray's line hits."""
+    of its triangles that the ray's line hits.  ``misses`` maps each
+    (t_min, t_max) whose walk met no candidate to that walk's
+    (nodes_visited, tri_tests)."""
 
-    __slots__ = ("origin", "direction", "tlas", "inst_boxes", "inst_rays")
+    __slots__ = ("origin", "direction", "tlas", "inst_boxes", "inst_rays", "misses")
 
     def __init__(self, origin, direction):
         self.origin = origin
@@ -266,6 +273,7 @@ class _RayMemo:
         self.tlas = {}
         self.inst_boxes = {}
         self.inst_rays = {}
+        self.misses = {}
 
 
 class BuiltScene:
@@ -407,7 +415,8 @@ def traverse(built: BuiltScene, ray: Ray, any_hit, prd_stats) -> tuple:
     candidate and shrinks the live t_max to its distance; TERMINATE_ACCEPT
     commits it and ends the walk at once; any other verdict raises
     TypeError.  A ray that shares its origin and direction objects with the
-    ray traced last reuses that ray's interval-free tests and hit contexts
+    ray traced last reuses that ray's interval-free tests and hit contexts,
+    and a retrace of an interval that met no candidate replays its counts
     (see the module docstring).
     """
     prd, stats = prd_stats
@@ -420,6 +429,13 @@ def traverse(built: BuiltScene, ray: Ray, any_hit, prd_stats) -> tuple:
     if memo is None or memo.origin is not origin or memo.direction is not direction:
         memo = built.memo = _RayMemo(origin, direction)
     t_min = ray.t_min
+    interval = (t_min, ray.t_max)
+    spent = memo.misses.get(interval)
+    if spent is not None:
+        stats.nodes_visited += spent[0]
+        stats.tri_tests += spent[1]
+        return None, 0
+    nodes0, tests0 = stats.nodes_visited, stats.tri_tests
     live = [ray.t_max]
     committed, calls = None, 0
     order = built.tlas_order
@@ -475,4 +491,6 @@ def traverse(built: BuiltScene, ray: Ray, any_hit, prd_stats) -> tuple:
                         committed = ctx
                         live[0] = ctx[0]
                     stats.tri_tests += tcount
+    if not calls:  # no program ran, so only this walk wrote to stats
+        memo.misses[interval] = (stats.nodes_visited - nodes0, stats.tri_tests - tests0)
     return committed, calls

@@ -493,13 +493,15 @@ def test_traversal_candidates_and_counters_are_pinned():
 
 def _intervals(ray, ts):
     """A kernel-like interval sequence for one ray, from its candidate
-    distances ts: the user interval, t_min raised to and just below hit
-    distances, one-value intervals, and an inverted interval."""
+    distances ts: the user interval, t_min at 0.0 and at -0.0 (one key of
+    the memo's table of candidate-free walks), t_min raised to and just
+    below hit distances, one-value and empty intervals, and an inverted
+    interval."""
     lo, hi = ray.t_min, ray.t_max
-    out = [(lo, hi)]
+    out = [(lo, hi), (0.0, hi), (-0.0, hi)]
     for t in ts[:1] + ts[len(ts) // 2 : len(ts) // 2 + 1] + ts[-1:]:
-        out += [(t, hi), (just_below(t), hi), (just_below(t), just_above(t))]
-    out += [(hi, lo), (lo, hi)]
+        out += [(t, hi), (just_below(t), hi), (just_below(t), just_above(t)), (t, t)]
+    out += [(hi, lo), (lo, hi), (hi / 2, hi / 2)]
     return out
 
 
@@ -557,6 +559,46 @@ def test_retraces_of_one_ray_match_fresh_rays(monkeypatch):
                         same_calls += calls[0]
     # the retraces really were served from the memo
     assert 0 < same_calls < fresh_calls / 4
+
+
+def test_a_candidate_free_retrace_is_replayed_from_the_memo(monkeypatch):
+    # a trace of an interval that holds no candidate is a function of the
+    # interval: tracing it again enters neither the walker nor the program
+    # and adds exactly the first trace's counters.  An interval that held a
+    # candidate, even an IGNOREd one, is walked again.
+    walks = [0]
+    orig_leaves = bvh_mod._leaves
+
+    def leaves(*args):
+        walks[0] += 1
+        return orig_leaves(*args)
+
+    monkeypatch.setattr(bvh_mod, "_leaves", leaves)
+
+    def never(ctx, prd):
+        raise AssertionError("the any-hit program ran")
+
+    built = build_scene(make_scene("grid:m=3"), BuildOptions(leaf_size=1))
+    ray = make_ray((2.1, 2.05, -6.0), (0.0, 0.0, 1.0), 0.0, 100.0)  # meets the quad at (2, 2) at t = 11
+    quiet = ray._replace(t_max=11.0)
+    first = TraceStats()
+    walks[0] = 0
+    assert traverse(built, quiet, never, (None, first)) == (None, 0)
+    assert walks[0] > 1 and first.nodes_visited > 1 and first.tri_tests > 0
+    again = TraceStats(nodes_visited=5, tri_tests=7)
+    walks[0] = 0
+    assert traverse(built, quiet._replace(t_min=-0.0), never, (None, again)) == (None, 0)
+    assert walks[0] == 0
+    assert (again.nodes_visited, again.tri_tests) == (5 + first.nodes_visited, 7 + first.tri_tests)
+
+    got = []
+    for _ in range(2):
+        calls = []
+        stats = TraceStats()
+        walks[0] = 0
+        hit, n = traverse(built, ray, lambda ctx, prd: calls.append(ctx) or AhVerdict.IGNORE, (None, stats))
+        got.append((hit, n, len(calls), walks[0] > 0, stats.as_dict()))
+    assert got[0] == got[1] and got[0][1] == got[0][2] > 0 and got[0][3]
 
 
 def test_instances_sharing_a_mesh_keep_their_own_memo_entries():

@@ -15,6 +15,7 @@ from ftbtrace import (
     build_scene,
     gen_coplanar_stack,
     just_below,
+    make_scene,
     make_ray,
     oracle_all_hits,
     single_mesh_scene,
@@ -239,6 +240,23 @@ def test_trace_stats_add_and_as_dict_cover_every_counter():
     assert sorted(total.as_dict().values()) == sorted(vars(total).values())
 
 
+def _profiled_calls(fn):
+    """The number of Python calls (``sys.setprofile`` "call" events) that
+    ``fn()`` makes."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
 def test_a_candidate_costs_one_python_call():
     # the walk runs the any-hit program and applies its verdict itself: on
     # a single-leaf build, one more candidate is one more Python call (the
@@ -253,22 +271,34 @@ def test_a_candidate_costs_one_python_call():
         assert len(built.tlas_nodes) == 1 and len(built.instances[0].geoms[0].blas.nodes) == 1
         ray = make_ray((0.1, -0.2, -1), (0, 0, 1), 0, 100)
         trace(built, ray, cfg)  # fill the ray memo first
-        calls = [0]
-
-        def profile(frame, event, arg):
-            if event == "call":
-                calls[0] += 1
-
         stats = TraceStats()
-        sys.setprofile(profile)
-        try:
-            trace(built, ray._replace(t_min=ray.t_min), cfg, None, stats)
-        finally:
-            sys.setprofile(None)
+        calls = _profiled_calls(lambda: trace(built, ray._replace(t_min=ray.t_min), cfg, None, stats))
         assert stats.ah_calls == n
-        counts.append((calls[0], stats.ah_calls))
+        counts.append((calls, stats.ah_calls))
     (calls_a, cands_a), (calls_b, cands_b) = counts
     assert calls_b - calls_a == cands_b - cands_a
+
+
+def test_a_replayed_candidate_free_trace_costs_the_same_on_any_tree():
+    # a retrace of an interval that met no candidate is replayed from the
+    # ray memo, not walked: it costs as many Python calls on a one-leaf
+    # build as on a 144-instance grid
+    cfg = TraceConfig(any_hit=lambda ctx, prd: AhVerdict.IGNORE)
+    leaf = build_scene(gen_coplanar_stack(2, True), BuildOptions(leaf_size=4))
+    assert len(leaf.tlas_nodes) == 1 and len(leaf.instances[0].geoms[0].blas.nodes) == 1
+    counts = []
+    for built, ray in (
+        (leaf, make_ray((0.1, -0.2, -1), (0, 0, 1), 0, 100)),
+        (build_scene(make_scene("grid:m=12")), make_ray((10.1, 12.05, -6), (0, 0, 1), 0, 100)),
+    ):
+        quiet = ray._replace(t_max=oracle_all_hits(built, ray).hits[0].t)  # holds no candidate
+        stats = TraceStats()
+        walk = _profiled_calls(lambda: trace(built, quiet, cfg, None, stats))
+        replay = _profiled_calls(lambda: trace(built, quiet._replace(t_min=quiet.t_min), cfg, None, stats))
+        assert stats.ah_calls == 0 and replay < walk
+        counts.append((replay, walk))
+    assert counts[0][0] == counts[1][0]
+    assert counts[1][1] > counts[0][1]  # the walk itself is not O(1)
 
 
 def test_any_hit_returning_a_non_verdict_raises():

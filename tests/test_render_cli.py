@@ -35,7 +35,7 @@ from ftbtrace.geom import camera_basis, make_ray
 from ftbtrace.kernels import CORRECT_KERNELS, KERNELS
 from ftbtrace.oracle import run_to_end
 from ftbtrace.render import mix64, parse_user_code, stats_csv
-from ftbtrace.pipeline import TraceStats
+from ftbtrace.pipeline import TraceConfig, TraceStats, trace
 
 
 def _narrow_camera(w=8, h=6):
@@ -393,19 +393,19 @@ def test_check_rebuild_stability_reads_rays_given_once(register_kernel):
     assert rep.violations == check_rebuild_stability(kernel, scene, rays, [1, 2, 3]).violations == 48
 
 
-def _memo_fills(seeds):
-    """How many traces replaced each tree's one-ray memo during
-    run_validation(grid:m=2, 6x4, CORRECT_KERNELS) with ``seeds``: the base
-    tree's count, then each permuted tree's."""
-    import ftbtrace.pipeline as pipeline_mod
+def _per_tree(seeds, install, cam=None):
+    """How many events each tree saw during run_validation(grid:m=2,
+    CORRECT_KERNELS) through ``cam`` (the scene's camera at 6x4 when None)
+    with ``seeds``: the base tree's count, then each permuted tree's.
+    ``install(mp, trees, events)`` patches in what appends a tree to
+    ``events`` at each event; ``trees`` lists the trees built so far."""
     import ftbtrace.render as render_mod
 
     trees = []
-    fills = []
+    events = []
 
     orig_build_scene = render_mod.build_scene
     orig_build_trees = render_mod.build_trees
-    orig_traverse = pipeline_mod.traverse
 
     def build_scene(scene_):
         trees.append(orig_build_scene(scene_))
@@ -415,23 +415,36 @@ def _memo_fills(seeds):
         trees.append(orig_build_trees(scene_, opts))
         return trees[-1]
 
-    def traverse(built, ray, any_hit, prd_stats):
-        memo = built.memo
-        try:
-            return orig_traverse(built, ray, any_hit, prd_stats)
-        finally:
-            if built.memo is not memo:
-                fills.append(built)
-
     scene = make_scene("grid:m=2")
-    cam = resolve_camera(scene, 6, 4)
+    if cam is None:
+        cam = resolve_camera(scene, 6, 4)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(render_mod, "build_scene", build_scene)
         mp.setattr(render_mod, "build_trees", build_trees)
-        mp.setattr(pipeline_mod, "traverse", traverse)
+        install(mp, trees, events)
         status, report = run_validation(scene, list(CORRECT_KERNELS), cam, seeds=seeds)
     assert status == 0 and len(trees) == 1 + len(seeds)
-    return [sum(built is tree for built in fills) for tree in trees]
+    return [sum(built is tree for built in events) for tree in trees]
+
+
+def _memo_fills(seeds):
+    """How many traces replaced each tree's one-ray memo (see _per_tree)."""
+    import ftbtrace.pipeline as pipeline_mod
+
+    orig_traverse = pipeline_mod.traverse
+
+    def install(mp, trees, fills):
+        def traverse(built, ray, any_hit, prd_stats):
+            memo = built.memo
+            try:
+                return orig_traverse(built, ray, any_hit, prd_stats)
+            finally:
+                if built.memo is not memo:
+                    fills.append(built)
+
+        mp.setattr(pipeline_mod, "traverse", traverse)
+
+    return _per_tree(seeds, install)
 
 
 def test_run_validation_fills_one_memo_per_ray_on_a_permuted_tree():
@@ -445,6 +458,36 @@ def test_run_validation_fills_one_memo_per_ray_on_the_base_tree():
     # ray and kernel
     assert _memo_fills(()) == [24]
     assert _memo_fills((1,))[0] == 24
+
+
+def test_run_validation_walks_an_all_miss_ray_once_per_tree():
+    # every kernel's first trace of a ray is over the ray's own interval;
+    # on a ray that meets no candidate the first kernel's walk is replayed
+    # from the ray memo for the other six, so each tree's instance-level
+    # walk is entered once per ray, not once per ray and kernel.  The camera
+    # looks into the grid's empty cell: every ray enters the instance tree
+    # and meets no triangle.
+    import ftbtrace.bvh as bvh_mod
+
+    orig_leaves = bvh_mod._leaves
+
+    def install(mp, trees, walks):
+        def leaves(nodes, *args):
+            walks.extend(tree for tree in trees if nodes is tree.tlas_nodes)
+            return orig_leaves(nodes, *args)
+
+        mp.setattr(bvh_mod, "_leaves", leaves)
+
+    scene = make_scene("grid:m=2")
+    cam = Camera((0.05, 2.05, -6.0), (0.0, 2.0, 5.0), (0.0, 1.0, 0.0), 4.0, 6, 4)
+    built = build_scene(scene)
+    for ray in camera_rays(cam):
+        stats = TraceStats()
+        assert oracle_all_hits(built, ray).hits == []
+        trace(built, ray, TraceConfig(), None, stats)
+        assert stats.nodes_visited > 1  # the walk gets past the root
+    assert _per_tree((), install, cam) == [24]
+    assert _per_tree((1,), install, cam) == [24, 24]
 
 
 def _stalling_kernel(built, ray, rep):
