@@ -47,10 +47,11 @@ def _prim_order(text: str):
 
 
 # validate holds every camera ray and its reference result before any
-# kernel runs, every kernel's base runs until they are checked and, with
-# seeds, every kernel's base and rebuild sequences until they are compared:
-# about 1.1 KB a pixel without seeds and 1.4 KB with one seed on grid:m=12
-# at 256x256 (tracemalloc peak), some 1.5 GB at this cap
+# kernel runs and every kernel's base runs until they are checked; with
+# seeds it then frees the reference results and the base tree, so a seed
+# adds only its own runs: about 1.14 KB a pixel without seeds and 1.16 KB
+# with one on grid:m=12 at 256x256 (tracemalloc peak), some 1.2 GB at this
+# cap, which stays because the base pass still holds all of that at once
 _MAX_PIXELS = 1 << 20
 
 

@@ -378,13 +378,16 @@ def _group_contents(seq):
     return [(t, sorted(h[1:] for h in g)) for t, g in groupby(seq, attrgetter("t"))]
 
 
-def run_to_end(kernel_id: str, built: BuiltScene, ray, stats=None):
-    """(every hit the kernel delivers on the ray, as a list, None), or
-    (None, the message) if the kernel stalled."""
+def run_to_end(kernel_id: str, built: BuiltScene, ray):
+    """The validator's one run record of a kernel on the ray: (every hit it
+    delivers, as a list, None, the run's TraceStats), or (None, the message,
+    the TraceStats) if the kernel stalled.  The message is never empty, so
+    a ``KernelStalled()`` raised with none is a stall too."""
+    stats = TraceStats()
     try:
-        return run_kernel(kernel_id, built, ray, lambda h, c, p: None, stats=stats).hits, None
+        return run_kernel(kernel_id, built, ray, lambda h, c, p: None, stats=stats).hits, None, stats
     except KernelStalled as exc:
-        return None, str(exc)
+        return None, str(exc) or repr(exc), stats
 
 
 def _fmt_hits(hits, limit=16):
@@ -418,8 +421,9 @@ class CheckResult:
 class KernelValidation:
     """One kernel's checks against the reference, fed one ray at a time by
     ``check_ray``.  ``delivered`` holds each checked ray's delivered sequence
-    (None where the kernel stalled), for ``check_rebuild_stability``'s
-    baseline; it is not part of the report."""
+    (None where the kernel stalled): ``run_validation`` keeps it as the
+    rebuild pass's baseline after it has freed the reference results and
+    the base tree.  Only its length, the ``rays`` count, is in the report."""
 
     def __init__(self, kernel: str):
         self.kernel = kernel
@@ -502,15 +506,14 @@ def validate_kernel(kernel_id: str, built: BuiltScene, rays, oracles=None, runs=
     enumeration on each ray with ``KernelValidation.check_ray``, in ray
     order, for a custom entry as for a built-in one.
 
-    ``runs`` may pass the kernel's runs on ``built``, parallel to rays: each
-    ray's ``(hits as a list or a tuple, None, stats)``, or ``(None, the
-    message, stats)`` where it stalled, with the ``TraceStats`` of that run
-    alone; then this only checks.  Otherwise the kernel runs here to
-    exhaustion on each ray.  ``oracles`` may carry precomputed
-    OracleResults (parallel to rays) to share them across kernels.  The
-    result's ``delivered`` holds each ray's delivered sequence (None where
-    it stalled), so that a rebuild-stability check on the same build need
-    not run the kernel again.
+    ``runs`` may pass the kernel's runs on ``built``, parallel to rays, one
+    ``run_to_end`` record per ray (its hits a list or a tuple, its
+    ``TraceStats`` that run's alone); then this only checks.  Otherwise the
+    kernel runs here to exhaustion on each ray.  ``oracles`` may carry
+    precomputed OracleResults (parallel to rays) to share them across
+    kernels.  The result's ``delivered`` holds each ray's delivered sequence
+    (None where it stalled), so that a rebuild-stability check on the same
+    build need not run the kernel again.
     """
     v = KernelValidation(kernel_id)
     rays = list(rays)
@@ -518,11 +521,7 @@ def validate_kernel(kernel_id: str, built: BuiltScene, rays, oracles=None, runs=
         raise ValueError(f"{len(runs)} runs for {len(rays)} rays")
     for i, ray in enumerate(rays):
         orc = oracles[i] if oracles is not None else oracle_all_hits(built, ray)
-        if runs is None:
-            stats = TraceStats()
-            got, stalled = run_to_end(kernel_id, built, ray, stats)
-        else:
-            got, stalled, stats = runs[i]
+        got, stalled, stats = run_to_end(kernel_id, built, ray) if runs is None else runs[i]
         v.check_ray(i, got, stalled, stats, orc)
     return v
 
@@ -573,10 +572,10 @@ def check_rebuild_stability(kernel_id: str, scene, rays, seeds, baseline=None, r
     ``validate_kernel`` result's ``delivered``) when they were taken on a
     build with exactly those options, or they are computed here.
     ``runs`` may pass the kernel's runs on the permuted builds, a mapping
-    from each seed to each ray's ``run_to_end`` result (hits as a list or a
+    from each seed to each ray's ``run_to_end`` record (its hits a list or a
     tuple) on the build made with ``rebuild_options(scene.build_options,
-    seed)``; then this only compares.  Otherwise each seed's tree is built
-    and the kernel run here.
+    seed)``, the record ``validate_kernel``'s ``runs`` takes; then this only
+    compares.  Otherwise each seed's tree is built and the kernel run here.
     """
     rays = list(rays)
     seeds = tuple(dict.fromkeys(seeds))
@@ -591,6 +590,6 @@ def check_rebuild_stability(kernel_id: str, scene, rays, seeds, baseline=None, r
             seed_runs = (run_to_end(kernel_id, built, ray) for ray in rays)
         else:
             seed_runs = runs[seed]
-        for i, ((got, stalled), want) in enumerate(zip(seed_runs, baseline, strict=True)):
+        for i, ((got, stalled, _), want) in enumerate(zip(seed_runs, baseline, strict=True)):
             report.check_ray(seed, i, got, stalled, want)
     return report

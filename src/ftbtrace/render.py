@@ -284,53 +284,31 @@ def compare_kernels(built: BuiltScene, cam: Camera, kernel_ids, spec: UserCodeSp
     return CompareReport(kernel_ids, diffs, images, stats)
 
 
-_NO_HITS = ((), None)  # the common rebuild run: no hit, no stall
-
-# a TraceStats' counters, as the key the base pass shares them by
+# a TraceStats' counters, as the key the held runs share records by
 _counts = attrgetter(*(f.name for f in fields(TraceStats)))
 
 
-def _compact(run):
-    """A ``run_to_end`` result as the rebuild pass holds it: the hits as a
-    tuple, and one shared ``_NO_HITS`` for every run that delivered none."""
-    got, stalled = run
-    if got:
-        return tuple(got), None
-    return run if stalled else _NO_HITS
-
-
-def _base_runs(built):
-    """``run(k, ray)`` for the base pass: a kernel's run on ``built`` as
-    ``validate_kernel`` takes it, (hits, stall message, TraceStats).  The
-    hits are held as a tuple, runs with equal counters share one TraceStats,
-    and runs with equal counters that delivered no hit and did not stall
-    share one record.  Records are never shared by their hits: -0.0 == 0.0,
-    but the two print differently in a report."""
+def _ray_major(kernel_ids, rays, tree):
+    """Each kernel's ``oracle.run_to_end`` records on ``tree``, one list per
+    kernel id, in ray order.  Every kernel runs on a ray before the next
+    ray, so consecutive runs share the tree's one-ray memo.  A record's hits
+    are held as a tuple, records with equal counters share one TraceStats,
+    and those that also delivered no hit and did not stall share one
+    record.  Records are never shared by their hits: -0.0 == 0.0, but the
+    two print differently in a report."""
     shared = {}  # counters -> the record of a run with no hit and no stall
-
-    def run(k, ray):
-        stats = TraceStats()
-        got, stalled = oracle.run_to_end(k, built, ray, stats)
-        key = _counts(stats)
-        empty = shared.get(key)
-        if empty is None:
-            empty = shared[key] = ((), None, stats)
-        if got:
-            return tuple(got), None, empty[2]
-        return (None, stalled, empty[2]) if stalled else empty
-
-    return run
-
-
-def _ray_major(kernel_ids, rays, run):
-    """Each kernel's ``run(k, ray)`` results, one list per kernel id, in ray
-    order.  Every kernel runs on a ray before the next ray, so consecutive
-    runs share the tree's one-ray memo."""
     runs = {k: [] for k in kernel_ids}
     outs = list(runs.items())
     for ray in rays:
         for k, out in outs:
-            out.append(run(k, ray))
+            got, stalled, stats = oracle.run_to_end(k, tree, ray)
+            empty = shared.get(key := _counts(stats))
+            if empty is None:
+                empty = shared[key] = ((), None, stats)
+            if got:
+                out.append((tuple(got), None, empty[2]))
+            else:
+                out.append((None, stalled, empty[2]) if stalled else empty)
     return runs
 
 
@@ -342,13 +320,15 @@ def run_validation(scene, kernel_ids, cam: Camera, seeds=()):
     checked once.  Runs each kernel once per build: the base tree
     (``scene.build_options``) and each seed's permuted tree are built once,
     one permuted tree at a time, and the scene is validated once.  Both
-    passes run ray by ray: on each tree, every kernel runs on a ray before
-    the next ray, so the kernels share the tree's one-ray memo.  The base
-    pass holds each run, then ``validate_kernel`` checks each kernel's runs
-    against the reference, ray by ray.  With seeds, the base sequences are
-    the baselines of the rebuild pass, which runs each seed's tree the same
-    way; then ``check_rebuild_stability`` compares each kernel's runs with
-    its baseline.
+    passes are ``_ray_major``: on each tree, every kernel runs on a ray
+    before the next ray, so the kernels share the tree's one-ray memo.
+    ``validate_kernel`` checks each kernel's base runs against the
+    reference, ray by ray, and then the reference results and the base tree
+    are freed, so the rebuild pass holds only the rays, the base sequences
+    (its baselines) and its own runs; ``check_rebuild_stability`` then
+    compares each kernel's runs with its baseline.  Both are called once
+    per kernel, not per ray, because the benchmark's tracer times and
+    counts their calls (ROADMAP item 1).
 
     Returns (status, report dict); status is 0 only when every check of
     every kernel (and, with seeds, every rebuild-stability check) passed.
@@ -368,7 +348,7 @@ def run_validation(scene, kernel_ids, cam: Camera, seeds=()):
         "stability": {},
     }
     status = 0
-    base = _ray_major(kernel_ids, rays, _base_runs(built))
+    base = _ray_major(kernel_ids, rays, built)
     baselines = {}
     for k in kernel_ids:
         v = validate_kernel(k, built, rays, oracles=oracles, runs=base.pop(k))
@@ -377,13 +357,15 @@ def run_validation(scene, kernel_ids, cam: Camera, seeds=()):
             status = 1
         if seeds:
             baselines[k] = v.delivered  # tuples, every empty one ()
+    del built, oracles
     runs = {k: {} for k in baselines}
     for seed in seeds:
-        # a tree of the same scene: no second Scene.validate
+        # a tree of the same scene (no second Scene.validate), alive only
+        # in its pass
         tree = build_trees(scene, oracle.rebuild_options(scene.build_options, seed))
-        held = _ray_major(baselines, rays, lambda k, ray: _compact(oracle.run_to_end(k, tree, ray)))
-        for k, out in held.items():
+        for k, out in _ray_major(baselines, rays, tree).items():
             runs[k][seed] = out
+        del tree
     for k, baseline in baselines.items():
         s = check_rebuild_stability(k, scene, rays, seeds, baseline=baseline, runs=runs[k])
         report["stability"][k] = s.to_dict()
