@@ -24,11 +24,16 @@ runs the any-hit program and applies its verdict itself.
 Every kernel traces one ray again and again, changing only (t_min, t_max),
 and no box or triangle test result depends on the interval until it is
 compared with it.  So ``traverse`` keeps a one-ray memo on the
-``BuiltScene`` (``built.memo``): the raw slab interval of each node and
-instance box (``slab_entry``) and, in one entry per entered instance, its
-``object_ray_parts`` and, per geometry, each walked leaf's ``mt_core`` hits
-as finished ``HitContext``s, all computed without an interval, and only
-for what the ray has touched.  Every trace clamps a cached interval to the
+``BuiltScene`` (``built.memo``): the raw slab interval of each instance
+tree node and instance box (``slab_entry``), and per object space and
+``Blas`` the ray's ``object_ray_parts``, each mesh tree node's slab interval
+and each walked leaf's ``mt_core`` hits, all computed without an interval,
+and only for what the ray has touched.  A mesh tree's tests read only the
+tree and the object-space ray, so instances of one ``Blas`` whose inverse
+transforms are bitwise equal (``BuiltInstance.space``), such as an exact
+coincident copy, share them; each entered instance keeps its own hits as
+finished ``HitContext``s, with its own position, sbt_offset and transforms,
+made from the shared ones.  Every trace clamps a cached interval to the
 live (t_min, t_max) and hands the any-hit program a cached hit when
 t_min < t < live t_max, so the results are bitwise those of testing
 afresh, and ``nodes_visited``/``tri_tests`` still count every emulated
@@ -61,6 +66,7 @@ identity names.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple, Optional
@@ -212,16 +218,23 @@ class BuiltGeometry(NamedTuple):
 
 
 class BuiltInstance:
-    __slots__ = ("transform", "world_to_object", "inv_rows", "bounds", "geoms")
+    """One instance as traversal reads it.  ``space`` keys its object space
+    in the ray memo: None for the identity (``inv_rows`` None), else the raw
+    bytes of ``inv_rows``, so two instances share a key exactly when
+    ``object_ray_parts`` reads bitwise equal floats (``-0.0`` and ``0.0``
+    differ)."""
+
+    __slots__ = ("transform", "world_to_object", "inv_rows", "space", "bounds", "geoms")
 
     def __init__(self, transform, geoms):
         self.transform = transform
         identity = transform == IDENTITY
         if identity:
-            self.world_to_object, self.inv_rows = transform, None
+            self.world_to_object, self.inv_rows, self.space = transform, None, None
         else:
             inv = self.world_to_object = affine_inverse(transform)
             self.inv_rows = (*inv.m[0], *inv.m[1], *inv.m[2], *inv.t)
+            self.space = array("d", self.inv_rows).tobytes()
         self.geoms = geoms
         # the eight corners of each geometry's root box, z varying fastest
         boxes = (g.blas.root_bounds() for g in geoms)
@@ -256,22 +269,28 @@ class _RayMemo:
     """Interval-free test results of one ray, filled as traversal first
     needs them: raw slab intervals of the instance tree's nodes (``tlas``,
     laid out as ``_leaves`` describes) and of each instance slot's bounds
-    (``inst_boxes``); and one entry per entered instance slot
-    (``inst_rays``): the six object-space ray parts and a list of one
-    (sbt_offset, blas, node boxes, leaf hits) record per geometry, in the
-    instance's geometry order.  A missed box is ``_EMPTY``; a leaf's entry,
-    keyed by its first slot, lists a (slot, ``HitContext``) pair for each
-    of its triangles that the ray's line hits.  ``misses`` maps each
-    (t_min, t_max) whose walk met no candidate to that walk's
-    (nodes_visited, tri_tests)."""
+    (``inst_boxes``); per object space (``spaces``, keyed by
+    ``BuiltInstance.space``), the six object-space ray parts and, per
+    ``Blas``, its node boxes and leaf hits, which every instance of that
+    tree in that space shares; and one entry per entered instance slot
+    (``inst_rays``): those parts and a list of one (sbt_offset, blas, node
+    boxes, shared leaf hits, own leaf hits) record per geometry, in the
+    instance's geometry order.  A missed box is ``_EMPTY``; a leaf's hits,
+    keyed by its first slot, list a (slot, ``HitContext``) pair for each of
+    its triangles that the ray's line hits.  The shared hits are the
+    contexts of the first instance that tested the leaf; another instance
+    builds its own from their distance, barycentrics, face and primitive.
+    ``misses`` maps each (t_min, t_max) whose walk met no candidate to that
+    walk's (nodes_visited, tri_tests)."""
 
-    __slots__ = ("origin", "direction", "tlas", "inst_boxes", "inst_rays", "misses")
+    __slots__ = ("origin", "direction", "tlas", "inst_boxes", "spaces", "inst_rays", "misses")
 
     def __init__(self, origin, direction):
         self.origin = origin
         self.direction = direction
         self.tlas = {}
         self.inst_boxes = {}
+        self.spaces = {}
         self.inst_rays = {}
         self.misses = {}
 
@@ -441,6 +460,7 @@ def traverse(built: BuiltScene, ray: Ray, any_hit, prd_stats) -> tuple:
     order = built.tlas_order
     instances = built.instances
     inst_boxes = memo.inst_boxes
+    spaces = memo.spaces
     inst_rays = memo.inst_rays
     wx, wy, wz = origin
     wdx, wdy, wdz = direction
@@ -459,23 +479,38 @@ def traverse(built: BuiltScene, ray: Ray, any_hit, prd_stats) -> tuple:
                 continue
             entry = inst_rays.get(slot)
             if entry is None:
-                records = [(g.sbt_offset, g.blas, {}, {}) for g in bi.geoms]
-                entry = inst_rays[slot] = (bi.object_ray_parts(ray), records)
+                shared = spaces.get(bi.space)
+                if shared is None:
+                    shared = spaces[bi.space] = (bi.object_ray_parts(ray), {})
+                parts, trees = shared
+                records = []
+                for g in bi.geoms:
+                    tests = trees.get(g.blas)
+                    if tests is None:
+                        tests = trees[g.blas] = ({}, {})
+                    records.append((g.sbt_offset, g.blas, *tests, {}))
+                entry = inst_rays[slot] = (parts, records)
             (ox, oy, oz, dx, dy, dz), records = entry
-            for sbt_offset, blas, boxes, leaf_hits in records:
+            for sbt_offset, blas, boxes, tested, leaf_hits in records:
                 for tfirst, tcount in _leaves(blas.nodes, boxes, ox, oy, oz, dx, dy, dz, t_min, live, stats):
                     hits = leaf_hits.get(tfirst)
                     if hits is None:
-                        hits = []
-                        for tslot in range(tfirst, tfirst + tcount):
-                            prim = blas.order[tslot]
-                            hit = mt_core(ox, oy, oz, dx, dy, dz, -_INF, _INF, *blas.tris[prim])
-                            if hit is not None:
-                                t, u, v, front_face = hit
-                                ctx = HitContext(t, index, sbt_offset, prim, u, v, front_face, bi.transform,
-                                                 bi.world_to_object)
-                                hits.append((tslot, ctx))
-                        leaf_hits[tfirst] = hits  # published whole: another trace may read it
+                        hits = tested.get(tfirst)
+                        if hits is None:
+                            hits = []
+                            for tslot in range(tfirst, tfirst + tcount):
+                                prim = blas.order[tslot]
+                                hit = mt_core(ox, oy, oz, dx, dy, dz, -_INF, _INF, *blas.tris[prim])
+                                if hit is not None:
+                                    t, u, v, front_face = hit
+                                    ctx = HitContext(t, index, sbt_offset, prim, u, v, front_face, bi.transform,
+                                                     bi.world_to_object)
+                                    hits.append((tslot, ctx))
+                            tested[tfirst] = hits  # published whole: another trace may read it
+                        elif hits:  # another instance's contexts: make this one's from the same tests
+                            hits = [(tslot, HitContext(c[0], index, sbt_offset, c[3], c[4], c[5], c[6], bi.transform,
+                                                       bi.world_to_object)) for tslot, c in hits]
+                        leaf_hits[tfirst] = hits
                     for tslot, ctx in hits:
                         if not t_min < ctx[0] < live[0]:
                             continue

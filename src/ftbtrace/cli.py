@@ -93,7 +93,7 @@ def _setup(args) -> argparse.Namespace:
             raise ValueError(f"--{name.replace('_', '-')}: {exc}") from None
     if args.gen is not None:
         scene = make_scene(args.gen)
-    elif args.scene.endswith(".json"):
+    elif args.scene.lower().endswith(".json"):  # S.JSON is a manifest too
         scene = load_manifest(args.scene)
     else:
         scene = single_mesh_scene(load_obj(args.scene), name=args.scene)

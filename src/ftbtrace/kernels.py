@@ -358,7 +358,7 @@ class Kernel:
     ``counter_rule`` is a Python expression over the run's ``traces`` and
     ``ahCalls``, the reference's ``hits`` and distance ``groups``, and the
     capacity ``n``.  It is both the text validation reports and the check it
-    runs.
+    runs, compiled once into a function of those five names.
     """
 
     __slots__ = ("run", "stable", "counter_rule", "n", "_check")
@@ -368,12 +368,11 @@ class Kernel:
         self.stable = stable
         self.counter_rule = counter_rule
         self.n = n  # default capacity for 'name:N'; None: the kernel takes no N
-        self._check = compile(counter_rule, counter_rule, "eval")
+        source = f"lambda traces, ahCalls, hits, groups, n: (\n{counter_rule}\n)"
+        self._check = eval(compile(source, counter_rule, "eval"), {"ceil": math.ceil})
 
     def counters_ok(self, stats: TraceStats, hits: int, groups: int, n: Optional[int]) -> bool:
-        names = {"traces": stats.traces, "ahCalls": stats.ah_calls,
-                 "hits": hits, "groups": groups, "n": n}
-        return eval(self._check, {"ceil": math.ceil}, names)
+        return self._check(stats.traces, stats.ah_calls, hits, groups, n)
 
 
 KERNELS = {

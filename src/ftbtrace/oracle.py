@@ -310,14 +310,17 @@ def _instance_spheres(built: BuiltScene):
 
 def _cull_data(built: BuiltScene):
     """``built.oracle_spheres``: (guard, clusters, mesh_clusters), from
-    ``Blas.tris`` and the transforms only."""
+    ``Blas.tris`` and the transforms only.  The instance level's members are
+    flat tuples, which ``_reached`` reads without boxing each double out of
+    the ``array('d')``; the triangle level, one cluster set per mesh, keeps
+    the compact array."""
     guard, spheres = _instance_spheres(built)
     mesh_clusters = {}
     for bi in built.instances:
         for geom in bi.geoms:
             if geom.blas not in mesh_clusters:
                 mesh_clusters[geom.blas] = _clusters(_triangle_spheres(geom.blas.tris))
-    return guard, _clusters(spheres), mesh_clusters
+    return guard, [(*c[:5], tuple(c[5])) for c in _clusters(spheres)], mesh_clusters
 
 
 def _clusters(spheres):

@@ -1,3 +1,4 @@
+import copy
 import gc
 import hashlib
 import math
@@ -16,6 +17,7 @@ from ftbtrace import (
     Affine3,
     BuildOptions,
     Camera,
+    Geometry,
     Instance,
     Mesh,
     Scene,
@@ -30,12 +32,13 @@ from ftbtrace import (
     make_ray,
     make_scene,
     oracle_all_hits,
+    run_kernel,
     translation,
     traverse,
     validate_kernel,
 )
 import ftbtrace.bvh as bvh_mod
-from ftbtrace.bvh import Blas, BuiltGeometry, BuiltInstance
+from ftbtrace.bvh import Blas, BuiltGeometry, BuiltInstance, build_trees
 from ftbtrace.floatstep import F32_MAX, f32_bits, just_above, just_below
 from ftbtrace.geom import IDENTITY, Ray, box_of, det3, vec3_32
 from ftbtrace.pipeline import TraceStats
@@ -539,8 +542,7 @@ def test_retraces_of_one_ray_match_fresh_rays(monkeypatch):
     monkeypatch.setattr(bvh_mod, "slab_entry", counted(bvh_mod.slab_entry))
     monkeypatch.setattr(bvh_mod, "mt_core", counted(bvh_mod.mt_core))
     fresh_calls = same_calls = 0
-    for spec in _WALK_SCENES:
-        scene = make_scene(spec)
+    for scene in [make_scene(spec) for spec in _WALK_SCENES] + [_coincident_scene()]:
         rays = rays_for(scene, 4, 3)
         for leaf_size in (1, 2, 4):
             for seed in (None, 7):
@@ -616,6 +618,107 @@ def test_instances_sharing_a_mesh_keep_their_own_memo_entries():
     assert any(len({h.inst for h in orc.hits}) == 3 for orc in oracles)
     for kernel in CORRECT_KERNELS:
         assert validate_kernel(kernel, built, rays, oracles=oracles).ok, kernel
+
+
+def _coincident_scene(unshared=False):
+    """One mesh under IDENTITY, under an identity-valued copy of it and under
+    a third transform, stacked along the view axis.  The copy shares its
+    twin's object space; with ``unshared`` its mesh is a deep copy, so it
+    gets a tree of its own and shares no memo entry (build it with
+    ``build_trees``: the copy keeps its twin's sbt_offset)."""
+    geom = make_scene("abutting:k=2").instances[0].geometries[0]
+    copy_xf = Affine3(tuple(tuple(row) for row in IDENTITY.m), Vec3(0.0, 0.0, 0.0))
+    twin = Geometry(copy.deepcopy(geom.mesh), geom.sbt_offset) if unshared else geom
+    return Scene([Instance([geom], IDENTITY), Instance([twin], copy_xf),
+                  Instance([geom], translation(0.125, 0.0625, 1.5))])
+
+
+def _kernel_runs(built, rays):
+    """Every correct kernel's deliveries (t/u/v bits and identity) and
+    counters on each ray."""
+    out = []
+    for kernel in CORRECT_KERNELS:
+        for ray in rays:
+            stats = TraceStats()
+            got = []
+
+            def user_code(hit, ctx, prd):
+                got.append((f32_bits(hit.t), hit.inst, hit.geom, hit.prim) if ctx is None else
+                           (f32_bits(ctx.t), f32_bits(ctx.u), f32_bits(ctx.v), ctx.front_face, ctx[1:4]))
+
+            run_kernel(kernel, built, ray, user_code, stats=stats)
+            out.append((kernel, got, stats.as_dict()))
+    return out
+
+
+def test_a_coincident_instance_reports_what_an_unshared_copy_reports():
+    # the identity-valued copy shares its twin's tree and object space, so
+    # it reuses the twin's memoised tests; every candidate, delivery and
+    # counter must equal those of the same scene with nothing shared
+    shared = build_scene(_coincident_scene(), BuildOptions(leaf_size=2))
+    alone = build_trees(_coincident_scene(unshared=True), BuildOptions(leaf_size=2))
+    assert shared.instances[0].space is shared.instances[1].space is None
+    assert shared.instances[0].geoms[0].blas is shared.instances[1].geoms[0].blas
+    assert alone.instances[0].geoms[0].blas is not alone.instances[1].geoms[0].blas
+    rays = camera_rays(Camera((0.45, 0.55, -3.0), (0.5, 0.5, 3.0), (0.0, 1.0, 0.0), 20.0, 8, 6))
+    assert any(len({h.inst for h in oracle_all_hits(shared, ray).hits}) == 3 for ray in rays)
+    for verdict in _WALK_VERDICTS.values():
+        assert _trace_all(shared, rays, verdict) == _trace_all(alone, rays, verdict)
+    assert _kernel_runs(shared, rays) == _kernel_runs(alone, rays)
+
+
+def test_a_coincident_instance_repeats_none_of_its_twins_tests(monkeypatch):
+    # adding an identity-valued copy of an instance adds one slab test per
+    # ray, the copy's own instance box, and not one other box or triangle
+    # test: its walk is served from its twin's memo entries
+    calls = {"slab_entry": 0, "mt_core": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(bvh_mod, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(bvh_mod, name, counted)
+    scene = _coincident_scene()
+    rays = rays_for(scene, 8, 6)
+    got = []
+    for instances in (scene.instances[:1], scene.instances[:2]):
+        built = build_scene(Scene(instances), BuildOptions(leaf_size=2))
+        assert len(built.tlas_nodes) == 1  # one instance-tree leaf: one root test
+        for name in calls:
+            calls[name] = 0
+        for ray in rays:
+            _collect(built, ray)
+        got.append(dict(calls))
+    alone, pair = got
+    assert alone["mt_core"] > 0 and alone["slab_entry"] > 2 * len(rays)
+    box = built.instances[1].bounds
+    entered = sum(1 for ray in rays if bvh_mod.slab_entry(*box, *ray.origin, *ray.direction) is not None)
+    assert pair == {"slab_entry": alone["slab_entry"] + entered, "mt_core": alone["mt_core"]}
+
+
+def test_instances_equal_by_value_but_not_by_bits_keep_their_own_memo_entries():
+    # the two transforms compare equal, but one has -0.0 where the other has
+    # 0.0, so their inverses differ in a zero's sign; on a ray whose origin
+    # has a zero component the object-space origins differ in that sign, and
+    # the triangle's v comes out as 0.0 in one and -0.0 in the other
+    plain = Affine3(IDENTITY.m, Vec3(0.0, 0.0, 1.5))
+    signed = Affine3(((1.0, 0.0, -0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), Vec3(0.0, 0.0, 1.5))
+    assert plain == signed
+    mesh = Mesh([Vec3(-0.0, 0.25, 5.0), Vec3(2.0, 0.0, 5.0), Vec3(0.0, 2.0, 5.5)], [(0, 1, 2)])
+    ray = make_ray((-0.0, 0.25, -6.0), (-0.0, -0.0, 1.0), 0.0, 100.0)
+
+    def candidates(transforms, share):
+        geoms = [Geometry(mesh if share or not i else copy.deepcopy(mesh), 0) for i in range(len(transforms))]
+        built = build_trees(Scene([Instance([g], xf) for g, xf in zip(geoms, transforms)]), BuildOptions())
+        return _trace_all(built, [ray, ray._replace(t_min=ray.t_min)], _WALK_VERDICTS["ignore"])
+
+    geom = Geometry(mesh, 0)
+    built = build_scene(Scene([Instance([geom], xf) for xf in (plain, signed)]))
+    assert built.instances[0].space != built.instances[1].space
+    want = candidates((plain, signed), share=False)
+    assert {c[2] for c in want[0][0]} == {0, 1 << 31}  # v is 0.0 in one instance, -0.0 in the other
+    assert candidates((plain, signed), share=True) == want
+    assert candidates((signed, plain), share=True) == candidates((signed, plain), share=False)
 
 
 def test_zero_direction_enters_boxes_whatever_the_interval():

@@ -807,3 +807,18 @@ def test_cli_usage_and_io_errors(tmp_path):
                  "--out", str(tmp_path / "x.ppm")]) == 2
     assert main(["render", "--gen", "unknown-gen",
                  "--out", str(tmp_path / "x.ppm")]) == 2
+
+
+def test_cli_reads_a_manifest_whatever_the_case_of_its_suffix(tmp_path):
+    # S.JSON is a manifest as s.json is, not an OBJ file with no faces
+    (tmp_path / "tri.obj").write_text("v -1 -1 5\nv 1 -1 5\nv 0 1 5\nf 1 2 3\n")
+    doc = '{"meshes": [{"path": "tri.obj"}], "geometries": [{"mesh": 0, "sbtOffset": 0}], ' \
+          '"instances": [{"geometries": [0]}]}'
+    images = []
+    for name in ("s.json", "S.JSON"):
+        (tmp_path / name).write_text(doc)
+        out = tmp_path / f"{name}.ppm"
+        assert main(["render", "--scene", str(tmp_path / name), "--kernel", "stable-next",
+                     "--size", "6x4", "--out", str(out)]) == 0
+        images.append(out.read_bytes())
+    assert images[0] == images[1]
